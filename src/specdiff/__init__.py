@@ -46,7 +46,6 @@ from .matrices import (
     EigendecompositionError,
     RectMatrix,
     SelfAdjointMatrix,
-    matrix_function,
     schatten_norm,
     sho_assemble,
     singular_values,

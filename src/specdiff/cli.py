@@ -7,8 +7,9 @@ Four subcommands cover the lab's workflows:
   sweep     run a configured projection-difference sweep, write CSV + JSON
   report    render a sweep summary JSON as plain text and an SVG chart
 
-Exit codes: 0 success, 1 a run finished but missed its tolerance, 2 bad
-arguments or configuration.
+Exit codes: 0 success, 1 a run finished but missed its tolerance (or the
+resolution guard left too few points to fit), 2 bad arguments, configuration
+or input, or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical lab for spectral concentration of smoothed projection differences.",
     )
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    parser.add_argument("--workers", type=int, default=None, help="override sweep worker count")
-    parser.add_argument("--seed", type=int, default=None, help="override sweep seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_density = sub.add_parser("density", help="limiting-density slopes and moments")
@@ -143,7 +141,10 @@ def _cmd_hankel(args) -> int:
         print(json.dumps(payload, indent=2))
     text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            return _fail(f"cannot write {args.output!r}: {exc}", 2)
         if not args.json:
             print(f"wrote {args.output}")
     elif not args.json:
@@ -154,10 +155,6 @@ def _cmd_hankel(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         config = SweepConfig.from_json(args.config)
-        if args.workers is not None:
-            config = replace(config, workers=args.workers)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
     except ConfigError as exc:
         return _fail(str(exc), 2)
 
@@ -168,8 +165,11 @@ def _cmd_sweep(args) -> int:
         for name in config.profiles:
             result = run_sweep(config, profile=name)
             stem = prefix if len(config.profiles) == 1 else f"{prefix}-{name}"
-            result.write_csv(f"{stem}.csv")
-            result.write_summary(f"{stem}.json")
+            try:
+                result.write_csv(f"{stem}.csv")
+                result.write_summary(f"{stem}.json")
+            except OSError as exc:
+                return _fail(f"cannot write the sweep output: {exc}", 2)
             payloads.append(result.summary_dict())
             if not args.json:
                 for key, dev in result.deviations.items():
@@ -199,8 +199,14 @@ def _cmd_report(args) -> int:
         return _fail(f"cannot read {args.input!r}: {exc}", 2)
     except json.JSONDecodeError as exc:
         return _fail(f"{args.input!r} is not valid JSON: {exc}", 2)
+    if not isinstance(summary, dict):
+        return _fail(f"{args.input!r} is not a sweep summary: expected a JSON object, "
+                     f"got {type(summary).__name__}", 2)
     svg_path = Path(args.svg) if args.svg else path.with_suffix(".svg")
-    svg_path.write_text(render_svg(summary))
+    try:
+        svg_path.write_text(render_svg(summary))
+    except OSError as exc:
+        return _fail(f"cannot write {str(svg_path)!r}: {exc}", 2)
     print(render_text(summary), end="")
     print(f"wrote {svg_path}")
     return 0

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -71,6 +70,11 @@ def _validate_window(window) -> tuple[float, float]:
             f"window closure must exclude 0 (counts diverge there), got {window!r}"
         )
     return lo, hi
+
+
+def _is_integer(value) -> bool:
+    """A Python int that is not a bool; a float count is an error, not truncated."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _window_key(window: tuple[float, float]) -> str:
@@ -194,8 +198,6 @@ class SweepConfig:
     eps_count: int = 8
     windows: tuple[tuple[float, float], ...] = ((0.4, 1.0),)
     trace_powers: tuple[int, ...] = (1, 2, 3)
-    workers: int = 1
-    seed: int = 0
     kappa: float = RESOLUTION_KAPPA
     tolerance: float = 0.15
     output: str | None = None
@@ -205,7 +207,7 @@ class SweepConfig:
             raise ConfigError(
                 f"need 0 < stop < start < 1, got start={self.eps_start!r}, stop={self.eps_stop!r}"
             )
-        if not isinstance(self.eps_count, int) or self.eps_count < 3:
+        if not _is_integer(self.eps_count) or self.eps_count < 3:
             raise ConfigError(f"epsilon count must be an integer >= 3, got {self.eps_count!r}")
         if not self.profiles:
             raise ConfigError("at least one profile is required")
@@ -219,16 +221,16 @@ class SweepConfig:
         for w in self.windows:
             _validate_window(w)
         for m in self.trace_powers:
-            if not isinstance(m, int) or m < 1:
+            if not _is_integer(m) or m < 1:
                 raise ConfigError(f"trace powers must be positive integers, got {m!r}")
         if len(set(self.trace_powers)) != len(self.trace_powers):
             raise ConfigError("trace powers must be distinct")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
         if not (self.kappa > 0):
             raise ConfigError(f"kappa must be positive, got {self.kappa!r}")
         if not (self.tolerance > 0):
             raise ConfigError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not (self.output is None or isinstance(self.output, str)):
+            raise ConfigError(f"output must be a path string or null, got {self.output!r}")
 
     def epsilon_grid(self) -> np.ndarray:
         return np.geomspace(self.eps_start, self.eps_stop, self.eps_count)
@@ -237,6 +239,8 @@ class SweepConfig:
     def from_dict(cls, data: dict) -> "SweepConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+        # "workers" and "seed" name removed options; configs written with them
+        # still load, and their values are ignored
         known = {
             "model", "lambda", "profiles", "epsilon", "windows", "trace_powers",
             "workers", "seed", "kappa", "tolerance", "output",
@@ -260,17 +264,17 @@ class SweepConfig:
             if not isinstance(w, (list, tuple)) or len(w) != 2:
                 raise ConfigError(f"window must be a pair, got {w!r}")
             windows.append((bound(w[0], -math.inf), bound(w[1], math.inf)))
+        # the count, the powers and the output go in as given, unconverted, so
+        # that __post_init__ rejects a float or bool integer and a non-string path
         return cls(
             model=model,
             lam=float(data.get("lambda", 0.0)),
             profiles=tuple(str(p) for p in data.get("profiles", ("ARCTAN_HALF",))),
             eps_start=float(epsilon.get("start", 1e-1)),
             eps_stop=float(epsilon.get("stop", 3e-3)),
-            eps_count=int(epsilon.get("count", 8)),
+            eps_count=epsilon.get("count", 8),
             windows=tuple(windows),
-            trace_powers=tuple(int(m) for m in data.get("trace_powers", (1, 2, 3))),
-            workers=int(data.get("workers", 1)),
-            seed=int(data.get("seed", 0)),
+            trace_powers=tuple(data.get("trace_powers", (1, 2, 3))),
             kappa=float(data.get("kappa", RESOLUTION_KAPPA)),
             tolerance=float(data.get("tolerance", 0.15)),
             output=data.get("output"),
@@ -299,8 +303,6 @@ class SweepConfig:
             "epsilon": {"start": self.eps_start, "stop": self.eps_stop, "count": self.eps_count},
             "windows": [[jbound(lo), jbound(hi)] for lo, hi in self.windows],
             "trace_powers": list(self.trace_powers),
-            "workers": self.workers,
-            "seed": self.seed,
             "kappa": self.kappa,
             "tolerance": self.tolerance,
             "output": self.output,
@@ -362,7 +364,6 @@ class SweepResult:
         return {
             "profile": self.profile,
             "lambda": self.config.lam,
-            "seed": self.config.seed,
             "kappa": self.config.kappa,
             "tolerance": self.config.tolerance,
             "guard_floor": self.guard_floor,
@@ -438,37 +439,25 @@ def run_sweep(config: SweepConfig, profile: str | CutoffProfile | None = None) -
 
     point = model.scattering_point(config.lam)
     bands = BandSet([point.a1])
-    window_keys = [_window_key(w) for w in config.windows]
-    model.h.eig()  # prime the shared eigendecomposition before any thread pool
+    windows = [(_window_key(win), win) for win in config.windows]
+    model.h.eig()  # the one H eigensolve, shared by every eps: no D_eps build carries its cost
 
-    def measure(i: int) -> SweepRecord:
-        eps = float(eps_grid[i])
-        d = model.build_d_eps(prof, eps, config.lam, kappa=config.kappa)
-        w = d.eigenvalues()
-        counts = {
-            key: count_window(w, win) for key, win in zip(window_keys, config.windows)
-        }
-        traces = {m: float(np.sum(w ** float(m))) for m in config.trace_powers}
-        unfolded = {
-            key: unfolded_count(w, win, bands) for key, win in zip(window_keys, config.windows)
-        }
-        return SweepRecord(
-            epsilon=eps,
-            log_inv_eps=float(np.log(1.0 / eps)),
-            counts=counts,
-            traces=traces,
-            guard_flag=bool(flags[i]),
-            unfolded=unfolded,
-        )
-
+    records = []
     with warnings.catch_warnings():
         # flags are recorded per record; the per-build warning is redundant here
         warnings.simplefilter("ignore", ResolutionGuardWarning)
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                records = tuple(pool.map(measure, range(eps_grid.size)))
-        else:
-            records = tuple(measure(i) for i in range(eps_grid.size))
+        for eps, flag in zip(eps_grid, flags):
+            eps = float(eps)
+            w = model.build_d_eps(prof, eps, config.lam, kappa=config.kappa).eigenvalues()
+            records.append(SweepRecord(
+                epsilon=eps,
+                log_inv_eps=float(np.log(1.0 / eps)),
+                counts={key: count_window(w, win) for key, win in windows},
+                traces={m: float(np.sum(w ** float(m))) for m in config.trace_powers},
+                guard_flag=bool(flag),
+                unfolded={key: unfolded_count(w, win, bands) for key, win in windows},
+            ))
+    records = tuple(records)
 
     clean = [r for r in records if not r.guard_flag]
     if len(clean) < 3:
@@ -492,7 +481,7 @@ def run_sweep(config: SweepConfig, profile: str | CutoffProfile | None = None) -
         deviations[key] = deviation(fit.slope, pred)
         residuals[key] = fit.residual_rms
 
-    for key, win in zip(window_keys, config.windows):
+    for key, win in windows:
         values = [r.counts[key] for r in clean]
         count_key = _count_key(win)
         record_fit(count_key, values, predicted_window_slope(bands, win))

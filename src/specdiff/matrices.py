@@ -2,13 +2,13 @@
 
 Everything at this layer is plain double-precision linear algebra, sized for
 direct dense solvers.  The wrapper types exist to keep symmetry validation
-and eigendecomposition caching in one place; the free functions accept either
-a wrapper or a bare array.
+and eigendecomposition caching in one place: ``SelfAdjointMatrix`` checks and
+symmetrizes its entries once, on construction, so callers hand it the raw
+array they computed.  The free functions accept either a wrapper or a bare
+array.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -16,7 +16,6 @@ __all__ = [
     "EigendecompositionError",
     "RectMatrix",
     "SelfAdjointMatrix",
-    "matrix_function",
     "schatten_norm",
     "sho_assemble",
     "singular_values",
@@ -86,7 +85,7 @@ class SelfAdjointMatrix:
     __slots__ = ("entries", "_eigvals", "_eigvecs")
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
+        a = np.asarray(entries, dtype=float)  # not copied: symmetrizing below allocates
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -149,30 +148,6 @@ class SelfAdjointMatrix:
 
     def __repr__(self) -> str:
         return f"SelfAdjointMatrix(dim={self.dim})"
-
-
-def matrix_function(a: SelfAdjointMatrix, f: Callable) -> SelfAdjointMatrix:
-    """Apply a scalar function through the eigendecomposition, f(A) = Q f(L) Q^T.
-
-    ``f`` is evaluated on the eigenvalue vector (vectorized call first, scalar
-    fallback otherwise) and must return finite values on the whole spectrum.
-    """
-    w, q = a.eig()
-    with np.errstate(all="ignore"):
-        # non-finite values surface as the ValueError below, not as warnings
-        try:
-            fw = np.asarray(f(w), dtype=float)
-        except (TypeError, ValueError):
-            fw = np.array([float(f(x)) for x in w])
-    if fw.shape != w.shape:
-        fw = np.array([float(f(x)) for x in w])
-    bad = np.flatnonzero(~np.isfinite(fw))
-    if bad.size:
-        raise ValueError(
-            f"function value not finite at eigenvalue {w[bad[0]]!r}"
-        )
-    b = (q * fw) @ q.T
-    return SelfAdjointMatrix((b + b.T) / 2.0)
 
 
 def singular_values(x) -> np.ndarray:

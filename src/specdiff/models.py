@@ -222,7 +222,7 @@ class RankOneModel:
         w, q = self.h.eig()
         d = (q * profile((w - lam) / eps)) @ q.T
         d[np.diag_indices(self.n)] -= profile((self.nodes - lam) / eps)
-        return SelfAdjointMatrix((d + d.T) / 2.0)
+        return SelfAdjointMatrix(d)
 
 
 def negative_control(alpha: float, n: int, profile: CutoffProfile, eps: float) -> int:

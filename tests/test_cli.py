@@ -110,6 +110,12 @@ class TestHankelCommand:
         assert text.startswith("epsilon,log_inv_eps,trace_m1")
         assert text.endswith("\n")
 
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "absent" / "traces.csv"
+        code, _, err = run(capsys, self.ARGS + ["--output", str(path)])
+        assert code == 2
+        assert "specdiff: error: cannot write" in err
+
     def test_json_payload_is_pure_json(self, capsys):
         code, out, _ = run(capsys, ["--json"] + self.ARGS)
         assert code == 0
@@ -185,13 +191,6 @@ class TestSweepCommand:
         assert (tmp_path / "run_a.csv").read_bytes() == (tmp_path / "run_b.csv").read_bytes()
         assert (tmp_path / "run_a.json").read_bytes() == (tmp_path / "run_b.json").read_bytes()
 
-    def test_worker_and_seed_overrides(self, capsys, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"))
-        code, _, _ = run(capsys, ["--workers", "2", "--seed", "7", "sweep",
-                                  "--config", cfg])
-        assert code == 0
-        assert json.loads((tmp_path / "sw.json").read_text())["seed"] == 7
-
     def test_multi_profile_suffixes(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"),
                            profiles=["ARCTAN_HALF", "TANH_HALF"])
@@ -220,6 +219,20 @@ class TestSweepCommand:
         code, _, err = run(capsys, ["sweep", "--config", str(path)])
         assert code == 2
         assert "unknown config keys" in err
+
+    def test_non_integer_count_exits_two(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"),
+                           epsilon={"start": 0.3, "stop": 0.03, "count": 8.7})
+        code, _, err = run(capsys, ["sweep", "--config", cfg])
+        assert code == 2
+        assert "specdiff: error: epsilon count" in err
+        assert not (tmp_path / "sw.csv").exists()
+
+    def test_missing_output_directory_exits_two(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "absent" / "sw"))
+        code, _, err = run(capsys, ["sweep", "--config", cfg])
+        assert code == 2
+        assert "specdiff: error: cannot write" in err
 
     def test_guard_rejection_exits_one(self, capsys, tmp_path):
         # every point below the n=400 resolution floor: the run must refuse
@@ -274,6 +287,20 @@ class TestReportCommand:
         code, _, err = run(capsys, ["report", "--input", str(path)])
         assert code == 2
         assert "not valid JSON" in err
+
+    def test_non_object_input_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        code, _, err = run(capsys, ["report", "--input", str(path)])
+        assert code == 2
+        assert "specdiff: error" in err and "JSON object" in err
+
+    def test_unwritable_svg_exits_two(self, capsys, summary_path, tmp_path):
+        svg_path = tmp_path / "absent" / "chart.svg"
+        code, _, err = run(capsys, ["report", "--input", str(summary_path),
+                                    "--svg", str(svg_path)])
+        assert code == 2
+        assert "specdiff: error: cannot write" in err
 
 
 class TestParser:

@@ -1,6 +1,4 @@
-"""Matrix layer: wrappers, functional calculus, Schatten norms, SHO blocks."""
-
-import math
+"""Matrix layer: wrappers, eigendecompositions, Schatten norms, SHO blocks."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ import pytest
 from specdiff.matrices import (
     RectMatrix,
     SelfAdjointMatrix,
-    matrix_function,
     schatten_norm,
     sho_assemble,
     singular_values,
@@ -50,6 +47,13 @@ class TestWrappers:
         m = SelfAdjointMatrix(a)
         assert np.array_equal(m.entries, m.entries.T)
 
+    def test_entries_do_not_alias_the_input(self):
+        a = np.array([[1.0, 0.5], [0.5, 1.0]])
+        m = SelfAdjointMatrix(a)
+        a[0, 1] = a[1, 0] = 7.0
+        assert np.array_equal(m.entries, [[1.0, 0.5], [0.5, 1.0]])
+        assert a.flags.writeable and not m.entries.flags.writeable
+
 
 class TestEig:
     def test_identity(self):
@@ -83,34 +87,6 @@ class TestEig:
         fast = SelfAdjointMatrix(sym).eigenvalues()
         full = SelfAdjointMatrix(sym).eig()[0]
         assert np.allclose(fast, full, atol=1e-12)
-
-
-class TestMatrixFunction:
-    def test_identity_function_returns_a(self):
-        a = random_symmetric(np.random.default_rng(2), 10)
-        b = matrix_function(a, lambda x: x)
-        assert np.max(np.abs(b.entries - a.entries)) < 1e-12
-
-    def test_square_on_diagonal(self):
-        b = matrix_function(SelfAdjointMatrix(np.diag([-1.0, 2.0])), lambda x: x**2)
-        assert np.allclose(b.entries, np.diag([1.0, 4.0]), atol=1e-14)
-
-    def test_sign_step(self):
-        # the step 1_{(-inf,0)} - 1/2 applied to diag(-3, 5)
-        step = lambda x: np.where(x < 0, 0.5, -0.5)
-        b = matrix_function(SelfAdjointMatrix(np.diag([-3.0, 5.0])), step)
-        assert np.allclose(b.entries, np.diag([0.5, -0.5]), atol=1e-14)
-
-    def test_scalar_only_callable(self):
-        a = random_symmetric(np.random.default_rng(3), 6)
-        b = matrix_function(a, math.exp)
-        w, q = a.eig()
-        assert np.allclose(b.entries, (q * np.exp(w)) @ q.T, atol=1e-12)
-
-    def test_nonfinite_value_names_eigenvalue(self):
-        a = SelfAdjointMatrix(np.diag([0.0, 2.0]))
-        with pytest.raises(ValueError, match="not finite at eigenvalue"):
-            matrix_function(a, lambda x: 1.0 / x)
 
 
 class TestSingularValuesAndNorms:
