@@ -46,6 +46,7 @@ from .matrices import (
     EigendecompositionError,
     RectMatrix,
     SelfAdjointMatrix,
+    SpectralDifference,
     schatten_norm,
     sho_assemble,
     singular_values,

@@ -159,6 +159,9 @@ def _cmd_sweep(args) -> int:
         return _fail(str(exc), 2)
 
     prefix = config.output or "sweep"
+    directory = Path(prefix).parent
+    if not directory.is_dir():  # found now, not after the whole sweep has run
+        return _fail(f"cannot write the sweep output: no directory {str(directory)!r}", 2)
     worst = 0.0
     payloads = []
     try:
@@ -202,6 +205,10 @@ def _cmd_report(args) -> int:
     if not isinstance(summary, dict):
         return _fail(f"{args.input!r} is not a sweep summary: expected a JSON object, "
                      f"got {type(summary).__name__}", 2)
+    if not (isinstance(summary.get("records"), list)
+            and isinstance(summary.get("fitted_slopes"), dict)):
+        return _fail(f"{args.input!r} is not a sweep summary: it needs a \"records\" list "
+                     f"and a \"fitted_slopes\" object", 2)
     svg_path = Path(args.svg) if args.svg else path.with_suffix(".svg")
     try:
         svg_path.write_text(render_svg(summary))

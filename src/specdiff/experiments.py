@@ -2,9 +2,13 @@
 
 A sweep fixes a model, an energy lam, and a profile, builds the smoothed
 projection difference D_eps over a geometric eps grid, and records window
-counts and trace powers per eps.  Fitted slopes against |log eps| are then
-compared with the predictions coming from the scattering data: window masses
-of the limiting density for counts, Delta_m moments for traces.
+counts and trace powers per eps.  D_eps stays factored (``SpectralDifference``):
+traces of powers up to 3 are O(n^2) sums, and the counts read only the
+eigenvalues beyond the smallest window edge, found by certified Lanczos.  A
+trace power above 3 needs the dense spectrum, which then serves the counts
+too.  Fitted slopes against |log eps| are compared with the predictions
+coming from the scattering data: window masses of the limiting density for
+counts, Delta_m moments for traces.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .density import BandSet, band_count_slope, delta_m
-from .matrices import SelfAdjointMatrix
+from .matrices import SelfAdjointMatrix, SpectralDifference
 from .models import RESOLUTION_KAPPA, RankOneModel, ResolutionGuardWarning, negative_control
 from .profiles import CutoffProfile, builtin_profile
 
@@ -77,6 +81,27 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _real(value, what: str) -> float:
+    """A config number; a value float() cannot take is a config error."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _list(value, what: str) -> list | tuple:
+    """A config list; a scalar or an object in its place is a config error."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _window_gap(window: tuple[float, float]) -> float:
+    """Distance from a validated window to 0, positive since its closure excludes 0."""
+    lo, hi = window
+    return lo if lo > 0 else -hi
+
+
 def _window_key(window: tuple[float, float]) -> str:
     lo, hi = window
     return f"({lo:g},{hi:g})"
@@ -86,10 +111,13 @@ def count_window(target, window) -> int:
     """Number of eigenvalues strictly inside the open window (lo, hi).
 
     Boundary eigenvalues count as outside.  The window closure must exclude
-    0, where the limiting density is not integrable.
+    0, where the limiting density is not integrable.  A ``SpectralDifference``
+    is counted from its eigenvalues beyond the window's distance to 0.
     """
     lo, hi = _validate_window(window)
-    if isinstance(target, SelfAdjointMatrix):
+    if isinstance(target, SpectralDifference):
+        eigs = target.window_eigenvalues(_window_gap((lo, hi)))
+    elif isinstance(target, SelfAdjointMatrix):
         eigs = target.eigenvalues()
     else:
         eigs = np.asarray(target, dtype=float)
@@ -257,10 +285,11 @@ class SweepConfig:
             raise ConfigError(f"epsilon block must have keys start/stop/count, got {epsilon!r}")
 
         def bound(v, default):
-            return default if v is None else float(v)
+            return default if v is None else _real(v, "window bound")
 
+        profiles = _list(data.get("profiles", ["ARCTAN_HALF"]), "profiles")
         windows = []
-        for w in data.get("windows", [(0.4, 1.0)]):
+        for w in _list(data.get("windows", [(0.4, 1.0)]), "windows"):
             if not isinstance(w, (list, tuple)) or len(w) != 2:
                 raise ConfigError(f"window must be a pair, got {w!r}")
             windows.append((bound(w[0], -math.inf), bound(w[1], math.inf)))
@@ -268,15 +297,15 @@ class SweepConfig:
         # that __post_init__ rejects a float or bool integer and a non-string path
         return cls(
             model=model,
-            lam=float(data.get("lambda", 0.0)),
-            profiles=tuple(str(p) for p in data.get("profiles", ("ARCTAN_HALF",))),
-            eps_start=float(epsilon.get("start", 1e-1)),
-            eps_stop=float(epsilon.get("stop", 3e-3)),
+            lam=_real(data.get("lambda", 0.0), "lambda"),
+            profiles=tuple(str(p) for p in profiles),
+            eps_start=_real(epsilon.get("start", 1e-1), "epsilon start"),
+            eps_stop=_real(epsilon.get("stop", 3e-3), "epsilon stop"),
             eps_count=epsilon.get("count", 8),
             windows=tuple(windows),
-            trace_powers=tuple(data.get("trace_powers", (1, 2, 3))),
-            kappa=float(data.get("kappa", RESOLUTION_KAPPA)),
-            tolerance=float(data.get("tolerance", 0.15)),
+            trace_powers=tuple(_list(data.get("trace_powers", (1, 2, 3)), "trace_powers")),
+            kappa=_real(data.get("kappa", RESOLUTION_KAPPA), "kappa"),
+            tolerance=_real(data.get("tolerance", 0.15), "tolerance"),
             output=data.get("output"),
         )
 
@@ -440,7 +469,10 @@ def run_sweep(config: SweepConfig, profile: str | CutoffProfile | None = None) -
     point = model.scattering_point(config.lam)
     bands = BandSet([point.a1])
     windows = [(_window_key(win), win) for win in config.windows]
-    model.h.eig()  # the one H eigensolve, shared by every eps: no D_eps build carries its cost
+    # every window edge is at least b from 0, so the eigenvalues beyond b and
+    # their brackets settle every count and unfolded count
+    b = min((_window_gap(win) for win in config.windows), default=math.inf)
+    model.overlaps()  # the one H eigensolve and P = Q∘Q, shared by every eps
 
     records = []
     with warnings.catch_warnings():
@@ -448,12 +480,16 @@ def run_sweep(config: SweepConfig, profile: str | CutoffProfile | None = None) -
         warnings.simplefilter("ignore", ResolutionGuardWarning)
         for eps, flag in zip(eps_grid, flags):
             eps = float(eps)
-            w = model.build_d_eps(prof, eps, config.lam, kappa=config.kappa).eigenvalues()
+            d = model.build_d_eps(prof, eps, config.lam, kappa=config.kappa)
+            # traces first: a power above 3 builds the dense spectrum, which the
+            # window eigenvalues then reuse instead of running Lanczos
+            traces = {m: d.trace_power(m) for m in config.trace_powers}
+            w = d.window_eigenvalues(b) if windows else np.empty(0)
             records.append(SweepRecord(
                 epsilon=eps,
                 log_inv_eps=float(np.log(1.0 / eps)),
                 counts={key: count_window(w, win) for key, win in windows},
-                traces={m: float(np.sum(w ** float(m))) for m in config.trace_powers},
+                traces=traces,
                 guard_flag=bool(flag),
                 unfolded={key: unfolded_count(w, win, bands) for key, win in windows},
             ))

@@ -11,6 +11,10 @@ energy lam the scattering "matrix" is the unimodular scalar
 with T(z) the resolvent form of the coupling.  Everything the experiments
 need at a point lam follows from it: the band edge a1 = |S - 1|/2 and the
 spectral shift xi = arg(1 + c T)/pi.
+
+The discrete D_eps is built in H's eigenbasis Q, computed once per model:
+H0 is diagonal, so D_eps = Q psi_eps(W - lam) Q^T - psi_eps(X - lam) is kept
+as a ``SpectralDifference`` and costs O(n) per eps to build.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .density import BandSet
-from .matrices import SelfAdjointMatrix
+from .matrices import SelfAdjointMatrix, SpectralDifference
 from .profiles import CutoffProfile, ProfileKind
 
 __all__ = [
@@ -105,6 +109,7 @@ class RankOneModel:
         self.weights = self.L * w
         self._check_quadrature()
         self._h: SelfAdjointMatrix | None = None
+        self._overlaps: np.ndarray | None = None
 
     def _check_quadrature(self, tol: float = 1e-8) -> None:
         # the grid must integrate v^2 exactly, or the discrete model is not
@@ -128,6 +133,15 @@ class RankOneModel:
             entries[np.diag_indices(self.n)] += self.nodes
             self._h = SelfAdjointMatrix(entries)
         return self._h
+
+    def overlaps(self) -> np.ndarray:
+        """P = Q∘Q, the squared overlaps of H's eigenvectors with the nodes, cached."""
+        if self._overlaps is None:
+            q = self.h.eig()[1]
+            p = q * q
+            p.setflags(write=False)
+            self._overlaps = p
+        return self._overlaps
 
     def _check_energy(self, lam: float) -> float:
         lam = float(lam)
@@ -200,13 +214,16 @@ class RankOneModel:
         eps: float,
         lam: float,
         kappa: float = RESOLUTION_KAPPA,
-    ) -> SelfAdjointMatrix:
+    ) -> SpectralDifference:
         """The smoothed projection difference psi_eps(H - lam) - psi_eps(H0 - lam).
 
         H0 is diagonal here, so only H goes through an eigendecomposition (it
-        is cached on the model and shared by every eps).  If eps is below the
-        resolution guard a warning is attached and the build proceeds; sweep
-        drivers decide what to do with flagged points.
+        is cached on the model and shared by every eps, with ``overlaps``).
+        The result keeps D = Q diag(f) Q^T - diag(g) factored, f = psi((w -
+        lam)/eps) on H's eigenvalues and g = psi((x - lam)/eps) on the nodes:
+        O(n) per eps, with the dense matrix built only when asked for.  If eps
+        is below the resolution guard a warning is attached and the build
+        proceeds; sweep drivers decide what to do with flagged points.
         """
         lam = self._check_energy(lam)
         if not (0 < eps < 1):
@@ -220,9 +237,9 @@ class RankOneModel:
                 stacklevel=2,
             )
         w, q = self.h.eig()
-        d = (q * profile((w - lam) / eps)) @ q.T
-        d[np.diag_indices(self.n)] -= profile((self.nodes - lam) / eps)
-        return SelfAdjointMatrix(d)
+        return SpectralDifference(
+            q, profile((w - lam) / eps), profile((self.nodes - lam) / eps), self.overlaps()
+        )
 
 
 def negative_control(alpha: float, n: int, profile: CutoffProfile, eps: float) -> int:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from specdiff import cli
 from specdiff.cli import main
 from specdiff.density import BandSet, band_count_slope, delta_m
 from specdiff.hankel import k_eps_trace_exact
@@ -234,6 +235,23 @@ class TestSweepCommand:
         assert code == 2
         assert "specdiff: error: cannot write" in err
 
+    def test_scalar_trace_powers_exit_two(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"), trace_powers=5)
+        code, _, err = run(capsys, ["sweep", "--config", cfg])
+        assert code == 2
+        assert "specdiff: error: trace_powers must be a list" in err
+
+    def test_missing_output_directory_is_found_before_the_sweep(self, capsys, tmp_path,
+                                                               monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "absent" / "sw"))
+        code, _, err = run(capsys, ["sweep", "--config", cfg])
+        assert code == 2
+        assert "specdiff: error: cannot write" in err
+
     def test_guard_rejection_exits_one(self, capsys, tmp_path):
         # every point below the n=400 resolution floor: the run must refuse
         cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"),
@@ -294,6 +312,18 @@ class TestReportCommand:
         code, _, err = run(capsys, ["report", "--input", str(path)])
         assert code == 2
         assert "specdiff: error" in err and "JSON object" in err
+
+    def test_object_that_is_not_a_summary_exits_two(self, capsys, tmp_path):
+        for text in ("{}", '{"records": {}, "fitted_slopes": {}}',
+                     '{"records": [], "fitted_slopes": []}'):
+            path = tmp_path / "other.json"
+            path.write_text(text)
+            svg_path = tmp_path / "other.svg"
+            code, out, err = run(capsys, ["report", "--input", str(path),
+                                          "--svg", str(svg_path)])
+            assert code == 2, text
+            assert "specdiff: error" in err and "not a sweep summary" in err
+            assert out == "" and not svg_path.exists()
 
     def test_unwritable_svg_exits_two(self, capsys, summary_path, tmp_path):
         svg_path = tmp_path / "absent" / "chart.svg"

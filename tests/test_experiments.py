@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from specdiff.experiments import (
     universality_study,
 )
 from specdiff.density import BandSet, band_count_slope
-from specdiff.matrices import SelfAdjointMatrix
+from specdiff.matrices import SelfAdjointMatrix, SpectralDifference
+from specdiff.models import ResolutionGuardWarning
 from specdiff.profiles import builtin_profile
 
 # small-n config: guard floor is 0.4 * pi * 8 / 400 ~ 0.025, so eps down to
@@ -189,6 +191,16 @@ class TestSweepConfig:
                 SweepConfig.from_dict({"output": output})
         assert SweepConfig.from_dict({"output": None}).output is None
 
+    @pytest.mark.parametrize("data, message", [
+        ({"trace_powers": 5}, "trace_powers must be a list"),
+        ({"profiles": 5}, "profiles must be a list"),
+        ({"windows": 5}, "windows must be a list"),
+        ({"lambda": [1]}, "lambda must be a number"),
+    ])
+    def test_wrong_value_type_rejected(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepConfig.from_dict(data)
+
     def test_legacy_workers_and_seed_are_ignored(self):
         assert SweepConfig.from_dict({"workers": 4, "seed": 7}) == SweepConfig()
 
@@ -261,6 +273,66 @@ class TestRunSweep:
         assert any(r.guard_flag for r in res.records)
         assert len(res.clean_records()) >= 3
         assert len(res.clean_records()) < len(res.records)
+
+
+class TestStructuredSweep:
+    """run_sweep reads the factored D_eps; its dense spectrum is the oracle."""
+
+    WINDOWS = ((0.4, 1.0), (0.4, math.inf), (-math.inf, -0.4), (0.1, 0.3))
+
+    @staticmethod
+    def dense_spectra(config, name):
+        model = config.model.build()
+        prof = builtin_profile(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionGuardWarning)
+            return [model.build_d_eps(prof, float(eps), config.lam, kappa=config.kappa)
+                    .eigenvalues() for eps in config.epsilon_grid()]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    @pytest.mark.parametrize("name", ["ARCTAN_HALF", "TANH_HALF", "MOLLIFIED_STEP"])
+    def test_records_match_the_dense_spectrum(self, name, lam):
+        # eps down to 0.02 puts the last point below the n = 400 guard floor
+        cfg = small_config(lam=lam, eps_stop=0.02, windows=self.WINDOWS)
+        res = run_sweep(cfg, profile=name)
+        assert res.records[-1].guard_flag
+        bands = BandSet(res.band_edges)
+        for r, w in zip(res.records, self.dense_spectra(cfg, name)):
+            for win in self.WINDOWS:
+                key = f"({win[0]:g},{win[1]:g})"
+                assert r.counts[key] == count_window(w, win)
+                assert r.unfolded[key] == pytest.approx(unfolded_count(w, win, bands), abs=1e-12)
+            for m in (1, 2, 3):
+                exact = float(np.sum(w ** float(m)))
+                assert abs(r.traces[m] - exact) <= 1e-11 * float(np.sum(np.abs(w) ** m))
+
+    def test_fourth_power_takes_the_dense_path(self):
+        cfg = small_config(trace_powers=(4,), windows=self.WINDOWS)
+        res = run_sweep(cfg)
+        bands = BandSet(res.band_edges)
+        for r, w in zip(res.records, self.dense_spectra(cfg, "ARCTAN_HALF")):
+            assert r.traces == {4: float(np.sum(w**4.0))}
+            for win in self.WINDOWS:
+                key = f"({win[0]:g},{win[1]:g})"
+                assert r.counts[key] == count_window(w, win)
+                assert r.unfolded[key] == unfolded_count(w, win, bands)
+
+    @pytest.mark.parametrize("c, dense_builds", [(0.0, 5), (0.5, 0)])
+    def test_only_zero_coupling_builds_dense_matrices(self, monkeypatch, c, dense_builds):
+        built = []
+        dense = SpectralDifference.dense
+
+        def counted(self):
+            built.append(self)
+            return dense(self)
+
+        monkeypatch.setattr(SpectralDifference, "dense", counted)
+        run_sweep(small_config(model=ModelSpec(n=400, c=c)))
+        assert len(built) == dense_builds
+
+    def test_reruns_are_bitwise_identical(self):
+        cfg = small_config(windows=self.WINDOWS)
+        assert run_sweep(cfg).records == run_sweep(cfg).records
 
 
 class TestUnfoldedCount:

@@ -1,11 +1,15 @@
 """Rank-one scattering model: resolvent boundary values, S, D_eps, controls."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from specdiff.density import BandSet
+from specdiff.experiments import count_window, unfolded_count
+from specdiff.matrices import LANCZOS_START, SpectralDifference
 from specdiff.models import (
     BUMPS,
     ExceptionalPointError,
@@ -150,6 +154,103 @@ class TestProjectionDifference:
         for eps in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 model.build_d_eps(psi, eps, 0.0)
+
+
+WINDOWS = ((0.4, 1.0), (0.4, math.inf), (-math.inf, -0.4), (0.1, 0.3))
+
+
+def assert_traces_close(d, w):
+    # relative to Tr |D|^m, which bounds |Tr D^m| and does not vanish with it
+    for m in (1, 2, 3):
+        exact, scale = float(np.sum(w ** float(m))), float(np.sum(np.abs(w) ** m))
+        assert abs(d.trace_power(m) - exact) <= 1e-11 * scale, m
+
+
+class TestStructuredDifference:
+    """The factored D_eps against its own dense form, the oracle."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    @pytest.mark.parametrize("name", ["ARCTAN_HALF", "TANH_HALF", "MOLLIFIED_STEP"])
+    @pytest.mark.parametrize("eps", [0.1, 0.03, 0.02])  # 0.02 is below the n = 400 guard
+    def test_matches_dense(self, model, name, lam, eps):
+        psi = builtin_profile(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionGuardWarning)
+            d = model.build_d_eps(psi, eps, lam)
+            w = model.build_d_eps(psi, eps, lam).eigenvalues()
+        bands = BandSet([model.scattering_point(lam).a1])
+        assert_traces_close(d, w)
+        for window in WINDOWS:
+            assert count_window(d, window) == count_window(w, window)
+            partial = d.window_eigenvalues(min(abs(window[0]), abs(window[1])))
+            assert partial.size < w.size  # Lanczos, not the dense fallback
+            assert count_window(partial, window) == count_window(w, window)
+            assert unfolded_count(partial, window, bands) == pytest.approx(
+                unfolded_count(w, window, bands), abs=1e-12
+            )
+        assert d._dense is None  # nothing above built the dense matrix
+
+    def test_lanczos_grows_k_for_a_low_threshold(self, model):
+        psi = builtin_profile("ARCTAN_HALF")
+        d = model.build_d_eps(psi, 0.03, 0.0)
+        w = model.build_d_eps(psi, 0.03, 0.0).eigenvalues()
+        partial = d.window_eigenvalues(0.01)
+        assert 2 * LANCZOS_START < partial.size < w.size
+        assert np.all(np.diff(partial) >= 0.0)
+        beyond = w[np.abs(w) > 0.01]
+        assert np.allclose(partial[np.abs(partial) > 0.01], beyond, rtol=0.0, atol=1e-13)
+
+    def test_high_power_uses_the_dense_spectrum(self, model):
+        d = model.build_d_eps(builtin_profile("TANH_HALF"), 0.05, 0.0)
+        w = model.build_d_eps(builtin_profile("TANH_HALF"), 0.05, 0.0).eigenvalues()
+        assert d.trace_power(4) == float(np.sum(w**4.0))
+        # with the spectrum at hand, the window eigenvalues are all of it
+        assert np.array_equal(d.window_eigenvalues(0.4), w)
+
+    def test_dense_entries_on_demand(self, model):
+        w_h, q = model.h.eig()
+        psi = builtin_profile("ARCTAN_HALF")
+        d = model.build_d_eps(psi, 0.1, 0.0)
+        assert d._dense is None and d.q is q
+        expected = (q * psi(w_h / 0.1)) @ q.T - np.diag(psi(model.nodes / 0.1))
+        assert np.max(np.abs(d.entries - expected)) < 1e-14
+        assert d.dim == model.n
+
+    def test_zero_coupling_falls_back_to_dense(self):
+        # D = 0 exactly: ARPACK cannot start, so the whole dense spectrum is used
+        m = RankOneModel(n=400, c=0.0)
+        d = m.build_d_eps(builtin_profile("TANH_HALF"), 0.1, 0.0)
+        w = d.window_eigenvalues(0.4)
+        assert w.size == m.n and np.all(w == 0.0)
+        assert d._dense is not None
+
+    def test_certificate_doubles_k_until_the_remainder_is_small(self):
+        # D = diag(f): with k = 4 per side the eigenvalues 0.27 .. 0.24 left
+        # out carry more than rho^2 = 0.3^2 of Tr D^2, with k = 8 they do not
+        outer = np.array([0.9, 0.3, 0.29, 0.28, 0.27, 0.26, 0.25, 0.24])
+        f = np.concatenate([outer, -outer, np.linspace(-1e-3, 1e-3, 84)])
+        d = SpectralDifference(np.eye(100), f, np.zeros(100), np.eye(100))
+        w = d.window_eigenvalues(0.5)
+        assert np.allclose(w, np.sort(np.concatenate([outer, -outer])), rtol=0.0, atol=1e-14)
+        assert d._dense is None
+
+    def test_small_matrices_use_the_dense_spectrum(self):
+        # k = 4 per side already reaches n/2
+        f = np.linspace(-0.9, 0.9, 8)
+        d = SpectralDifference(np.eye(8), f, np.zeros(8), np.eye(8))
+        assert np.array_equal(d.window_eigenvalues(0.4), f)
+
+    def test_validation(self):
+        q = np.eye(3)
+        with pytest.raises(ValueError, match="shapes"):
+            SpectralDifference(q, np.zeros(2), np.zeros(3), q)
+        with pytest.raises(ValueError, match="finite"):
+            SpectralDifference(q, np.array([0.0, np.nan, 0.0]), np.zeros(3), q)
+        d = SpectralDifference(q, np.zeros(3), np.zeros(3), q)
+        with pytest.raises(ValueError):
+            d.trace_power(0)
+        with pytest.raises(ValueError):
+            d.window_eigenvalues(0.0)
 
 
 class TestNegativeControl:
