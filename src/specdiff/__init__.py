@@ -3,7 +3,7 @@
 The package measures how the eigenvalues of D_eps = psi_eps(H - lam) -
 psi_eps(H0 - lam) pile up as the smoothing scale eps shrinks: counts and
 traces grow like |log eps| with slopes given by the scattering data of the
-pair (H0, H).  Modules: ``matrices`` (dense spectral plumbing), ``profiles``
+pair (H0, H).  Modules: ``matrices`` (spectral plumbing), ``profiles``
 (smoothed steps), ``density`` (the limiting density and its moments),
 ``hankel`` (the exactly solvable model kernel), ``models`` (rank-one
 scattering model and the power-law control), ``experiments`` (sweeps and
@@ -43,6 +43,7 @@ from .hankel import (
     laplace_section,
 )
 from .matrices import (
+    DiagonalPlusRankOne,
     EigendecompositionError,
     RectMatrix,
     SelfAdjointMatrix,

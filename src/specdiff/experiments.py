@@ -276,10 +276,17 @@ class SweepConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            model = ModelSpec(**data.get("model", {}))
-        except TypeError as exc:
-            raise ConfigError(f"bad model block: {exc}") from exc
+        block = data.get("model", {})
+        if not isinstance(block, dict) or set(block) - {"L", "n", "bump", "c"}:
+            raise ConfigError(f"model block must have keys L/n/bump/c, got {block!r}")
+        n = block.get("n", ModelSpec.n)
+        if not _is_integer(n):
+            raise ConfigError(f"model n must be an integer, got {n!r}")
+        bump = block.get("bump", ModelSpec.bump)
+        if not isinstance(bump, str):
+            raise ConfigError(f"model bump must be a name string, got {bump!r}")
+        model = ModelSpec(L=_real(block.get("L", ModelSpec.L), "model L"), n=n, bump=bump,
+                          c=_real(block.get("c", ModelSpec.c), "model c"))
         epsilon = data.get("epsilon", {})
         if not isinstance(epsilon, dict) or set(epsilon) - {"start", "stop", "count"}:
             raise ConfigError(f"epsilon block must have keys start/stop/count, got {epsilon!r}")

@@ -1,10 +1,13 @@
-"""Dense symmetric matrices with cached spectra, plus Schatten-norm helpers.
+"""Symmetric matrices with cached spectra, plus Schatten-norm helpers.
 
-Everything at this layer is plain double-precision linear algebra, sized for
-direct dense solvers.  The wrapper types exist to keep symmetry validation
-and eigendecomposition caching in one place: ``SelfAdjointMatrix`` checks and
-symmetrizes its entries once, on construction, so callers hand it the raw
-array they computed.  ``SpectralDifference`` keeps a difference
+Everything at this layer is plain double-precision linear algebra.  The
+wrapper types exist to keep symmetry validation and eigendecomposition
+caching in one place: ``SelfAdjointMatrix`` checks and symmetrizes its
+entries once, on construction, so callers hand it the raw array they
+computed, and solves them with a dense ``eigh``.  ``DiagonalPlusRankOne`` is
+the same contract for diag(x) + c u u^T kept as (x, u, c): its eigenpairs
+come from the secular equation in O(n^2), with no dense matrix built.
+``SpectralDifference`` keeps a difference
 ``Q diag(f) Q^T - diag(g)`` factored: its low traces cost O(n^2), its
 eigenvalues beyond a threshold come from matrix-free Lanczos, and the dense
 matrix is built only on demand.  The free functions accept either a wrapper
@@ -17,6 +20,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 __all__ = [
+    "DiagonalPlusRankOne",
     "EigendecompositionError",
     "RectMatrix",
     "SelfAdjointMatrix",
@@ -30,6 +34,9 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
 LANCZOS_START = 4  # eigenvalues per side in the first Lanczos pass
+SECULAR_MAX_ITER = 40  # dlaed4 allows 30; a converging root needs about 5
+CHECK_COLUMNS = 256  # columns per block in the O(n^2) eigenvector residual
+_EPS = float(np.finfo(float).eps)
 
 
 class EigendecompositionError(RuntimeError):
@@ -116,28 +123,34 @@ class SelfAdjointMatrix:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and orthonormal eigenvectors, cached.
 
-        The decomposition is accepted only if ``Q diag(w) Q^T`` reproduces the
-        entries to within 1e-10 (sup norm, relative to the entry scale).
+        The dense decomposition is accepted only if ``Q diag(w) Q^T``
+        reproduces the entries to within 1e-10 (sup norm, relative to the
+        entry scale); ``DiagonalPlusRankOne`` checks its own in O(n^2).
         """
         if self._eigvecs is None:
-            try:
-                w, q = np.linalg.eigh(self.entries)
-            except np.linalg.LinAlgError as exc:
-                raise EigendecompositionError(
-                    f"eigensolver failed on a {self.dim}x{self.dim} matrix: {exc}"
-                ) from exc
-            residual = float(np.max(np.abs((q * w) @ q.T - self.entries)))
-            scale = max(1.0, float(np.max(np.abs(self.entries))))
-            if residual > RECONSTRUCTION_TOL * scale:
-                raise EigendecompositionError(
-                    f"eigendecomposition reconstruction residual {residual:.3e} "
-                    f"exceeds {RECONSTRUCTION_TOL:.0e}",
-                    residual=residual,
-                )
+            w, q = self._decompose()
             w.setflags(write=False)
             q.setflags(write=False)
             self._eigvals, self._eigvecs = w, q
         return self._eigvals, self._eigvecs
+
+    def _decompose(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense ``eigh`` and its reconstruction check."""
+        try:
+            w, q = np.linalg.eigh(self.entries)
+        except np.linalg.LinAlgError as exc:
+            raise EigendecompositionError(
+                f"eigensolver failed on a {self.dim}x{self.dim} matrix: {exc}"
+            ) from exc
+        residual = float(np.max(np.abs((q * w) @ q.T - self.entries)))
+        scale = max(1.0, float(np.max(np.abs(self.entries))))
+        if residual > RECONSTRUCTION_TOL * scale:
+            raise EigendecompositionError(
+                f"eigendecomposition reconstruction residual {residual:.3e} "
+                f"exceeds {RECONSTRUCTION_TOL:.0e}",
+                residual=residual,
+            )
+        return w, q
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues.  Skips the eigenvector solve when possible."""
@@ -154,6 +167,113 @@ class SelfAdjointMatrix:
 
     def __repr__(self) -> str:
         return f"SelfAdjointMatrix(dim={self.dim})"
+
+
+class DiagonalPlusRankOne(SelfAdjointMatrix):
+    """H = diag(x) + c u u^T, kept as (x, u, c): x strictly increasing, u and c real.
+
+    ``eig`` solves the secular equation (Bunch, Nielsen & Sorensen 1978) for
+    the eigenvalues and takes the eigenvectors from the Cauchy form with the
+    Löwner-corrected coupling (Gu & Eisenstat 1994): O(n^2) time, with no
+    n x n matrix formed but the eigenvectors, in place of a dense ``eigh``.
+    The decomposition is accepted only if it passes ``check``.  ``entries``
+    builds the dense H, for comparison.
+    """
+
+    __slots__ = ("x", "u", "c")
+
+    def __init__(self, x, u, c: float):
+        x = np.array(x, dtype=float)
+        u = np.array(u, dtype=float)
+        c = float(c)
+        if x.ndim != 1 or x.size == 0 or u.shape != x.shape:
+            raise ValueError(f"x and u must be vectors of one length, got {x.shape} and {u.shape}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.isfinite(c)):
+            raise ValueError("x, u and c must be finite")
+        if np.any(np.diff(x) <= 0.0):
+            raise ValueError("x must be strictly increasing")
+        x.setflags(write=False)
+        u.setflags(write=False)
+        self.x, self.u, self.c = x, u, c
+        self._eigvals: np.ndarray | None = None
+        self._eigvecs: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.x.size
+
+    @property
+    def entries(self) -> np.ndarray:
+        a = self.c * np.outer(self.u, self.u)
+        a[np.diag_indices(self.dim)] += self.x
+        a.setflags(write=False)
+        return a
+
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues, from ``eig``: the secular solve finds both at once."""
+        return self.eig()[0]
+
+    def check(self, w: np.ndarray, q: np.ndarray) -> None:
+        """Raise ``EigendecompositionError`` unless (w, q) is an eigendecomposition of H.
+
+        O(n^2), with no n x n temporary: ``w`` must ascend, the residual
+        x∘q_k + c u (u^T q_k) - w_k q_k of every column, taken in blocks of
+        columns, must stay within 1e-10 of the entry scale of H, and Q^T (Q V)
+        must reproduce two fixed random vectors V to within 1e-10 of their
+        largest entry (orthogonality).
+        """
+        if not np.all(np.diff(w) >= 0.0):
+            raise EigendecompositionError("eigenvalues are not ascending")
+        x, u, c = self.x, self.u, self.c
+        scale = max(1.0, float(np.max(np.abs(x + c * u * u))), abs(c) * float(np.max(u * u)))
+        residual = self.residual(w, q)
+        if not residual <= RECONSTRUCTION_TOL * scale:  # NaN fails too
+            raise EigendecompositionError(
+                f"eigenvector residual {residual:.3e} exceeds "
+                f"{RECONSTRUCTION_TOL:.0e} * {scale:.3e}",
+                residual=residual,
+            )
+        v = np.random.default_rng(0).standard_normal((self.dim, 2))
+        defect = float(np.max(np.abs(q.T @ (q @ v) - v)) / np.max(np.abs(v)))
+        if not defect <= RECONSTRUCTION_TOL:
+            raise EigendecompositionError(
+                f"eigenvector orthogonality defect {defect:.3e} exceeds "
+                f"{RECONSTRUCTION_TOL:.0e}",
+                residual=defect,
+            )
+
+    def residual(self, w: np.ndarray, q: np.ndarray) -> float:
+        """Largest column residual |x∘q_k + c u (u^T q_k) - w_k q_k|, NaN if any is.
+
+        Taken in blocks of ``CHECK_COLUMNS`` columns, so no n x n temporary
+        is built.
+        """
+        cu = self.c * self.u
+        largest = []
+        for start in range(0, self.dim, CHECK_COLUMNS):
+            cols = slice(start, start + CHECK_COLUMNS)
+            block = q[:, cols]
+            r = np.subtract.outer(self.x, w[cols])
+            r *= block
+            r += np.outer(cu, self.u @ block)
+            largest.append(np.max(np.abs(r, out=r)))
+        return float(np.max(largest))
+
+    def _decompose(self) -> tuple[np.ndarray, np.ndarray]:
+        x, u, c = self.x, self.u, self.c
+        if c > 0.0:
+            w, q = _secular_eig(x, np.sqrt(c) * u)
+        elif c < 0.0:
+            # -H = diag(-x) + |c| u u^T; reversing the order keeps -x increasing
+            w, q = _secular_eig(-x[::-1], np.sqrt(-c) * u[::-1])
+            w, q = -w[::-1], np.ascontiguousarray(q[::-1, ::-1])
+        else:
+            w, q = x.copy(), np.eye(x.size)
+        self.check(w, q)
+        return w, q
+
+    def __repr__(self) -> str:
+        return f"DiagonalPlusRankOne(dim={self.dim}, c={self.c!r})"
 
 
 class SpectralDifference:
@@ -290,6 +410,125 @@ def _lanczos_side(y: np.ndarray, b: float, top: bool) -> tuple[np.ndarray, float
         return None
     read = max(out.size - inside, 1) + 1
     return y, float(np.min(np.abs(out[:read])))
+
+
+def _secular_eig(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of diag(d) + z z^T, d strictly increasing.
+
+    A node with a negligible coupling is deflated by LAPACK's ``dlaed2``
+    rule, |z_j| ||z|| <= 8 eps max(max|d|, ||z||^2), and keeps (d_j, e_j):
+    the Cauchy form would divide 0 by 0 there.
+    """
+    n = d.size
+    rho = float(z @ z)
+    tol = 8.0 * _EPS * max(float(np.max(np.abs(d))), rho)
+    keep = np.abs(z) * np.sqrt(rho) > tol
+    dk, zk = d[keep], z[keep]
+    origin, tau = _secular_roots(dk, zk)
+    # delta[i, k] = d_i - w_k, formed from the pole nearest w_k without cancellation
+    delta = (dk[:, None] - dk[origin]) - tau
+    # Löwner: the coupling for which the computed w_k are exact eigenvalues,
+    # z_i^2 = prod_k (w_k - d_i) / prod_{k != i} (d_k - d_i)
+    ratio = dk[:, None] - dk
+    np.fill_diagonal(ratio, -1.0)
+    np.divide(delta, ratio, out=ratio)
+    zhat = np.copysign(np.sqrt(np.prod(ratio, axis=1)), zk)
+    del ratio
+    vectors = np.divide(zhat[:, None], delta, out=delta)
+    vectors /= np.linalg.norm(vectors, axis=0)
+
+    values = np.concatenate((d[~keep], dk[origin] + tau))
+    order = np.argsort(values, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    m = dk.size
+    q = np.zeros((n, n))
+    q[np.flatnonzero(~keep), column[: n - m]] = 1.0
+    q[np.ix_(np.flatnonzero(keep), column[n - m:])] = vectors
+    return values[order], q
+
+
+def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots w_k = d[origin_k] + tau_k of 1 + sum_j z_j^2 / (d_j - w) = 0.
+
+    d is strictly increasing and no z_j is 0, so the roots interlace:
+    w_k in (d_k, d_(k+1)), and w_(m-1) in (d_(m-1), d_(m-1) + ||z||^2].  The
+    origin is the pole nearer the root, by the sign of the secular function
+    f at the middle of the interval, so d_j - w_k is formed as
+    (d_j - d_origin) - tau without cancellation.  Each root takes the
+    two-pole rational ("middle way") step, kept inside a shrinking bracket,
+    until LAPACK's ``dlaed4`` test |f| <= eps (8 (sum_j |z_j^2/delta_j| + 1)
+    + |tau| f') holds; all unconverged roots advance together.
+    """
+    m = d.size
+    z2 = z * z
+    rho = float(np.sum(z2))
+    if m <= 1:
+        return np.zeros(m, dtype=np.intp), np.full(m, rho)
+    k = np.arange(m)
+    # the two poles of the rational model, a = k and b = k + 1 (m - 2, m - 1 for the last root)
+    a = np.minimum(k, m - 2)
+    b = a + 1
+    width = np.append(np.diff(d), rho)
+    half = width / 2.0
+    mid = d + half
+    f_mid = 1.0 + np.sum(z2[:, None] / (d[:, None] - mid), axis=0)
+    last = k == m - 1
+    right = (f_mid < 0.0) & ~last  # root in the right half: origin at d_(k+1)
+    up = (f_mid < 0.0) & last
+    origin = k + right
+    lo = np.where(right, -half, np.where(up, half, 0.0))
+    hi = np.where(right, 0.0, np.where(up, width, half))
+    # first guess, as in dlaed4: the root of C + z_a^2/(p_a - tau) + z_b^2/(p_b - tau),
+    # C the rest of f at the midpoint and p the poles seen from the origin (one is 0);
+    # a root next to a pole with a tiny z starts at its own scale, not at the midpoint
+    cc = f_mid - z2[a] / (d[a] - mid) - z2[b] / (d[b] - mid)
+    pa, pb = d[a] - d[origin], d[b] - d[origin]
+    aa = cc * (pa + pb) + z2[a] + z2[b]
+    bb = z2[a] * pb + z2[b] * pa
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big = (aa + np.copysign(np.sqrt(np.abs(aa * aa - 4.0 * bb * cc)), aa)) / (2.0 * cc)
+        small = bb / (cc * big)
+    tau = np.where((small > lo) & (small < hi), small,
+                   np.where((big > lo) & (big < hi), big, (lo + hi) / 2.0))
+
+    active = k
+    for _ in range(SECULAR_MAX_ITER):
+        o, t, ka = origin[active], tau[active], a[active]
+        delta = (d[:, None] - d[o]) - t
+        terms = z2[:, None] / delta
+        f = 1.0 + np.sum(terms, axis=0)
+        bound = 8.0 * (np.sum(np.abs(terms), axis=0) + 1.0)
+        terms /= delta
+        left = k[:, None] <= ka
+        dpsi = np.sum(terms, axis=0, where=left)
+        dphi = np.sum(terms, axis=0, where=~left)
+        df = dpsi + dphi
+        converged = np.abs(f) <= _EPS * (bound + np.abs(t) * df)
+        if np.all(converged):
+            return origin, tau
+        cols = np.arange(active.size)
+        da, db = delta[ka, cols], delta[ka + 1, cols]
+        lo_a = np.where(f < 0.0, np.maximum(lo[active], t), lo[active])
+        hi_a = np.where(f > 0.0, np.minimum(hi[active], t), hi[active])
+        # f(t + eta) ~ C + s/(da - eta) + S/(db - eta), matching f, psi' and phi'
+        cc = f - da * dpsi - db * dphi
+        aa = (da + db) * f - da * db * df
+        bb = da * db * f
+        root = np.sqrt(np.abs(aa * aa - 4.0 * bb * cc))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta = np.where(aa <= 0.0, (aa - root) / (2.0 * cc), 2.0 * bb / (aa + root))
+            eta = np.where(cc == 0.0, bb / aa, eta)
+        eta = np.where((f * eta >= 0.0) | ~np.isfinite(eta), -f / df, eta)  # Newton
+        step = t + eta
+        step = np.where((step > lo_a) & (step < hi_a), step, (lo_a + hi_a) / 2.0)
+        step = np.where(converged, t, step)
+        tau[active], lo[active], hi[active] = step, lo_a, hi_a
+        active = active[~converged]
+    raise EigendecompositionError(
+        f"secular equation: {active.size} of {m} roots did not converge "
+        f"in {SECULAR_MAX_ITER} steps"
+    )
 
 
 def singular_values(x) -> np.ndarray:

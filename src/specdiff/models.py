@@ -12,9 +12,11 @@ with T(z) the resolvent form of the coupling.  Everything the experiments
 need at a point lam follows from it: the band edge a1 = |S - 1|/2 and the
 spectral shift xi = arg(1 + c T)/pi.
 
-The discrete D_eps is built in H's eigenbasis Q, computed once per model:
-H0 is diagonal, so D_eps = Q psi_eps(W - lam) Q^T - psi_eps(X - lam) is kept
-as a ``SpectralDifference`` and costs O(n) per eps to build.
+The discrete D_eps is built in H's eigenbasis Q, computed once per model
+from the secular equation of H = X + c u u^T in O(n^2) (``eig``; the dense H
+of ``h`` is only a test oracle).  H0 is diagonal, so D_eps = Q psi_eps(W -
+lam) Q^T - psi_eps(X - lam) is kept as a ``SpectralDifference`` and costs
+O(n) per eps to build.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .density import BandSet
-from .matrices import SelfAdjointMatrix, SpectralDifference
+from .matrices import DiagonalPlusRankOne, SelfAdjointMatrix, SpectralDifference
 from .profiles import CutoffProfile, ProfileKind
 
 __all__ = [
@@ -108,6 +110,10 @@ class RankOneModel:
         self.nodes = self.L * x
         self.weights = self.L * w
         self._check_quadrature()
+        # H kept as diagonal plus rank one; ``eig`` and the dense ``h`` both read it
+        self.rank_one = DiagonalPlusRankOne(
+            self.nodes, np.sqrt(self.weights) * self.v(self.nodes), self.c
+        )
         self._h: SelfAdjointMatrix | None = None
         self._overlaps: np.ndarray | None = None
 
@@ -126,18 +132,28 @@ class RankOneModel:
 
     @property
     def h(self) -> SelfAdjointMatrix:
-        """H = H0 + c <v, .> v in the weighted node basis, built lazily."""
+        """H = H0 + c <v, .> v in the weighted node basis, dense, built lazily.
+
+        The dense oracle for tests and comparisons: sweeps solve H through
+        ``eig``, which never builds it.
+        """
         if self._h is None:
-            u = np.sqrt(self.weights) * self.v(self.nodes)
-            entries = self.c * np.outer(u, u)
-            entries[np.diag_indices(self.n)] += self.nodes
-            self._h = SelfAdjointMatrix(entries)
+            self._h = SelfAdjointMatrix(self.rank_one.entries)
         return self._h
+
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and orthonormal eigenvectors of H, cached.
+
+        H is kept as diagonal plus rank one and solved from its secular
+        equation, with an O(n^2) check (``DiagonalPlusRankOne``); the dense H
+        of ``h`` is not built.
+        """
+        return self.rank_one.eig()
 
     def overlaps(self) -> np.ndarray:
         """P = Q∘Q, the squared overlaps of H's eigenvectors with the nodes, cached."""
         if self._overlaps is None:
-            q = self.h.eig()[1]
+            q = self.eig()[1]
             p = q * q
             p.setflags(write=False)
             self._overlaps = p
@@ -217,8 +233,9 @@ class RankOneModel:
     ) -> SpectralDifference:
         """The smoothed projection difference psi_eps(H - lam) - psi_eps(H0 - lam).
 
-        H0 is diagonal here, so only H goes through an eigendecomposition (it
-        is cached on the model and shared by every eps, with ``overlaps``).
+        H0 is diagonal here, so only H goes through an eigendecomposition
+        (``eig``, cached on the model and shared by every eps, with
+        ``overlaps``).
         The result keeps D = Q diag(f) Q^T - diag(g) factored, f = psi((w -
         lam)/eps) on H's eigenvalues and g = psi((x - lam)/eps) on the nodes:
         O(n) per eps, with the dense matrix built only when asked for.  If eps
@@ -236,7 +253,7 @@ class RankOneModel:
                 ResolutionGuardWarning,
                 stacklevel=2,
             )
-        w, q = self.h.eig()
+        w, q = self.eig()
         return SpectralDifference(
             q, profile((w - lam) / eps), profile((self.nodes - lam) / eps), self.overlaps()
         )

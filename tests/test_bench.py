@@ -1,0 +1,36 @@
+"""Self-test of bench/h_eigensolve.py at a small size."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "h_eigensolve.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("h_eigensolve", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_machine_info(bench):
+    machine = bench.machine()
+    assert machine["nproc"] >= 1 and machine["blas"]["name"]
+    assert set(machine["blas_threads"]) == set(bench.THREAD_VARS)
+
+
+@pytest.mark.parametrize("c", [0.5, -0.7])
+def test_case_times_both_routes_and_cross_checks_them(bench, c):
+    row = bench.case(200, c, 1)
+    assert (row["n"], row["c"]) == (200, c)
+    assert all(t > 0.0 for t in row["dense"].values())
+    assert all(t > 0.0 for t in row["secular"].values())
+    checks = row["cross_checks"]
+    scale = checks["entry_scale"]
+    assert checks["max_abs_w_minus_dense"] <= 1e-13 * scale
+    assert checks["max_abs_p_minus_dense"] <= 1e-12
+    assert checks["max_column_residual"] <= 1e-13 * scale
+    assert checks["orthogonality_defect"] <= 1e-12

@@ -241,6 +241,17 @@ class TestSweepCommand:
         assert code == 2
         assert "specdiff: error: trace_powers must be a list" in err
 
+    @pytest.mark.parametrize("model, message", [
+        ({"L": [1], "n": 400}, "model L must be a number"),
+        ({"c": "x", "n": 400}, "model c must be a number"),
+    ])
+    def test_wrong_model_value_type_exits_two(self, capsys, tmp_path, model, message):
+        cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"), model=model)
+        code, _, err = run(capsys, ["sweep", "--config", cfg])
+        assert code == 2
+        assert f"specdiff: error: {message}" in err
+        assert "Traceback" not in err
+
     def test_missing_output_directory_is_found_before_the_sweep(self, capsys, tmp_path,
                                                                monkeypatch):
         def no_sweep(*args, **kwargs):

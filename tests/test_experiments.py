@@ -26,7 +26,7 @@ from specdiff.experiments import (
 )
 from specdiff.density import BandSet, band_count_slope
 from specdiff.matrices import SelfAdjointMatrix, SpectralDifference
-from specdiff.models import ResolutionGuardWarning
+from specdiff.models import RankOneModel, ResolutionGuardWarning
 from specdiff.profiles import builtin_profile
 
 # small-n config: guard floor is 0.4 * pi * 8 / 400 ~ 0.025, so eps down to
@@ -196,6 +196,13 @@ class TestSweepConfig:
         ({"profiles": 5}, "profiles must be a list"),
         ({"windows": 5}, "windows must be a list"),
         ({"lambda": [1]}, "lambda must be a number"),
+        ({"model": {"L": [1], "n": 400}}, "model L must be a number"),
+        ({"model": {"c": "x", "n": 400}}, "model c must be a number"),
+        ({"model": {"n": 400.0}}, "model n must be an integer"),
+        ({"model": {"n": True}}, "model n must be an integer"),
+        ({"model": {"bump": 3}}, "model bump must be a name string"),
+        ({"model": 5}, "model block must have keys"),
+        ({"model": {"m": 1}}, "model block must have keys"),
     ])
     def test_wrong_value_type_rejected(self, data, message):
         with pytest.raises(ConfigError, match=message):
@@ -329,6 +336,26 @@ class TestStructuredSweep:
         monkeypatch.setattr(SpectralDifference, "dense", counted)
         run_sweep(small_config(model=ModelSpec(n=400, c=c)))
         assert len(built) == dense_builds
+
+    @pytest.mark.parametrize("c", [0.5, -0.7])
+    def test_secular_eigensolve_matches_the_dense_one(self, monkeypatch, c):
+        cfg = small_config(model=ModelSpec(n=400, c=c), windows=self.WINDOWS)
+        fast = run_sweep(cfg)
+        monkeypatch.setattr(RankOneModel, "eig", lambda model: model.h.eig())
+        dense = run_sweep(cfg)
+        for a, b in zip(fast.records, dense.records, strict=True):
+            assert (a.counts, a.guard_flag) == (b.counts, b.guard_flag)
+            for m, value in a.traces.items():
+                assert abs(value - b.traces[m]) <= 1e-11 * max(1.0, abs(b.traces[m]))
+            for key, value in a.unfolded.items():
+                assert abs(value - b.unfolded[key]) <= 1e-11
+
+    def test_the_sweep_builds_no_dense_h(self, monkeypatch):
+        def dense_h(model):
+            raise AssertionError("the sweep built the dense H")
+
+        monkeypatch.setattr(RankOneModel, "h", property(dense_h))
+        run_sweep(small_config(windows=self.WINDOWS))
 
     def test_reruns_are_bitwise_identical(self):
         cfg = small_config(windows=self.WINDOWS)

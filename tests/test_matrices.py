@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from specdiff.matrices import (
+    DiagonalPlusRankOne,
+    EigendecompositionError,
     RectMatrix,
     SelfAdjointMatrix,
     schatten_norm,
@@ -87,6 +90,104 @@ class TestEig:
         fast = SelfAdjointMatrix(sym).eigenvalues()
         full = SelfAdjointMatrix(sym).eig()[0]
         assert np.allclose(fast, full, atol=1e-12)
+
+
+def quadrature_coupling(n, bump, L=8.0):
+    """Gauss-Legendre nodes on (-L, L) and the weighted coupling of a bump."""
+    x, w = special.roots_legendre(n)
+    return L * x, np.sqrt(L * w) * bump(L * x)
+
+
+BUMP_SHAPES = {
+    "gaussian": lambda x: np.exp(-x * x),  # deflates half the nodes at n = 400
+    "sech": lambda x: 1.0 / np.cosh(x),
+    "tent": lambda x: np.maximum(0.0, 1.0 - np.abs(x) / 3.0),  # exact zeros
+}
+
+
+def dense_reference(x, u, c):
+    a = c * np.outer(u, u) + np.diag(x)
+    w, q = np.linalg.eigh(a)
+    return a, w, q, max(1.0, float(np.max(np.abs(a))))
+
+
+class TestDiagonalPlusRankOne:
+    @pytest.mark.parametrize("n", [8, 50, 400])
+    @pytest.mark.parametrize("c", [0.5, -0.7, 0.0, 50.0])
+    @pytest.mark.parametrize("bump", sorted(BUMP_SHAPES))
+    def test_matches_dense_eigh(self, n, c, bump):
+        x, u = quadrature_coupling(n, BUMP_SHAPES[bump])
+        w, q = DiagonalPlusRankOne(x, u, c).eig()
+        _, w_d, q_d, scale = dense_reference(x, u, c)
+        assert np.max(np.abs(w - w_d)) <= 1e-13 * scale
+        # column signs are arbitrary: compare P = Q∘Q
+        assert np.max(np.abs(q * q - q_d * q_d)) <= 1e-12
+        assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
+        assert not (w.flags.writeable or q.flags.writeable)
+
+    @pytest.mark.parametrize("spacing", [1e-3, 1e-8])
+    @pytest.mark.parametrize("c", [0.5, -0.7, 50.0])
+    def test_clustered_random_nodes(self, spacing, c):
+        rng = np.random.default_rng(3)
+        clusters = [centre + spacing * np.arange(8) for centre in rng.uniform(-5.0, 5.0, 6)]
+        x = np.sort(np.concatenate(clusters + [rng.uniform(-6.0, 6.0, 40)]))
+        assert np.all(np.diff(x) > 0.0)
+        u = rng.standard_normal(x.size) / np.sqrt(x.size)
+        w, q = DiagonalPlusRankOne(x, u, c).eig()
+        a, w_d, _, scale = dense_reference(x, u, c)
+        assert np.max(np.abs(w - w_d)) <= 1e-13 * scale
+        assert np.max(np.abs(q.T @ q - np.eye(x.size))) <= 1e-12
+        # eigenvalues 1e-8 apart leave eigh's own eigenvectors good to only
+        # eps/gap, so Q∘Q is not compared here; the reconstruction is
+        assert np.max(np.abs((q * w) @ q.T - a)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize(("seed", "c"), [(14, -50.0), (2, 50.0)])
+    def test_eigenvectors_stay_orthogonal_for_couplings_over_six_decades(self, seed, c):
+        # roots next to weakly coupled poles carry a small relative error in
+        # d_j - w_k; the plain Cauchy vectors z_j / (d_j - w_k) then lose
+        # orthogonality to 8e-14 .. 2.5e-13, the Löwner-corrected ones stay
+        # at a few eps (at most 4.2e-15 over 60 such draws)
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-1.0, 1.0, 400))
+        u = 10.0 ** rng.uniform(-6.0, 0.0, 400) * rng.choice([-1.0, 1.0], 400)
+        w, q = DiagonalPlusRankOne(x, u, c).eig()
+        _, w_d, _, scale = dense_reference(x, u, c)
+        assert np.max(np.abs(w - w_d)) <= 1e-13 * scale
+        assert np.max(np.abs(q.T @ q - np.eye(x.size))) <= 2e-14
+
+    def test_zero_coupling_is_the_diagonal(self):
+        x, u = quadrature_coupling(50, BUMP_SHAPES["sech"])
+        w, q = DiagonalPlusRankOne(x, u, 0.0).eig()
+        assert np.array_equal(w, x) and np.array_equal(q, np.eye(50))
+
+    def test_entries_and_eigenvalues(self):
+        x, u = quadrature_coupling(50, BUMP_SHAPES["sech"])
+        h = DiagonalPlusRankOne(x, u, 0.5)
+        assert np.array_equal(h.entries, 0.5 * np.outer(u, u) + np.diag(x))
+        assert h.eigenvalues() is h.eig()[0]
+        assert h.dim == 50
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DiagonalPlusRankOne([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], 0.5)
+        with pytest.raises(ValueError, match="one length"):
+            DiagonalPlusRankOne([0.0, 1.0], [1.0], 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            DiagonalPlusRankOne([0.0, 1.0], [1.0, np.nan], 0.5)
+
+    @pytest.mark.parametrize("perturb", ["entry", "scale"])
+    def test_check_rejects_one_perturbed_column(self, perturb):
+        x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])
+        h = DiagonalPlusRankOne(x, u, 0.5)
+        w, q = h.eig()
+        h.check(w, q)
+        bad = q.copy()
+        if perturb == "entry":  # breaks the residual of column 200
+            bad[150, 200] += 1e-6
+        else:  # still an eigenvector, but no longer of unit length
+            bad[:, 200] *= 1.0 + 1e-6
+        with pytest.raises(EigendecompositionError):
+            h.check(w, bad)
 
 
 class TestSingularValuesAndNorms:

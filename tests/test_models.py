@@ -50,6 +50,8 @@ class TestConstruction:
         h = model.h
         off = h.entries - np.diag(model.nodes)
         assert np.linalg.matrix_rank(off, tol=1e-10) == 1
+        # the dense oracle and the secular solve read one (x, u, c)
+        assert np.array_equal(h.entries, model.rank_one.entries)
 
 
 class TestResolventBoundaryValue:
@@ -208,11 +210,13 @@ class TestStructuredDifference:
         assert np.array_equal(d.window_eigenvalues(0.4), w)
 
     def test_dense_entries_on_demand(self, model):
-        w_h, q = model.h.eig()
+        q = model.eig()[1]
         psi = builtin_profile("ARCTAN_HALF")
         d = model.build_d_eps(psi, 0.1, 0.0)
         assert d._dense is None and d.q is q
-        expected = (q * psi(w_h / 0.1)) @ q.T - np.diag(psi(model.nodes / 0.1))
+        # against D built from the dense H's own eigendecomposition
+        w_h, q_h = model.h.eig()
+        expected = (q_h * psi(w_h / 0.1)) @ q_h.T - np.diag(psi(model.nodes / 0.1))
         assert np.max(np.abs(d.entries - expected)) < 1e-14
         assert d.dim == model.n
 
