@@ -101,6 +101,8 @@ def _cmd_hankel(args) -> int:
             raise ValueError("--count must be at least 3")
         if any(p < 1 for p in powers):
             raise ValueError("trace powers must be positive integers")
+        if len(set(powers)) != len(powers):
+            raise ValueError("trace powers must be distinct")
     except ValueError as exc:
         return _fail(str(exc), 2)
 

@@ -3,12 +3,12 @@
 A sweep fixes a model, an energy lam, and a profile, builds the smoothed
 projection difference D_eps over a geometric eps grid, and records window
 counts and trace powers per eps.  D_eps stays factored (``SpectralDifference``):
-traces of powers up to 3 are O(n^2) sums, and the counts read only the
-eigenvalues beyond the smallest window edge, found by certified Lanczos.  A
-trace power above 3 needs the dense spectrum, which then serves the counts
-too.  Fitted slopes against |log eps| are compared with the predictions
-coming from the scattering data: window masses of the limiting density for
-counts, Delta_m moments for traces.
+traces of powers up to 3 are O(n^2) sums against the squared eigenvector
+overlaps; the counts and the higher powers read the Ritz values of one
+certified block pass, which holds every eigenvalue beyond the smallest
+window edge.  Fitted slopes against |log eps| are compared with the
+predictions coming from the scattering data: window masses of the limiting
+density for counts, Delta_m moments for traces.
 """
 
 from __future__ import annotations
@@ -488,8 +488,6 @@ def run_sweep(config: SweepConfig, profile: str | CutoffProfile | None = None) -
         for eps, flag in zip(eps_grid, flags):
             eps = float(eps)
             d = model.build_d_eps(prof, eps, config.lam, kappa=config.kappa)
-            # traces first: a power above 3 builds the dense spectrum, which the
-            # window eigenvalues then reuse instead of running Lanczos
             traces = {m: d.trace_power(m) for m in config.trace_powers}
             w = d.window_eigenvalues(b) if windows else np.empty(0)
             records.append(SweepRecord(

@@ -9,15 +9,14 @@ the same contract for diag(x) + c u u^T kept as (x, u, c): its eigenpairs
 come from the secular equation in O(n^2), with no dense matrix built.
 ``SpectralDifference`` keeps a difference
 ``Q diag(f) Q^T - diag(g)`` factored: its low traces cost O(n^2), its
-eigenvalues beyond a threshold come from matrix-free Lanczos, and the dense
-matrix is built only on demand.  The free functions accept either a wrapper
-or a bare array.
+numerical spectrum comes from one certified block Rayleigh-Ritz pass, and
+the dense matrix is built only on demand, as a test oracle.  The free
+functions accept either a wrapper or a bare array.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 __all__ = [
     "DiagonalPlusRankOne",
@@ -33,7 +32,7 @@ __all__ = [
 
 SYMMETRY_RTOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
-LANCZOS_START = 4  # eigenvalues per side in the first Lanczos pass
+BLOCK_START = 32  # columns of the first block pass, doubled until certified
 SECULAR_MAX_ITER = 40  # dlaed4 allows 30; a converging root needs about 5
 CHECK_COLUMNS = 256  # columns per block in the O(n^2) eigenvector residual
 _EPS = float(np.finfo(float).eps)
@@ -177,7 +176,8 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
     Löwner-corrected coupling (Gu & Eisenstat 1994): O(n^2) time, with no
     n x n matrix formed but the eigenvectors, in place of a dense ``eigh``.
     The decomposition is accepted only if it passes ``check``.  ``entries``
-    builds the dense H, for comparison.
+    builds the dense H, for comparison.  Neighbours in x must be 2 ulps apart
+    or more, so that the midpoints the solve brackets roots at lie between.
     """
 
     __slots__ = ("x", "u", "c")
@@ -190,8 +190,12 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
             raise ValueError(f"x and u must be vectors of one length, got {x.shape} and {u.shape}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.isfinite(c)):
             raise ValueError("x, u and c must be finite")
-        if np.any(np.diff(x) <= 0.0):
+        gap = np.diff(x)
+        if np.any(gap <= 0.0):
             raise ValueError("x must be strictly increasing")
+        mid = x[:-1] + gap / 2.0  # the secular solve brackets each root at a midpoint
+        if np.any((mid == x[:-1]) | (mid == x[1:])):
+            raise ValueError("neighbours in x must be 2 ulps apart or more")
         x.setflags(write=False)
         u.setflags(write=False)
         self.x, self.u, self.c = x, u, c
@@ -281,14 +285,16 @@ class SpectralDifference:
 
     ``q`` is an orthogonal matrix (held, not copied) and ``overlaps`` its
     entrywise square P = Q∘Q.  Because Q^T G^k Q = (Q^T G Q)^k, the traces of
-    D, D^2 and D^3 are sums against P and cost O(n^2); higher powers go
-    through the dense spectrum.  ``window_eigenvalues`` finds the eigenvalues
-    beyond a threshold by Lanczos on v -> Q (f∘(Q^T v)) - g∘v.  ``entries``
-    and ``eigenvalues`` build the dense D, validated as a
-    ``SelfAdjointMatrix``, on first use.
+    D, D^2 and D^3 are sums against P and cost O(n^2).  The numerical rank of
+    D is small, so one block pass (a randomized range finder with a power
+    step, then Rayleigh-Ritz; Halko, Martinsson & Tropp 2011) on
+    v -> Q (f∘(Q^T v)) - g∘v finds its whole numerical spectrum, certified by
+    Tr D^2: ``window_eigenvalues`` and the higher powers of ``trace_power``
+    read it.  ``dense``, ``entries`` and ``eigenvalues`` build the dense D,
+    validated as a ``SelfAdjointMatrix``, on first use: the oracle in tests.
     """
 
-    __slots__ = ("q", "f", "g", "overlaps", "_traces", "_dense")
+    __slots__ = ("q", "f", "g", "overlaps", "_traces", "_ritz", "_dense")
 
     def __init__(self, q: np.ndarray, f, g, overlaps: np.ndarray):
         f = np.asarray(f, dtype=float)
@@ -303,6 +309,7 @@ class SpectralDifference:
             raise ValueError("diagonal entries must be finite")
         self.q, self.f, self.g, self.overlaps = q, f, g, overlaps
         self._traces: tuple[float, float, float] | None = None
+        self._ritz: np.ndarray | None = None
         self._dense: SelfAdjointMatrix | None = None
 
     @property
@@ -326,11 +333,19 @@ class SpectralDifference:
         return self.dense().eigenvalues()
 
     def trace_power(self, m: int) -> float:
-        """Tr D^m: from f, g and P for m <= 3, from the dense spectrum above."""
+        """Tr D^m: from f, g and P for m <= 3, from the Ritz values above.
+
+        For m >= 4 the sum of theta^m misses at most R^(m/2), R = Tr D^2 minus
+        the sum of theta^2; the block widens until that is within 1e-12 of the
+        sum of |theta|^m.
+        """
         if not isinstance(m, (int, np.integer)) or m < 1:
             raise ValueError(f"power must be a positive integer, got {m!r}")
         if m > 3:
-            return float(np.sum(self.eigenvalues() ** float(m)))
+            theta = self._ritz_values(
+                lambda theta, r: max(r, 0.0) ** (m / 2) <= 1e-12 * np.sum(np.abs(theta) ** m)
+            )
+            return float(np.sum(theta ** float(m)))
         if self._traces is None:
             f, g = self.f, self.g
             pf, pf2 = (self.overlaps @ np.column_stack((f, f * f))).T
@@ -342,74 +357,57 @@ class SpectralDifference:
         return self._traces[m - 1]
 
     def window_eigenvalues(self, b: float) -> np.ndarray:
-        """Ascending eigenvalues holding every |y| > b and two more per side.
+        """Ascending Ritz values holding every |y| > b and the next one in per side.
 
-        Each side is the bottom or top ``k`` eigenvalues from ARPACK's
-        implicitly restarted Lanczos, ``k`` starting at 4 and doubling until
-        at least two of them are not beyond b and the trace certificate
-        holds: Tr D^2 minus the sum of the returned y^2 is below rho^2, rho
-        the smallest |y| among the eigenvalues a count unfolded at b reads
-        (see ``_lanczos_side``).  No eigenvalue with |y| >= rho can then be
-        missing, up to the rounding of Tr D^2.
-        The full dense spectrum is returned instead when it is already at
-        hand, when ARPACK fails (it does on D = 0), or when ``k`` would reach
-        n/2.
+        An unfolded count at b reads, on each side, the max(j, 1) + 1
+        eigenvalues farthest out, j of them beyond b; rho is the smallest |y|
+        among those.  The block widens until at least two Ritz values per
+        side are not beyond b and R = Tr D^2 minus the sum of theta^2 is at
+        most rho^2: no eigenvalue with |y| > rho can then be missing, up to
+        the rounding of Tr D^2.
         """
         if not b > 0:
             raise ValueError(f"threshold must be positive, got {b!r}")
-        if self._dense is not None:
-            return self.eigenvalues()
-        n = self.dim
-        op = LinearOperator((n, n), matvec=self._apply, dtype=float)
-        v0 = np.random.default_rng(0).standard_normal(n)  # fixed: reruns are bitwise equal
-        k = {"SA": LANCZOS_START, "LA": LANCZOS_START}
-        while True:
-            found: dict[str, tuple[np.ndarray, float]] = {}
-            for which in k:
-                while which not in found:
-                    if k[which] >= n // 2:
-                        return self.eigenvalues()
-                    try:
-                        y = eigsh(op, k=k[which], which=which, v0=v0,
-                                  return_eigenvectors=False)
-                    except ArpackError:
-                        return self.eigenvalues()
-                    side = _lanczos_side(y, b, top=which == "LA")
-                    if side is None:
-                        k[which] *= 2
-                    else:
-                        found[which] = side
-            (bottom, rho_bottom), (top, rho_top) = found["SA"], found["LA"]
-            if bottom[-1] >= top[0]:  # an eigenvalue on both sides: the certificate fails
-                return self.eigenvalues()
-            remainder = self.trace_power(2) - float(np.sum(bottom**2) + np.sum(top**2))
-            if remainder < min(rho_bottom, rho_top) ** 2:
-                return np.concatenate((bottom, top))
-            k = {which: 2 * size for which, size in k.items()}
+
+        def certified(theta: np.ndarray, remainder: float) -> bool:
+            rho = np.inf
+            for out in (theta[::-1], -theta):  # signed distances, outermost first
+                inside = int(np.count_nonzero(out <= b))
+                if inside < 2:
+                    return False
+                read = max(out.size - inside, 1) + 1
+                rho = min(rho, float(np.min(np.abs(out[:read]))))
+            return remainder <= rho * rho
+
+        return self._ritz_values(certified)
+
+    def _ritz_values(self, accept) -> np.ndarray:
+        """Eigenvalues theta of V^T D V, V an orthonormal basis of D^2 Ω, cached.
+
+        Ω is n x l, gaussian from a fixed seed; l starts at ``BLOCK_START``
+        and doubles until ``accept(theta, R)``, or until l = n, where
+        Rayleigh-Ritz spans the whole space and is exact.
+        """
+        theta, n = self._ritz, self.dim
+        while theta is None or (
+            theta.size < n and not accept(theta, self.trace_power(2) - float(theta @ theta))
+        ):
+            columns = min(BLOCK_START if theta is None else 2 * theta.size, n)
+            v = np.random.default_rng(0).standard_normal((n, columns))
+            for _ in range(2):
+                v = np.linalg.qr(self._apply(v))[0]
+            t = v.T @ self._apply(v)
+            theta = np.linalg.eigvalsh((t + t.T) / 2.0)
+            theta.setflags(write=False)
+        self._ritz = theta
+        return theta
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
-        v = v.ravel()
-        return self.q @ (self.f * (self.q.T @ v)) - self.g * v
+        """D v for a block of columns v."""
+        return self.q @ (self.f[:, None] * (self.q.T @ v)) - self.g[:, None] * v
 
     def __repr__(self) -> str:
         return f"SpectralDifference(dim={self.dim})"
-
-
-def _lanczos_side(y: np.ndarray, b: float, top: bool) -> tuple[np.ndarray, float] | None:
-    """Check one side of a Lanczos result, ``top`` for the largest eigenvalues.
-
-    An unfolded count at b reads the max(j, 1) + 1 eigenvalues farthest out
-    on a side, j of them beyond b; at least two returned that are not beyond
-    b guarantee that all of them were returned.  Returns y ascending with the
-    smallest |y| of those read, or None when too few are not beyond b.
-    """
-    y = np.sort(y)
-    out = y[::-1] if top else -y  # signed distances, outermost first
-    inside = int(np.count_nonzero(out <= b))
-    if inside < 2:
-        return None
-    read = max(out.size - inside, 1) + 1
-    return y, float(np.min(np.abs(out[:read])))
 
 
 def _secular_eig(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

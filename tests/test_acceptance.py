@@ -5,8 +5,8 @@ live; failed lines also appear in the captured-output section of the report)
 and then asserts the same condition, so the suite documents the verdicts and
 enforces them.  The slope criteria drive the full default model: a handful of
 sweeps at n = 4000, each one O(n^2) secular eigensolve of H and eight to
-thirteen eps points with Lanczos, so this module takes tens of seconds where
-the unit suites take seconds.
+thirteen eps points with one block pass each, so this module takes tens of
+seconds where the unit suites take seconds.
 
 The paper's laws are limits as eps -> +0, and the windows here are short and
 pre-asymptotic, so three criteria gate on estimators of the limit rather than

@@ -1,16 +1,18 @@
-"""Self-test of bench/h_eigensolve.py at a small size."""
+"""Self-test of bench/layers.py at a small size."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "h_eigensolve.py"
+from specdiff.models import RankOneModel
+
+SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
 
 @pytest.fixture(scope="module")
 def bench():
-    spec = importlib.util.spec_from_file_location("h_eigensolve", SCRIPT)
+    spec = importlib.util.spec_from_file_location("layers", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -24,7 +26,7 @@ def test_machine_info(bench):
 
 @pytest.mark.parametrize("c", [0.5, -0.7])
 def test_case_times_both_routes_and_cross_checks_them(bench, c):
-    row = bench.case(200, c, 1)
+    row = bench.h_case(200, c, 1)
     assert (row["n"], row["c"]) == (200, c)
     assert all(t > 0.0 for t in row["dense"].values())
     assert all(t > 0.0 for t in row["secular"].values())
@@ -34,3 +36,16 @@ def test_case_times_both_routes_and_cross_checks_them(bench, c):
     assert checks["max_abs_p_minus_dense"] <= 1e-12
     assert checks["max_column_residual"] <= 1e-13 * scale
     assert checks["orthogonality_defect"] <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_spectrum_case_times_both_routes_and_cross_checks_them(bench, eps):
+    row = bench.spectrum_case(RankOneModel(n=200), eps, 1)
+    assert (row["n"], row["eps"]) == (200, eps)
+    assert row["block_pass_s"] > 0.0 and row["dense_s"] > 0.0
+    checks = row["cross_checks"]
+    assert checks["retained_eigenvalues"] > 0
+    assert checks["max_abs_theta_minus_dense"] <= 1e-13
+    assert checks["count_block_pass"] == checks["count_dense"]
+    assert checks["block_width"] < 200
+    assert abs(checks["remainder"]) <= 1e-12

@@ -141,6 +141,11 @@ class TestHankelCommand:
             assert code == 2, argv
             assert "specdiff: error" in err
 
+    def test_rejects_repeated_powers(self, capsys):
+        code, out, err = run(capsys, ["hankel", "--powers", "2,2"])
+        assert (code, out) == (2, "")
+        assert "specdiff: error: trace powers must be distinct" in err
+
 
 def write_config(path, **overrides):
     data = {

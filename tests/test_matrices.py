@@ -175,6 +175,19 @@ class TestDiagonalPlusRankOne:
         with pytest.raises(ValueError, match="finite"):
             DiagonalPlusRankOne([0.0, 1.0], [1.0, np.nan], 0.5)
 
+    def test_poles_one_ulp_apart_are_rejected(self):
+        def nodes(ulps):
+            return np.concatenate([np.linspace(-3.0, -1.0, 20),
+                                   1.0 + ulps * np.arange(10) * np.spacing(1.0)])
+
+        # the midpoint of two poles 1 ulp apart rounds onto one of them, where
+        # the secular solve would divide by zero
+        with pytest.raises(ValueError, match="2 ulps apart"):
+            DiagonalPlusRankOne(nodes(1), np.ones(30), 0.5)
+        h = DiagonalPlusRankOne(nodes(2), np.ones(30), 0.5)
+        dense = np.linalg.eigvalsh(h.entries)
+        assert np.max(np.abs(h.eig()[0] - dense)) <= 1e-13 * np.max(np.abs(dense))
+
     @pytest.mark.parametrize("perturb", ["entry", "scale"])
     def test_check_rejects_one_perturbed_column(self, perturb):
         x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])

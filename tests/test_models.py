@@ -9,7 +9,7 @@ from scipy import integrate
 
 from specdiff.density import BandSet
 from specdiff.experiments import count_window, unfolded_count
-from specdiff.matrices import LANCZOS_START, SpectralDifference
+from specdiff.matrices import BLOCK_START, SpectralDifference
 from specdiff.models import (
     BUMPS,
     ExceptionalPointError,
@@ -161,9 +161,9 @@ class TestProjectionDifference:
 WINDOWS = ((0.4, 1.0), (0.4, math.inf), (-math.inf, -0.4), (0.1, 0.3))
 
 
-def assert_traces_close(d, w):
+def assert_traces_close(d, w, powers=(1, 2, 3, 4)):
     # relative to Tr |D|^m, which bounds |Tr D^m| and does not vanish with it
-    for m in (1, 2, 3):
+    for m in powers:
         exact, scale = float(np.sum(w ** float(m))), float(np.sum(np.abs(w) ** m))
         assert abs(d.trace_power(m) - exact) <= 1e-11 * scale, m
 
@@ -182,32 +182,41 @@ class TestStructuredDifference:
             w = model.build_d_eps(psi, eps, lam).eigenvalues()
         bands = BandSet([model.scattering_point(lam).a1])
         assert_traces_close(d, w)
-        for window in WINDOWS:
+        for window in WINDOWS + ((0.01, 1.0),):
             assert count_window(d, window) == count_window(w, window)
             partial = d.window_eigenvalues(min(abs(window[0]), abs(window[1])))
-            assert partial.size < w.size  # Lanczos, not the dense fallback
+            assert partial.size < w.size  # a block much narrower than n
             assert count_window(partial, window) == count_window(w, window)
             assert unfolded_count(partial, window, bands) == pytest.approx(
                 unfolded_count(w, window, bands), abs=1e-12
             )
         assert d._dense is None  # nothing above built the dense matrix
 
-    def test_lanczos_grows_k_for_a_low_threshold(self, model):
+    @pytest.mark.parametrize("eps", [0.023, 0.01])
+    def test_low_threshold_matches_dense(self, model, eps):
         psi = builtin_profile("ARCTAN_HALF")
-        d = model.build_d_eps(psi, 0.03, 0.0)
-        w = model.build_d_eps(psi, 0.03, 0.0).eigenvalues()
-        partial = d.window_eigenvalues(0.01)
-        assert 2 * LANCZOS_START < partial.size < w.size
-        assert np.all(np.diff(partial) >= 0.0)
+        window = (0.01, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionGuardWarning)
+            d = model.build_d_eps(psi, eps, 0.0)
+            w = model.build_d_eps(psi, eps, 0.0).eigenvalues()
+        theta = d.window_eigenvalues(0.01)
+        assert np.all(np.diff(theta) >= 0.0)
         beyond = w[np.abs(w) > 0.01]
-        assert np.allclose(partial[np.abs(partial) > 0.01], beyond, rtol=0.0, atol=1e-13)
+        assert np.allclose(theta[np.abs(theta) > 0.01], beyond, rtol=0.0, atol=1e-13)
+        bands = BandSet([model.scattering_point(0.0).a1])
+        assert count_window(d, window) == count_window(w, window)
+        assert unfolded_count(theta, window, bands) == pytest.approx(
+            unfolded_count(w, window, bands), abs=1e-12
+        )
+        assert d._dense is None
 
     def test_high_power_uses_the_dense_spectrum(self, model):
+        # the dense spectrum is the oracle; Tr D^m for m >= 4 comes from the Ritz values
         d = model.build_d_eps(builtin_profile("TANH_HALF"), 0.05, 0.0)
         w = model.build_d_eps(builtin_profile("TANH_HALF"), 0.05, 0.0).eigenvalues()
-        assert d.trace_power(4) == float(np.sum(w**4.0))
-        # with the spectrum at hand, the window eigenvalues are all of it
-        assert np.array_equal(d.window_eigenvalues(0.4), w)
+        assert_traces_close(d, w, powers=(4, 5, 6, 8))
+        assert d._dense is None
 
     def test_dense_entries_on_demand(self, model):
         q = model.eig()[1]
@@ -220,29 +229,33 @@ class TestStructuredDifference:
         assert np.max(np.abs(d.entries - expected)) < 1e-14
         assert d.dim == model.n
 
-    def test_zero_coupling_falls_back_to_dense(self):
-        # D = 0 exactly: ARPACK cannot start, so the whole dense spectrum is used
+    def test_zero_coupling_gives_exact_zeros(self):
+        # D = 0 exactly: Tr D^2 = 0 certifies the first block, all of its Ritz values 0
         m = RankOneModel(n=400, c=0.0)
         d = m.build_d_eps(builtin_profile("TANH_HALF"), 0.1, 0.0)
         w = d.window_eigenvalues(0.4)
-        assert w.size == m.n and np.all(w == 0.0)
-        assert d._dense is not None
+        assert w.size == BLOCK_START and np.all(w == 0.0)
+        assert d.trace_power(4) == 0.0
+        assert d._dense is None
 
     def test_certificate_doubles_k_until_the_remainder_is_small(self):
-        # D = diag(f): with k = 4 per side the eigenvalues 0.27 .. 0.24 left
-        # out carry more than rho^2 = 0.3^2 of Tr D^2, with k = 8 they do not
-        outer = np.array([0.9, 0.3, 0.29, 0.28, 0.27, 0.26, 0.25, 0.24])
-        f = np.concatenate([outer, -outer, np.linspace(-1e-3, 1e-3, 84)])
-        d = SpectralDifference(np.eye(100), f, np.zeros(100), np.eye(100))
+        # D = diag(f) has 50 eigenvalues of size at least 0.24: a block of 32
+        # leaves out more than rho^2 = 0.3^2 of Tr D^2, a block of 64 holds them all
+        outer = np.concatenate([[0.9], np.linspace(0.3, 0.24, 24)])
+        f = np.concatenate([outer, -outer, np.zeros(150)])
+        d = SpectralDifference(np.eye(200), f, np.zeros(200), np.eye(200))
         w = d.window_eigenvalues(0.5)
-        assert np.allclose(w, np.sort(np.concatenate([outer, -outer])), rtol=0.0, atol=1e-14)
+        assert w.size == 2 * BLOCK_START
+        beyond = w[np.abs(w) > 1e-8]
+        assert np.allclose(beyond, np.sort(np.concatenate([outer, -outer])), rtol=0.0, atol=1e-14)
         assert d._dense is None
 
     def test_small_matrices_use_the_dense_spectrum(self):
-        # k = 4 per side already reaches n/2
+        # a block of min(32, n) = n columns spans the whole space: Rayleigh-Ritz is exact
         f = np.linspace(-0.9, 0.9, 8)
         d = SpectralDifference(np.eye(8), f, np.zeros(8), np.eye(8))
-        assert np.array_equal(d.window_eigenvalues(0.4), f)
+        assert np.allclose(d.window_eigenvalues(0.4), f, rtol=0.0, atol=1e-15)
+        assert d._dense is None
 
     def test_validation(self):
         q = np.eye(3)
