@@ -7,28 +7,37 @@ BLAS threads are pinned to the number of usable cores before NumPy loads.
 For each n in ``SIZES`` of the default rank-one model (gaussian bump, L = 8)
 it times, as medians over ``REPEATS`` runs:
 
+- the Gauss-Legendre nodes and weights (``scipy.special.roots_legendre``),
+  which every model is built on;
 - the H eigensolve, for each c in ``COUPLINGS``, on fresh models: the dense
   route that ``RankOneModel.h`` and ``SelfAdjointMatrix.eig`` take (assembly
   of the validated dense H, ``numpy.linalg.eigh`` and the n^3
   reconstruction check) against the secular route of ``RankOneModel.eig``
-  (``DiagonalPlusRankOne.eig``, the secular solve plus its O(n^2) check),
-  and the check alone;
-- the D_eps spectrum, for each eps in ``EPSILONS`` at c = 0.5, lam = 0 and
-  ARCTAN_HALF, on fresh D_eps: the block pass of
+  (``DiagonalPlusRankOne.eig`` of the m x m kept block, the secular solve
+  plus its O(m^2) check), the check alone, the split into the kept block
+  (``kept`` and ``block``, with its O(n) dropped-coupling bound), and
+  P = Q∘Q (``RankOneModel.overlaps``);
+- the D_eps layers, for each eps in ``EPSILONS`` at c = 0.5, lam = 0 and
+  ARCTAN_HALF, on fresh D_eps over the kept block: the traces of D, D^2 and
+  D^3 from P = Q∘Q, and the block pass of
   ``SpectralDifference.window_eigenvalues`` at the default window's
-  threshold 0.4 (Tr D^2 is taken before the clock starts, as a sweep does)
-  against the dense route of ``SpectralDifference.eigenvalues`` (the dense
-  D, its validation and ``numpy.linalg.eigvalsh``).
+  threshold 0.4 (Tr D^2 is taken before the clock starts, as a sweep does),
+  against the dense route of the oracle (the n x n D from the dense H's
+  eigenpairs and ``numpy.linalg.eigvalsh``).
 
-Every case carries cross-checks taken in the same run.  For H: the largest
-eigenvalue and P = Q∘Q differences between the routes, the largest column
-residual |x∘q_k + c u (u^T q_k) - w_k q_k| and the orthogonality defect
-max|Q^T Q - I| of the secular eigenvectors.  For D_eps: the largest
-|theta - y| between the Ritz values and the dense eigenvalues with |y| > 1e-6,
-matched from the outside in on each side, the counts in the default window
-(0.4, 1) by both routes, the block width and the certificate remainder
-R = Tr D^2 minus the sum of theta^2.  The machine block records the core
-count, the BLAS NumPy was built with and the BLAS thread setting.
+Every case carries cross-checks taken in the same run.  For the nodes: the
+largest node and weight differences from NumPy's ``leggauss``.  For H: m,
+the kept block's eigenpairs completed with the deflated (x_j, e_j) against
+the dense ones (largest eigenvalue and P = Q∘Q differences), the largest
+column residual |x∘q_k + c u (u^T q_k) - w_k q_k| of the completed
+eigenvectors in the n x n H, which holds the coupling the block drops, and
+their orthogonality defect max|Q^T Q - I|.  For D_eps: m, the largest
+relative trace error against the dense spectrum, the largest |theta - y|
+between the Ritz values and the dense eigenvalues with |y| > 1e-6, matched
+from the outside in on each side, the counts in the default window (0.4, 1)
+by both routes, the block width and the certificate remainder R = Tr D^2
+minus the sum of theta^2.  The machine block records the core count, the
+BLAS NumPy was built with and the BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -68,6 +77,41 @@ def machine() -> dict:
     }
 
 
+def nodes_case(n: int, repeats: int) -> dict:
+    """Gauss-Legendre rule timing (median over ``repeats``) and cross-check of one n."""
+    import numpy as np
+    from scipy import special
+
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        x, w = special.roots_legendre(n)
+        times.append(time.perf_counter() - t0)
+    x_np, w_np = np.polynomial.legendre.leggauss(n)
+    return {
+        "n": n,
+        "roots_legendre_s": statistics.median(times),
+        "cross_checks": {
+            "max_abs_nodes_minus_numpy": float(np.max(np.abs(x - x_np))),
+            "max_abs_weights_minus_numpy": float(np.max(np.abs(w - w_np))),
+        },
+    }
+
+
+def completed(model, w, q):
+    """The kept block's eigenpairs with the deflated (x_j, e_j): the n x n H's, ascending."""
+    import numpy as np
+
+    n, m = model.n, model.kept.size
+    dropped = np.setdiff1d(np.arange(n), model.kept)
+    values = np.concatenate((w, model.nodes[dropped]))
+    vectors = np.zeros((n, n))
+    vectors[np.ix_(model.kept, np.arange(m))] = q
+    vectors[dropped, np.arange(m, n)] = 1.0
+    order = np.argsort(values, kind="stable")
+    return values[order], vectors[:, order]
+
+
 def h_case(n: int, c: float, repeats: int) -> dict:
     """H eigensolve timings (medians over ``repeats`` fresh models) and cross-checks of one (n, c)."""
     import numpy as np
@@ -75,7 +119,7 @@ def h_case(n: int, c: float, repeats: int) -> dict:
     from specdiff.models import RankOneModel
 
     times = {key: [] for key in ("assembly_s", "eigh_s", "reconstruction_s",
-                                 "solve_and_check_s", "check_s")}
+                                 "split_s", "solve_and_check_s", "check_s", "overlaps_s")}
     for _ in range(repeats):
         model = RankOneModel(n=n, c=c)
         t0 = time.perf_counter()
@@ -91,27 +135,35 @@ def h_case(n: int, c: float, repeats: int) -> dict:
 
         model = RankOneModel(n=n, c=c)
         t4 = time.perf_counter()
-        w, q = model.eig()
+        model.rank_one.block(model.rank_one.kept())
         t5 = time.perf_counter()
-        model.rank_one.check(w, q)
+        w, q = model.eig()
         t6 = time.perf_counter()
-        for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t5 - t4, t6 - t5)):
+        model.block.check(w, q)
+        t7 = time.perf_counter()
+        model.overlaps()
+        t8 = time.perf_counter()
+        for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t5 - t4, t6 - t5, t7 - t6, t8 - t7)):
             times[key].append(dt)
 
     med = {key: statistics.median(values) for key, values in times.items()}
     dense_s = med["assembly_s"] + med["eigh_s"] + med["reconstruction_s"]
+    w_full, q_full = completed(model, w, q)
     return {
         "n": n,
         "c": c,
+        "m": int(model.kept.size),
         "dense": {"assembly_s": med["assembly_s"], "eigh_s": med["eigh_s"],
                   "reconstruction_s": med["reconstruction_s"], "total_s": dense_s},
-        "secular": {"solve_and_check_s": med["solve_and_check_s"], "check_s": med["check_s"]},
-        "speedup": dense_s / med["solve_and_check_s"],
+        "secular": {"split_s": med["split_s"], "solve_and_check_s": med["solve_and_check_s"],
+                    "check_s": med["check_s"]},
+        "overlaps_s": med["overlaps_s"],
+        "speedup": dense_s / (med["split_s"] + med["solve_and_check_s"]),
         "cross_checks": {
-            "max_abs_w_minus_dense": float(np.max(np.abs(w - w_dense))),
-            "max_abs_p_minus_dense": float(np.max(np.abs(q * q - p_dense))),
-            "max_column_residual": model.rank_one.residual(w, q),
-            "orthogonality_defect": float(np.max(np.abs(q.T @ q - np.eye(n)))),
+            "max_abs_w_minus_dense": float(np.max(np.abs(w_full - w_dense))),
+            "max_abs_p_minus_dense": float(np.max(np.abs(q_full * q_full - p_dense))),
+            "max_column_residual": model.rank_one.residual(w_full, q_full),
+            "orthogonality_defect": float(np.max(np.abs(q_full.T @ q_full - np.eye(n)))),
             "dense_reconstruction_residual": reconstruction,
             "entry_scale": scale,
         },
@@ -119,7 +171,7 @@ def h_case(n: int, c: float, repeats: int) -> dict:
 
 
 def spectrum_case(model, eps: float, repeats: int) -> dict:
-    """D_eps spectrum timings (medians over ``repeats`` fresh D_eps) and cross-checks of one eps."""
+    """D_eps timings (medians over ``repeats`` fresh D_eps) and cross-checks of one eps."""
     import numpy as np
 
     from specdiff.experiments import count_window
@@ -127,30 +179,39 @@ def spectrum_case(model, eps: float, repeats: int) -> dict:
     from specdiff.profiles import builtin_profile
 
     psi = builtin_profile("ARCTAN_HALF")
-    times = {"block_pass_s": [], "dense_s": []}
+    w_h, q_h = model.h.eig()  # the dense oracle's H, solved once per model
+    times = {"traces_s": [], "block_pass_s": [], "dense_s": []}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionGuardWarning)
         for _ in range(repeats):
             d = model.build_d_eps(psi, eps, 0.0)
-            d.trace_power(2)
             t0 = time.perf_counter()
-            theta = d.window_eigenvalues(0.4)
+            traces = [d.trace_power(k) for k in (1, 2, 3)]
             t1 = time.perf_counter()
-            y = model.build_d_eps(psi, eps, 0.0).eigenvalues()
+            theta = d.window_eigenvalues(0.4)
             t2 = time.perf_counter()
-            times["block_pass_s"].append(t1 - t0)
-            times["dense_s"].append(t2 - t1)
+            dense = (q_h * psi(w_h / eps)) @ q_h.T
+            dense[np.diag_indices(model.n)] -= psi(model.nodes / eps)
+            y = np.linalg.eigvalsh(dense)
+            t3 = time.perf_counter()
+            del dense
+            for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2)):
+                times[key].append(dt)
 
     med = {key: statistics.median(values) for key, values in times.items()}
     top, bottom = int(np.count_nonzero(y > 1e-6)), int(np.count_nonzero(y < -1e-6))
     differences = np.concatenate((theta[theta.size - top:] - y[y.size - top:],
                                   theta[:bottom] - y[:bottom]))
+    trace_errors = [abs(t - float(np.sum(y ** float(k)))) / float(np.sum(np.abs(y) ** k))
+                    for k, t in zip((1, 2, 3), traces)]
     return {
         "n": model.n,
+        "m": d.dim,
         "eps": eps,
         **med,
-        "speedup": med["dense_s"] / med["block_pass_s"],
+        "speedup": med["dense_s"] / (med["traces_s"] + med["block_pass_s"]),
         "cross_checks": {
+            "max_relative_trace_error": max(trace_errors),
             "max_abs_theta_minus_dense": float(np.max(np.abs(differences), initial=0.0)),
             "retained_eigenvalues": top + bottom,
             "count_block_pass": count_window(theta, (0.4, 1.0)),
@@ -170,27 +231,33 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=str(ROOT / "BENCH_layers.json"))
     args = parser.parse_args(argv)
     np.linalg.eigh(np.diag(np.arange(64.0)))  # LAPACK's first-call set-up stays out of the timings
-    h_cases, spectrum_cases = [], []
+    nodes_cases, h_cases, spectrum_cases = [], [], []
     for n in SIZES:
+        row = nodes_case(n, REPEATS)
+        nodes_cases.append(row)
+        print(f"nodes n={n:5d}  roots_legendre {row['roots_legendre_s']:.3f} s", file=sys.stderr)
         for c in COUPLINGS:
             row = h_case(n, c, REPEATS)
             h_cases.append(row)
-            print(f"H     n={n:5d} c={c:+.2f}  dense {row['dense']['total_s']:.3f} s  "
-                  f"secular {row['secular']['solve_and_check_s']:.3f} s  "
+            secular = row["secular"]["split_s"] + row["secular"]["solve_and_check_s"]
+            print(f"H     n={n:5d} c={c:+.2f} m={row['m']:5d}  "
+                  f"dense {row['dense']['total_s']:.3f} s  secular {secular:.3f} s  "
                   f"x{row['speedup']:.1f}", file=sys.stderr)
         model = RankOneModel(n=n, c=0.5)
         model.overlaps()
         for eps in EPSILONS:
             row = spectrum_case(model, eps, REPEATS)
             spectrum_cases.append(row)
-            print(f"D_eps n={n:5d} eps={eps:<6g}  dense {row['dense_s']:.3f} s  "
-                  f"block pass {row['block_pass_s']:.3f} s  x{row['speedup']:.1f}",
-                  file=sys.stderr)
+            print(f"D_eps n={n:5d} m={row['m']:5d} eps={eps:<6g}  dense {row['dense_s']:.3f} s  "
+                  f"traces {row['traces_s']:.4f} s  block pass {row['block_pass_s']:.3f} s  "
+                  f"x{row['speedup']:.1f}", file=sys.stderr)
+        del model
     payload = {
         "benchmark": "layers",
         "command": ["python3", "bench/layers.py", *(argv if argv is not None else sys.argv[1:])],
         "repeats": REPEATS,
         "machine": machine(),
+        "gauss_legendre_nodes": nodes_cases,
         "h_eigensolve": h_cases,
         "d_eps_spectrum": spectrum_cases,
     }

@@ -2,13 +2,14 @@
 
 A sweep fixes a model, an energy lam, and a profile, builds the smoothed
 projection difference D_eps over a geometric eps grid, and records window
-counts and trace powers per eps.  D_eps stays factored (``SpectralDifference``):
-traces of powers up to 3 are O(n^2) sums against the squared eigenvector
-overlaps; the counts and the higher powers read the Ritz values of one
-certified block pass, which holds every eigenvalue beyond the smallest
-window edge.  Fitted slopes against |log eps| are compared with the
-predictions coming from the scattering data: window masses of the limiting
-density for counts, Delta_m moments for traces.
+counts and trace powers per eps.  D_eps stays factored (``SpectralDifference``)
+on the m nodes of H's kept block, where it lives: traces of powers up to 3
+are O(m^2) sums against the squared eigenvector overlaps; the counts and
+the higher powers read the Ritz values of one certified block pass, which
+holds every eigenvalue beyond the smallest window edge.  Fitted slopes
+against |log eps| are compared with the predictions coming from the
+scattering data: window masses of the limiting density for counts, Delta_m
+moments for traces.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ caching in one place: ``SelfAdjointMatrix`` checks and symmetrizes its
 entries once, on construction, so callers hand it the raw array they
 computed, and solves them with a dense ``eigh``.  ``DiagonalPlusRankOne`` is
 the same contract for diag(x) + c u u^T kept as (x, u, c): its eigenpairs
-come from the secular equation in O(n^2), with no dense matrix built.
+come from the secular equation in O(n^2), with no dense matrix built, and
+its ``block`` on the nodes that do not deflate is solved on its own, with
+an O(n) check of the coupling it drops.
 ``SpectralDifference`` keeps a difference
 ``Q diag(f) Q^T - diag(g)`` factored: its low traces cost O(n^2), its
 numerical spectrum comes from one certified block Rayleigh-Ritz pass, and
@@ -175,9 +177,11 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
     the eigenvalues and takes the eigenvectors from the Cauchy form with the
     Löwner-corrected coupling (Gu & Eisenstat 1994): O(n^2) time, with no
     n x n matrix formed but the eigenvectors, in place of a dense ``eigh``.
-    The decomposition is accepted only if it passes ``check``.  ``entries``
-    builds the dense H, for comparison.  Neighbours in x must be 2 ulps apart
-    or more, so that the midpoints the solve brackets roots at lie between.
+    The decomposition is accepted only if it passes ``check``.  ``kept`` and
+    ``block`` split off the nodes that deflate, so that a caller can solve
+    the rest alone.  ``entries`` builds the dense H, for comparison.
+    Neighbours in x must be 2 ulps apart or more, so that the midpoints the
+    solve brackets roots at lie between.
     """
 
     __slots__ = ("x", "u", "c")
@@ -228,8 +232,7 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
         """
         if not np.all(np.diff(w) >= 0.0):
             raise EigendecompositionError("eigenvalues are not ascending")
-        x, u, c = self.x, self.u, self.c
-        scale = max(1.0, float(np.max(np.abs(x + c * u * u))), abs(c) * float(np.max(u * u)))
+        scale = self._scale()
         residual = self.residual(w, q)
         if not residual <= RECONSTRUCTION_TOL * scale:  # NaN fails too
             raise EigendecompositionError(
@@ -245,6 +248,46 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
                 f"{RECONSTRUCTION_TOL:.0e}",
                 residual=defect,
             )
+
+    def kept(self) -> np.ndarray:
+        """Indices of the nodes the secular solve keeps, by LAPACK's ``dlaed2`` rule.
+
+        With z = sqrt(|c|) u, node j is deflated when
+        |z_j| ||z|| <= 8 eps max(max|x|, ||z||^2): (x_j, e_j) is then taken
+        as an eigenpair of H.
+        """
+        return np.flatnonzero(_kept(self.x, np.sqrt(abs(self.c)) * self.u))
+
+    def block(self, kept) -> DiagonalPlusRankOne | None:
+        """H on the nodes ``kept`` (ascending indices), None if there are none.
+
+        The nodes left out are taken as eigenpairs (x_j, e_j), so the
+        eigendecomposition of the block, with them, is one of H up to the
+        coupling dropped: c u u_j in column j, and c u_i (u^T q_k) in row i
+        of each kept eigenvector q_k.  Both are at most
+        |c| ||u|| max|u_j| over the nodes left out; unless that is within
+        1e-10 of the entry scale of H, the tolerance of ``check``, this
+        raises ``EigendecompositionError``.  O(n).
+        """
+        kept = np.asarray(kept, dtype=np.intp)
+        dropped = np.delete(self.u, kept)
+        coupling = abs(self.c) * float(np.linalg.norm(self.u)) * float(
+            np.max(np.abs(dropped), initial=0.0))
+        scale = self._scale()
+        if not coupling <= RECONSTRUCTION_TOL * scale:
+            raise EigendecompositionError(
+                f"coupling dropped with {dropped.size} deflated nodes {coupling:.3e} "
+                f"exceeds {RECONSTRUCTION_TOL:.0e} * {scale:.3e}",
+                residual=coupling,
+            )
+        if kept.size == 0:
+            return None
+        return DiagonalPlusRankOne(self.x[kept], self.u[kept], self.c)
+
+    def _scale(self) -> float:
+        """Entry scale of H: max(1, max|x + c u∘u|, |c| max u∘u)."""
+        x, u, c = self.x, self.u, self.c
+        return max(1.0, float(np.max(np.abs(x + c * u * u))), abs(c) * float(np.max(u * u)))
 
     def residual(self, w: np.ndarray, q: np.ndarray) -> float:
         """Largest column residual |x∘q_k + c u (u^T q_k) - w_k q_k|, NaN if any is.
@@ -413,14 +456,11 @@ class SpectralDifference:
 def _secular_eig(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of diag(d) + z z^T, d strictly increasing.
 
-    A node with a negligible coupling is deflated by LAPACK's ``dlaed2``
-    rule, |z_j| ||z|| <= 8 eps max(max|d|, ||z||^2), and keeps (d_j, e_j):
-    the Cauchy form would divide 0 by 0 there.
+    A node with a negligible coupling is deflated (``_kept``) and keeps
+    (d_j, e_j): the Cauchy form would divide 0 by 0 there.
     """
     n = d.size
-    rho = float(z @ z)
-    tol = 8.0 * _EPS * max(float(np.max(np.abs(d))), rho)
-    keep = np.abs(z) * np.sqrt(rho) > tol
+    keep = _kept(d, z)
     dk, zk = d[keep], z[keep]
     origin, tau = _secular_roots(dk, zk)
     # delta[i, k] = d_i - w_k, formed from the pole nearest w_k without cancellation
@@ -435,15 +475,26 @@ def _secular_eig(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vectors = np.divide(zhat[:, None], delta, out=delta)
     vectors /= np.linalg.norm(vectors, axis=0)
 
+    m = dk.size
     values = np.concatenate((d[~keep], dk[origin] + tau))
+    if m == n and np.all(np.diff(values) >= 0.0):  # the roots interlace the poles
+        return values, vectors
     order = np.argsort(values, kind="stable")
     column = np.empty(n, dtype=np.intp)
     column[order] = np.arange(n)
-    m = dk.size
     q = np.zeros((n, n))
     q[np.flatnonzero(~keep), column[: n - m]] = 1.0
     q[np.ix_(np.flatnonzero(keep), column[n - m:])] = vectors
     return values[order], q
+
+
+def _kept(d: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Mask of the nodes of diag(d) + z z^T that LAPACK's ``dlaed2`` rule keeps.
+
+    Node j is deflated when |z_j| ||z|| <= 8 eps max(max|d|, ||z||^2).
+    """
+    rho = float(z @ z)
+    return np.abs(z) * np.sqrt(rho) > 8.0 * _EPS * max(float(np.max(np.abs(d))), rho)
 
 
 def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,10 +13,13 @@ need at a point lam follows from it: the band edge a1 = |S - 1|/2 and the
 spectral shift xi = arg(1 + c T)/pi.
 
 The discrete D_eps is built in H's eigenbasis Q, computed once per model
-from the secular equation of H = X + c u u^T in O(n^2) (``eig``; the dense H
-of ``h`` is only a test oracle).  H0 is diagonal, so D_eps = Q psi_eps(W -
-lam) Q^T - psi_eps(X - lam) is kept as a ``SpectralDifference`` and costs
-O(n) per eps to build.
+from the secular equation of H = X + c u u^T (``eig``; the dense H of ``h``
+is only a test oracle).  A node whose coupling u_j is negligible, by
+LAPACK's ``dlaed2`` deflation rule, keeps (x_j, e_j) as an eigenpair of H,
+so psi_eps(H - lam) and psi_eps(H0 - lam) agree on it exactly: H and D_eps
+are solved on the m kept nodes only, in O(m^2).  H0 is diagonal, so D_eps =
+Q psi_eps(W - lam) Q^T - psi_eps(X - lam) on that block is kept as a
+``SpectralDifference`` and costs O(m) per eps to build.
 """
 
 from __future__ import annotations
@@ -110,10 +113,15 @@ class RankOneModel:
         self.nodes = self.L * x
         self.weights = self.L * w
         self._check_quadrature()
-        # H kept as diagonal plus rank one; ``eig`` and the dense ``h`` both read it
+        # H kept as diagonal plus rank one; the dense ``h`` reads it
         self.rank_one = DiagonalPlusRankOne(
             self.nodes, np.sqrt(self.weights) * self.v(self.nodes), self.c
         )
+        # the deflated nodes are eigenpairs (x_j, e_j) of H, on which D_eps
+        # vanishes: ``eig`` solves H on the kept block, after an O(n) check of
+        # the coupling dropped (None when no node is kept, so H = H0)
+        self.kept = self.rank_one.kept()
+        self.block = self.rank_one.block(self.kept)
         self._h: SelfAdjointMatrix | None = None
         self._overlaps: np.ndarray | None = None
 
@@ -142,16 +150,19 @@ class RankOneModel:
         return self._h
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and orthonormal eigenvectors of H, cached.
+        """Ascending eigenvalues and orthonormal eigenvectors of H on its kept block, cached.
 
-        H is kept as diagonal plus rank one and solved from its secular
-        equation, with an O(n^2) check (``DiagonalPlusRankOne``); the dense H
-        of ``h`` is not built.
+        The m eigenvalues and the m x m eigenvectors of H restricted to the
+        nodes ``kept``, solved from the secular equation with an O(m^2) check
+        (``DiagonalPlusRankOne``).  With the deflated nodes' (x_j, e_j) they
+        make up the eigendecomposition of H; the dense H of ``h`` is not built.
         """
-        return self.rank_one.eig()
+        if self.block is None:
+            return np.empty(0), np.empty((0, 0))
+        return self.block.eig()
 
     def overlaps(self) -> np.ndarray:
-        """P = Q∘Q, the squared overlaps of H's eigenvectors with the nodes, cached."""
+        """P = Q∘Q for the kept block's eigenvectors Q, cached."""
         if self._overlaps is None:
             q = self.eig()[1]
             p = q * q
@@ -235,10 +246,12 @@ class RankOneModel:
 
         H0 is diagonal here, so only H goes through an eigendecomposition
         (``eig``, cached on the model and shared by every eps, with
-        ``overlaps``).
-        The result keeps D = Q diag(f) Q^T - diag(g) factored, f = psi((w -
-        lam)/eps) on H's eigenvalues and g = psi((x - lam)/eps) on the nodes:
-        O(n) per eps, with the dense matrix built only when asked for.  If eps
+        ``overlaps``).  D vanishes on the deflated nodes, so the result is D
+        on the kept block, kept factored: D = Q diag(f) Q^T - diag(g), f =
+        psi((w - lam)/eps) on the block's eigenvalues and g = psi((x -
+        lam)/eps) on the kept nodes.  It has the nonzero spectrum and the
+        traces of the n x n D_eps, costs O(m) per eps, and builds its dense
+        (m x m) matrix only when asked for.  If eps
         is below the resolution guard a warning is attached and the build
         proceeds; sweep drivers decide what to do with flagged points.
         """
@@ -255,7 +268,8 @@ class RankOneModel:
             )
         w, q = self.eig()
         return SpectralDifference(
-            q, profile((w - lam) / eps), profile((self.nodes - lam) / eps), self.overlaps()
+            q, profile((w - lam) / eps), profile((self.nodes[self.kept] - lam) / eps),
+            self.overlaps(),
         )
 
 

@@ -24,12 +24,20 @@ def test_machine_info(bench):
     assert set(machine["blas_threads"]) == set(bench.THREAD_VARS)
 
 
+def test_nodes_case_times_the_rule_and_cross_checks_it(bench):
+    row = bench.nodes_case(200, 1)
+    assert row["n"] == 200 and row["roots_legendre_s"] > 0.0
+    assert row["cross_checks"]["max_abs_nodes_minus_numpy"] <= 1e-14
+    assert row["cross_checks"]["max_abs_weights_minus_numpy"] <= 1e-14
+
+
 @pytest.mark.parametrize("c", [0.5, -0.7])
 def test_case_times_both_routes_and_cross_checks_them(bench, c):
     row = bench.h_case(200, c, 1)
     assert (row["n"], row["c"]) == (200, c)
+    assert 0 < row["m"] < 200  # the gaussian bump deflates about half the nodes
     assert all(t > 0.0 for t in row["dense"].values())
-    assert all(t > 0.0 for t in row["secular"].values())
+    assert all(t > 0.0 for t in row["secular"].values()) and row["overlaps_s"] > 0.0
     checks = row["cross_checks"]
     scale = checks["entry_scale"]
     assert checks["max_abs_w_minus_dense"] <= 1e-13 * scale
@@ -40,12 +48,15 @@ def test_case_times_both_routes_and_cross_checks_them(bench, c):
 
 @pytest.mark.parametrize("eps", [0.1, 0.01])
 def test_spectrum_case_times_both_routes_and_cross_checks_them(bench, eps):
-    row = bench.spectrum_case(RankOneModel(n=200), eps, 1)
-    assert (row["n"], row["eps"]) == (200, eps)
-    assert row["block_pass_s"] > 0.0 and row["dense_s"] > 0.0
+    model = RankOneModel(n=200)
+    row = bench.spectrum_case(model, eps, 1)
+    assert (row["n"], row["m"], row["eps"]) == (200, model.kept.size, eps)
+    assert row["m"] < 200
+    assert row["traces_s"] > 0.0 and row["block_pass_s"] > 0.0 and row["dense_s"] > 0.0
     checks = row["cross_checks"]
+    assert checks["max_relative_trace_error"] <= 1e-11
     assert checks["retained_eigenvalues"] > 0
     assert checks["max_abs_theta_minus_dense"] <= 1e-13
     assert checks["count_block_pass"] == checks["count_dense"]
-    assert checks["block_width"] < 200
+    assert checks["block_width"] < row["m"]
     assert abs(checks["remainder"]) <= 1e-12

@@ -25,7 +25,7 @@ from specdiff.experiments import (
     universality_study,
 )
 from specdiff.density import BandSet, band_count_slope
-from specdiff.matrices import SelfAdjointMatrix, SpectralDifference
+from specdiff.matrices import DiagonalPlusRankOne, SelfAdjointMatrix, SpectralDifference
 from specdiff.models import RankOneModel, ResolutionGuardWarning
 from specdiff.profiles import builtin_profile
 
@@ -336,6 +336,8 @@ class TestStructuredSweep:
     def test_secular_eigensolve_matches_the_dense_one(self, monkeypatch, c):
         cfg = small_config(model=ModelSpec(n=400, c=c), windows=self.WINDOWS)
         fast = run_sweep(cfg)
+        # the n x n route: every node kept, H solved by the dense eigh
+        monkeypatch.setattr(DiagonalPlusRankOne, "kept", lambda h: np.arange(h.dim))
         monkeypatch.setattr(RankOneModel, "eig", lambda model: model.h.eig())
         dense = run_sweep(cfg)
         for a, b in zip(fast.records, dense.records, strict=True):
@@ -344,6 +346,21 @@ class TestStructuredSweep:
                 assert abs(value - b.traces[m]) <= 1e-11 * max(1.0, abs(b.traces[m]))
             for key, value in a.unfolded.items():
                 assert abs(value - b.unfolded[key]) <= 1e-11
+
+    def test_the_sweep_works_on_the_kept_block(self, monkeypatch):
+        shapes = set()
+        init = SpectralDifference.__init__
+
+        def recording(self, q, f, g, overlaps):
+            shapes.add((q.shape, overlaps.shape, np.shape(f), np.shape(g)))
+            init(self, q, f, g, overlaps)
+
+        monkeypatch.setattr(SpectralDifference, "__init__", recording)
+        cfg = small_config(trace_powers=(1, 2, 3, 4))
+        run_sweep(cfg)
+        m = cfg.model.build().kept.size
+        assert 0 < m < cfg.model.n  # the gaussian bump deflates about half the nodes
+        assert shapes == {((m, m), (m, m), (m,), (m,))}
 
     def test_the_sweep_builds_no_dense_h(self, monkeypatch):
         def dense_h(model):

@@ -188,6 +188,40 @@ class TestDiagonalPlusRankOne:
         dense = np.linalg.eigvalsh(h.entries)
         assert np.max(np.abs(h.eig()[0] - dense)) <= 1e-13 * np.max(np.abs(dense))
 
+    @pytest.mark.parametrize("c", [0.5, -0.7])
+    def test_kept_block_with_the_deflated_pairs_solves_h(self, c):
+        # the gaussian bump deflates half the nodes at n = 400
+        x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])
+        h = DiagonalPlusRankOne(x, u, c)
+        kept = h.kept()
+        assert 0 < kept.size < 400
+        block = h.block(kept)
+        assert np.array_equal(block.x, x[kept]) and np.array_equal(block.u, u[kept])
+        w_k, q_k = block.eig()
+        dropped = np.setdiff1d(np.arange(400), kept)
+        w = np.concatenate((w_k, x[dropped]))
+        q = np.zeros((400, 400))
+        q[np.ix_(kept, np.arange(kept.size))] = q_k
+        q[dropped, np.arange(kept.size, 400)] = 1.0
+        order = np.argsort(w, kind="stable")
+        h.check(w[order], q[:, order])  # the full O(n^2) check of H
+        _, w_d, _, scale = dense_reference(x, u, c)
+        assert np.max(np.abs(w[order] - w_d)) <= 1e-13 * scale
+
+    def test_block_rejects_dropping_a_coupled_node(self):
+        x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])
+        h = DiagonalPlusRankOne(x, u, 0.5)
+        kept = h.kept()
+        j = int(np.argmax(np.abs(u)))  # the node at the centre of the bump
+        assert j in kept and abs(u[j]) > 0.2
+        with pytest.raises(EigendecompositionError, match="dropped"):
+            h.block(kept[kept != j])
+
+    def test_zero_coupling_keeps_no_node(self):
+        x, u = quadrature_coupling(50, BUMP_SHAPES["sech"])
+        h = DiagonalPlusRankOne(x, u, 0.0)
+        assert h.kept().size == 0 and h.block(h.kept()) is None
+
     @pytest.mark.parametrize("perturb", ["entry", "scale"])
     def test_check_rejects_one_perturbed_column(self, perturb):
         x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])

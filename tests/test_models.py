@@ -143,8 +143,11 @@ class TestProjectionDifference:
 
     def test_zero_coupling_gives_zero_difference(self):
         m = RankOneModel(n=400, c=0.0)
-        d = m.build_d_eps(builtin_profile("TANH_HALF"), 0.1, 0.0)
-        assert np.max(np.abs(d.entries)) < 1e-12
+        psi = builtin_profile("TANH_HALF")
+        d = m.build_d_eps(psi, 0.1, 0.0)
+        # every node deflates: the kept block is empty, the n x n D is 0
+        assert d.entries.shape == (0, 0)
+        assert np.max(np.abs(dense_spectrum(m, psi, 0.1, 0.0))) < 1e-12
 
     def test_norm_bounded_by_one(self, model):
         d = model.build_d_eps(builtin_profile("ARCTAN_HALF"), 0.1, 0.0)
@@ -223,19 +226,23 @@ class TestStructuredDifference:
         psi = builtin_profile("ARCTAN_HALF")
         d = model.build_d_eps(psi, 0.1, 0.0)
         assert d._dense is None and d.q is q
-        # against D built from the dense H's own eigendecomposition
+        # against the n x n D built from the dense H's own eigendecomposition:
+        # it vanishes off the kept block, and d is that block
         w_h, q_h = model.h.eig()
         expected = (q_h * psi(w_h / 0.1)) @ q_h.T - np.diag(psi(model.nodes / 0.1))
-        assert np.max(np.abs(d.entries - expected)) < 1e-14
-        assert d.dim == model.n
+        block = np.ix_(model.kept, model.kept)
+        assert np.max(np.abs(d.entries - expected[block])) < 1e-14
+        expected[block] = 0.0
+        assert np.max(np.abs(expected)) < 1e-14
+        assert d.dim == model.kept.size < model.n
 
     def test_zero_coupling_gives_exact_zeros(self):
-        # D = 0 exactly: Tr D^2 = 0 certifies the first block, all of its Ritz values 0
+        # every node deflates: D = 0 exactly, on an empty block
         m = RankOneModel(n=400, c=0.0)
         d = m.build_d_eps(builtin_profile("TANH_HALF"), 0.1, 0.0)
-        w = d.window_eigenvalues(0.4)
-        assert w.size == BLOCK_START and np.all(w == 0.0)
-        assert d.trace_power(4) == 0.0
+        assert m.block is None and d.dim == 0
+        assert d.window_eigenvalues(0.4).size == 0
+        assert [d.trace_power(k) for k in (1, 2, 3, 4)] == [0.0] * 4
         assert d._dense is None
 
     def test_certificate_doubles_k_until_the_remainder_is_small(self):
@@ -268,6 +275,51 @@ class TestStructuredDifference:
             d.trace_power(0)
         with pytest.raises(ValueError):
             d.window_eigenvalues(0.0)
+
+
+def dense_spectrum(model, psi, eps, lam):
+    """Eigenvalues of the n x n D_eps from the dense H's own eigendecomposition."""
+    w, q = model.h.eig()
+    d = (q * psi((w - lam) / eps)) @ q.T - np.diag(psi((model.nodes - lam) / eps))
+    return np.linalg.eigvalsh((d + d.T) / 2.0)
+
+
+class TestKeptBlock:
+    """D_eps on H's kept block against the n x n D_eps from the dense H."""
+
+    CASES = {
+        "zero coupling, m = 0": (dict(n=400, c=0.0), 0.0, lambda m, n: m == 0),
+        "sech bump, m = n": (dict(n=400, bump="sech"), 0.0, lambda m, n: m == n),
+        "m < BLOCK_START": (dict(n=56), 0.0, lambda m, n: 0 < m < BLOCK_START),
+        "negative coupling": (dict(n=400, c=-0.7), 0.0, lambda m, n: 0 < m < n),
+        "lam = 0.2": (dict(n=400), 0.2, lambda m, n: 0 < m < n),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("eps", [0.1, 0.03])
+    def test_matches_the_dense_d_eps(self, case, eps):
+        spec, lam, size_ok = self.CASES[case]
+        model = RankOneModel(**spec)
+        assert size_ok(model.kept.size, model.n)
+        psi = builtin_profile("TANH_HALF")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionGuardWarning)
+            d = model.build_d_eps(psi, eps, lam)
+        y = dense_spectrum(model, psi, eps, lam)
+        assert d.dim == model.kept.size
+        for m in (1, 2, 3, 4):
+            exact = float(np.sum(y ** float(m)))
+            assert abs(d.trace_power(m) - exact) <= 1e-11 * max(1.0, abs(exact)), m
+        bands = BandSet([model.scattering_point(lam).a1])
+        for window in WINDOWS + ((0.01, 1.0),):
+            partial = d.window_eigenvalues(min(abs(window[0]), abs(window[1])))
+            assert count_window(d, window) == count_window(y, window)
+            assert unfolded_count(partial, window, bands) == pytest.approx(
+                unfolded_count(y, window, bands), abs=1e-12
+            )
+        if model.block is None:  # D = 0: exact zeros, and nothing to count
+            assert [d.trace_power(m) for m in (1, 2, 3, 4)] == [0.0] * 4
+            assert all(count_window(d, window) == 0 for window in WINDOWS)
 
 
 class TestNegativeControl:
