@@ -7,8 +7,9 @@ BLAS threads are pinned to the number of usable cores before NumPy loads.
 For each n in ``SIZES`` of the default rank-one model (gaussian bump, L = 8)
 it times, as medians over ``REPEATS`` runs:
 
-- the Gauss-Legendre nodes and weights (``scipy.special.roots_legendre``),
-  which every model is built on;
+- the Gauss-Legendre nodes and weights that every model is built on:
+  ``specdiff.quadrature.gauss_legendre`` (Bogaert's O(n) formulas) and,
+  for comparison, SciPy's ``scipy.special.roots_legendre``;
 - the H eigensolve, for each c in ``COUPLINGS``, on fresh models: the dense
   route that ``RankOneModel.h`` and ``SelfAdjointMatrix.eig`` take (assembly
   of the validated dense H, ``numpy.linalg.eigh`` and the n^3
@@ -16,7 +17,8 @@ it times, as medians over ``REPEATS`` runs:
   (``DiagonalPlusRankOne.eig`` of the m x m kept block, the secular solve
   plus its O(m^2) check), the check alone, the split into the kept block
   (``kept`` and ``block``, with its O(n) dropped-coupling bound), and
-  P = Q∘Q (``RankOneModel.overlaps``);
+  P = Q∘Q (``RankOneModel.overlaps``); and, on one more fresh model, the
+  tracemalloc peak of ``RankOneModel.eig``;
 - the D_eps layers, for each eps in ``EPSILONS`` at c = 0.5, lam = 0 and
   ARCTAN_HALF, on fresh D_eps over the kept block: the traces of D, D^2 and
   D^3 from P = Q∘Q, and the block pass of
@@ -26,7 +28,10 @@ it times, as medians over ``REPEATS`` runs:
   eigenpairs and ``numpy.linalg.eigvalsh``).
 
 Every case carries cross-checks taken in the same run.  For the nodes: the
-largest node and weight differences from NumPy's ``leggauss``.  For H: m,
+largest absolute node and relative weight differences of both rules and of
+NumPy's ``leggauss`` from the extended-precision Newton rule
+(``gauss_legendre_reference``, with ``np.longdouble``'s epsilon), and of
+``gauss_legendre`` from ``leggauss``.  For H: m,
 the kept block's eigenpairs completed with the deflated (x_j, e_j) against
 the dense ones (largest eigenvalue and P = Q∘Q differences), the largest
 column residual |x∘q_k + c u (u^T q_k) - w_k q_k| of the completed
@@ -49,6 +54,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -78,22 +84,39 @@ def machine() -> dict:
 
 
 def nodes_case(n: int, repeats: int) -> dict:
-    """Gauss-Legendre rule timing (median over ``repeats``) and cross-check of one n."""
+    """Gauss-Legendre rule timings (medians over ``repeats``) and cross-checks of one n."""
     import numpy as np
     from scipy import special
 
-    times = []
+    from specdiff.quadrature import gauss_legendre, gauss_legendre_reference
+
+    rules = {"gauss_legendre": gauss_legendre, "roots_legendre": special.roots_legendre}
+    times = {name: [] for name in rules}
+    computed = {}
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        x, w = special.roots_legendre(n)
-        times.append(time.perf_counter() - t0)
-    x_np, w_np = np.polynomial.legendre.leggauss(n)
+        for name, rule in rules.items():
+            t0 = time.perf_counter()
+            computed[name] = rule(n)
+            times[name].append(time.perf_counter() - t0)
+    computed["leggauss"] = np.polynomial.legendre.leggauss(n)
+
+    def differences(rule, reference):
+        (x, w), (x_ref, w_ref) = rule, reference
+        return {"max_abs_nodes": float(np.max(np.abs(x - x_ref))),
+                "max_rel_weights": float(np.max(np.abs(w / w_ref - 1)))}
+
+    reference = gauss_legendre_reference(n)
+    med = {f"{name}_s": statistics.median(values) for name, values in times.items()}
     return {
         "n": n,
-        "roots_legendre_s": statistics.median(times),
+        **med,
+        "speedup": med["roots_legendre_s"] / med["gauss_legendre_s"],
         "cross_checks": {
-            "max_abs_nodes_minus_numpy": float(np.max(np.abs(x - x_np))),
-            "max_abs_weights_minus_numpy": float(np.max(np.abs(w - w_np))),
+            "longdouble_eps": float(np.finfo(np.longdouble).eps),
+            **{f"{name}_minus_reference": differences(rule, reference)
+               for name, rule in computed.items()},
+            "gauss_legendre_minus_leggauss": differences(computed["gauss_legendre"],
+                                                         computed["leggauss"]),
         },
     }
 
@@ -146,6 +169,13 @@ def h_case(n: int, c: float, repeats: int) -> dict:
         for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t5 - t4, t6 - t5, t7 - t6, t8 - t7)):
             times[key].append(dt)
 
+    fresh = RankOneModel(n=n, c=c)  # the peak is traced apart from the timings
+    tracemalloc.start()
+    fresh.eig()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    del fresh
+
     med = {key: statistics.median(values) for key, values in times.items()}
     dense_s = med["assembly_s"] + med["eigh_s"] + med["reconstruction_s"]
     w_full, q_full = completed(model, w, q)
@@ -156,7 +186,8 @@ def h_case(n: int, c: float, repeats: int) -> dict:
         "dense": {"assembly_s": med["assembly_s"], "eigh_s": med["eigh_s"],
                   "reconstruction_s": med["reconstruction_s"], "total_s": dense_s},
         "secular": {"split_s": med["split_s"], "solve_and_check_s": med["solve_and_check_s"],
-                    "check_s": med["check_s"]},
+                    "check_s": med["check_s"], "eig_peak_bytes": peak,
+                    "eig_peak_block_arrays": peak / (8.0 * model.kept.size ** 2)},
         "overlaps_s": med["overlaps_s"],
         "speedup": dense_s / (med["split_s"] + med["solve_and_check_s"]),
         "cross_checks": {
@@ -235,14 +266,17 @@ def main(argv=None) -> int:
     for n in SIZES:
         row = nodes_case(n, REPEATS)
         nodes_cases.append(row)
-        print(f"nodes n={n:5d}  roots_legendre {row['roots_legendre_s']:.3f} s", file=sys.stderr)
+        print(f"nodes n={n:5d}  gauss_legendre {1e3 * row['gauss_legendre_s']:.2f} ms  "
+              f"roots_legendre {row['roots_legendre_s']:.3f} s  x{row['speedup']:.0f}",
+              file=sys.stderr)
         for c in COUPLINGS:
             row = h_case(n, c, REPEATS)
             h_cases.append(row)
             secular = row["secular"]["split_s"] + row["secular"]["solve_and_check_s"]
             print(f"H     n={n:5d} c={c:+.2f} m={row['m']:5d}  "
                   f"dense {row['dense']['total_s']:.3f} s  secular {secular:.3f} s  "
-                  f"x{row['speedup']:.1f}", file=sys.stderr)
+                  f"x{row['speedup']:.1f}  eig peak "
+                  f"{row['secular']['eig_peak_bytes'] / 2**20:.1f} MiB", file=sys.stderr)
         model = RankOneModel(n=n, c=0.5)
         model.overlaps()
         for eps in EPSILONS:

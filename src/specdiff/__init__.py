@@ -5,8 +5,9 @@ psi_eps(H0 - lam) pile up as the smoothing scale eps shrinks: counts and
 traces grow like |log eps| with slopes given by the scattering data of the
 pair (H0, H).  Modules: ``matrices`` (spectral plumbing), ``profiles``
 (smoothed steps), ``density`` (the limiting density and its moments),
-``hankel`` (the exactly solvable model kernel), ``models`` (rank-one
-scattering model and the power-law control), ``experiments`` (sweeps and
+``hankel`` (the exactly solvable model kernel), ``quadrature`` (the
+Gauss-Legendre rule), ``models`` (rank-one scattering model and the
+power-law control), ``experiments`` (sweeps and
 studies), ``cli``/``report`` (driver and rendering).
 """
 
@@ -70,5 +71,6 @@ from .profiles import (
     zeta,
     zeta_eps,
 )
+from .quadrature import gauss_legendre
 
 __version__ = "0.1.0"

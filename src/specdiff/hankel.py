@@ -22,6 +22,7 @@ from scipy import integrate
 
 from .density import sech_moment
 from .matrices import RectMatrix, SelfAdjointMatrix
+from .quadrature import gauss_legendre
 
 __all__ = [
     "QuadratureGrid",
@@ -77,7 +78,7 @@ def gauss_legendre_grid(a: float, b: float, n: int) -> QuadratureGrid:
     """Gauss-Legendre rule with n points on (a, b)."""
     if not (b > a):
         raise ValueError("need b > a")
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = gauss_legendre(n)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return QuadratureGrid(mid + half * x, half * w)
 
@@ -87,7 +88,7 @@ def geometric_panel_grid(lo: float, hi: float, panels: int, points_per_panel: in
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     edges = np.geomspace(lo, hi, int(panels) + 1)
-    x, w = np.polynomial.legendre.leggauss(int(points_per_panel))
+    x, w = gauss_legendre(points_per_panel)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0

@@ -574,6 +574,7 @@ def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         step = np.where(converged, t, step)
         tau[active], lo[active], hi[active] = step, lo_a, hi_a
         active = active[~converged]
+        del delta, terms, left  # free this step's m x m arrays before the next step makes its own
     raise EigendecompositionError(
         f"secular equation: {active.size} of {m} roots did not converge "
         f"in {SECULAR_MAX_ITER} steps"

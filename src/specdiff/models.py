@@ -1,7 +1,8 @@
 """Finite rank-one scattering model and its smoothed projection differences.
 
-H0 is multiplication by x on (-L, L), discretized on Gauss-Legendre nodes so
-that the continuum inner product is the weighted dot product, and H adds a
+H0 is multiplication by x on (-L, L), discretized on Gauss-Legendre nodes
+(``quadrature.gauss_legendre``, O(n) for the large rules used here) so that
+the continuum inner product is the weighted dot product, and H adds a
 rank-one coupling c <v, .> v.  The pair (H0, H) is the smallest model with
 purely absolutely continuous spectrum and a nontrivial scattering matrix; at
 energy lam the scattering "matrix" is the unimodular scalar
@@ -28,11 +29,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
 from .density import BandSet
 from .matrices import DiagonalPlusRankOne, SelfAdjointMatrix, SpectralDifference
 from .profiles import CutoffProfile, ProfileKind
+from .quadrature import gauss_legendre
 
 __all__ = [
     "BUMPS",
@@ -109,7 +111,7 @@ class RankOneModel:
         self.n = int(n)
         self.c = float(c)
 
-        x, w = special.roots_legendre(self.n)
+        x, w = gauss_legendre(self.n)
         self.nodes = self.L * x
         self.weights = self.L * w
         self._check_quadrature()

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .quadrature import gauss_legendre
+
 __all__ = [
     "CutoffProfile",
     "ProfileKind",
@@ -108,7 +110,7 @@ def _shifted_arctan(x: np.ndarray) -> np.ndarray:
 # One fixed 64-point Gauss-Legendre rule evaluates int_0^x bump; normalising
 # by the same rule's value at x = 1 makes psi(+-1) = -+1/2 exact and keeps the
 # profile odd to the last bit (the rule is applied to [0, x] for every x).
-_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL64_NODES, _GL64_WEIGHTS = gauss_legendre(64)
 
 
 def _bump(t: np.ndarray) -> np.ndarray:

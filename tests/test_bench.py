@@ -26,9 +26,14 @@ def test_machine_info(bench):
 
 def test_nodes_case_times_the_rule_and_cross_checks_it(bench):
     row = bench.nodes_case(200, 1)
-    assert row["n"] == 200 and row["roots_legendre_s"] > 0.0
-    assert row["cross_checks"]["max_abs_nodes_minus_numpy"] <= 1e-14
-    assert row["cross_checks"]["max_abs_weights_minus_numpy"] <= 1e-14
+    assert row["n"] == 200 and row["gauss_legendre_s"] > 0.0 and row["roots_legendre_s"] > 0.0
+    checks = row["cross_checks"]
+    against_numpy = checks["gauss_legendre_minus_leggauss"]
+    assert against_numpy["max_abs_nodes"] <= 1e-15 and against_numpy["max_rel_weights"] <= 1e-10
+    for rule in ("gauss_legendre", "roots_legendre", "leggauss"):
+        assert checks[f"{rule}_minus_reference"]["max_abs_nodes"] <= 1e-15
+    if checks["longdouble_eps"] < 1e-18:  # the reference resolves the rule's last digits
+        assert checks["gauss_legendre_minus_reference"]["max_rel_weights"] <= 1e-12
 
 
 @pytest.mark.parametrize("c", [0.5, -0.7])

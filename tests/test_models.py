@@ -1,6 +1,7 @@
 """Rank-one scattering model: resolvent boundary values, S, D_eps, controls."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -320,6 +321,20 @@ class TestKeptBlock:
         if model.block is None:  # D = 0: exact zeros, and nothing to count
             assert [d.trace_power(m) for m in (1, 2, 3, 4)] == [0.0] * 4
             assert all(count_window(d, window) == 0 for window in WINDOWS)
+
+    @pytest.mark.parametrize("c", [0.5, -0.7])
+    def test_eig_peak_memory_stays_near_three_block_arrays(self, c):
+        # Q itself, delta (reused as the eigenvectors) and one secular-step temporary
+        model = RankOneModel(n=1500, c=c)
+        tracemalloc.start()
+        try:
+            q = model.eig()[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = model.kept.size
+        assert q.shape == (m, m)
+        assert peak < 3.3 * 8 * m * m
 
 
 class TestNegativeControl:
