@@ -5,7 +5,8 @@
 Run from the root of a checkout; the package is imported from ``src/``.
 BLAS threads are pinned to the number of usable cores before NumPy loads.
 For each n in ``SIZES`` of the default rank-one model (gaussian bump, L = 8)
-it times, as medians over ``REPEATS`` runs:
+it times, as medians over ``REPEATS`` runs (``D_EPS_REPEATS`` for the fast
+D_eps layers):
 
 - the Gauss-Legendre nodes and weights that every model is built on:
   ``specdiff.quadrature.gauss_legendre`` (Bogaert's O(n) formulas) and,
@@ -24,20 +25,22 @@ it times, as medians over ``REPEATS`` runs:
   D^3 from P = Q∘Q, and the block pass of
   ``SpectralDifference.window_eigenvalues`` at the default window's
   threshold 0.4 (Tr D^2 is taken before the clock starts, as a sweep does),
-  against the dense route of the oracle (the n x n D from the dense H's
-  eigenpairs and ``numpy.linalg.eigvalsh``).
+  each over ``D_EPS_REPEATS`` fresh D_eps, since one run in several can
+  take ten times the others; against the dense route of the oracle (the
+  n x n D from the dense H's eigenpairs and ``numpy.linalg.eigvalsh``) over
+  the first ``REPEATS`` of them.
 
 Every case carries cross-checks taken in the same run.  For the nodes: the
 largest absolute node and relative weight differences of both rules and of
 NumPy's ``leggauss`` from the extended-precision Newton rule
 (``gauss_legendre_reference``, with ``np.longdouble``'s epsilon), and of
-``gauss_legendre`` from ``leggauss``.  For H: m,
-the kept block's eigenpairs completed with the deflated (x_j, e_j) against
-the dense ones (largest eigenvalue and P = Q∘Q differences), the largest
-column residual |x∘q_k + c u (u^T q_k) - w_k q_k| of the completed
-eigenvectors in the n x n H, which holds the coupling the block drops, and
-their orthogonality defect max|Q^T Q - I|.  For D_eps: m, the largest
-relative trace error against the dense spectrum, the largest |theta - y|
+``gauss_legendre`` from ``leggauss``.  For H: m, the eigenpairs of the
+n x n H from ``DiagonalPlusRankOne.eig`` (the kept block's with the
+deflated (x_j, e_j)) against the dense ones (largest eigenvalue and
+P = Q∘Q differences), their largest column residual
+|x∘q_k + c u (u^T q_k) - w_k q_k|, which holds the coupling the block
+drops, and their orthogonality defect max|Q^T Q - I|.  For D_eps: m, the
+largest relative trace error against the dense spectrum, the largest |theta - y|
 between the Ritz values and the dense eigenvalues with |y| > 1e-6, matched
 from the outside in on each side, the counts in the default window (0.4, 1)
 by both routes, the block width and the certificate remainder R = Tr D^2
@@ -64,6 +67,7 @@ SIZES = (800, 1500, 4000)
 COUPLINGS = (0.5, -0.7)
 EPSILONS = (0.1, 0.01, 3e-3)
 REPEATS = 3
+D_EPS_REPEATS = 15  # the traces and block pass cost under 0.05 s each at n = 4000
 
 
 def machine() -> dict:
@@ -121,20 +125,6 @@ def nodes_case(n: int, repeats: int) -> dict:
     }
 
 
-def completed(model, w, q):
-    """The kept block's eigenpairs with the deflated (x_j, e_j): the n x n H's, ascending."""
-    import numpy as np
-
-    n, m = model.n, model.kept.size
-    dropped = np.setdiff1d(np.arange(n), model.kept)
-    values = np.concatenate((w, model.nodes[dropped]))
-    vectors = np.zeros((n, n))
-    vectors[np.ix_(model.kept, np.arange(m))] = q
-    vectors[dropped, np.arange(m, n)] = 1.0
-    order = np.argsort(values, kind="stable")
-    return values[order], vectors[:, order]
-
-
 def h_case(n: int, c: float, repeats: int) -> dict:
     """H eigensolve timings (medians over ``repeats`` fresh models) and cross-checks of one (n, c)."""
     import numpy as np
@@ -178,7 +168,7 @@ def h_case(n: int, c: float, repeats: int) -> dict:
 
     med = {key: statistics.median(values) for key, values in times.items()}
     dense_s = med["assembly_s"] + med["eigh_s"] + med["reconstruction_s"]
-    w_full, q_full = completed(model, w, q)
+    w_full, q_full = model.rank_one.eig()
     return {
         "n": n,
         "c": c,
@@ -201,8 +191,12 @@ def h_case(n: int, c: float, repeats: int) -> dict:
     }
 
 
-def spectrum_case(model, eps: float, repeats: int) -> dict:
-    """D_eps timings (medians over ``repeats`` fresh D_eps) and cross-checks of one eps."""
+def spectrum_case(model, eps: float, repeats: int, dense_repeats: int) -> dict:
+    """D_eps timings and cross-checks of one eps.
+
+    The traces and the block pass are medians over ``repeats`` fresh D_eps,
+    the dense route over the first ``dense_repeats`` of them.
+    """
     import numpy as np
 
     from specdiff.experiments import count_window
@@ -214,20 +208,21 @@ def spectrum_case(model, eps: float, repeats: int) -> dict:
     times = {"traces_s": [], "block_pass_s": [], "dense_s": []}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionGuardWarning)
-        for _ in range(repeats):
+        for run in range(repeats):
             d = model.build_d_eps(psi, eps, 0.0)
             t0 = time.perf_counter()
             traces = [d.trace_power(k) for k in (1, 2, 3)]
             t1 = time.perf_counter()
             theta = d.window_eigenvalues(0.4)
             t2 = time.perf_counter()
-            dense = (q_h * psi(w_h / eps)) @ q_h.T
-            dense[np.diag_indices(model.n)] -= psi(model.nodes / eps)
-            y = np.linalg.eigvalsh(dense)
-            t3 = time.perf_counter()
-            del dense
-            for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2)):
-                times[key].append(dt)
+            times["traces_s"].append(t1 - t0)
+            times["block_pass_s"].append(t2 - t1)
+            if run < dense_repeats:
+                dense = (q_h * psi(w_h / eps)) @ q_h.T
+                dense[np.diag_indices(model.n)] -= psi(model.nodes / eps)
+                y = np.linalg.eigvalsh(dense)
+                times["dense_s"].append(time.perf_counter() - t2)
+                del dense
 
     med = {key: statistics.median(values) for key, values in times.items()}
     top, bottom = int(np.count_nonzero(y > 1e-6)), int(np.count_nonzero(y < -1e-6))
@@ -280,7 +275,7 @@ def main(argv=None) -> int:
         model = RankOneModel(n=n, c=0.5)
         model.overlaps()
         for eps in EPSILONS:
-            row = spectrum_case(model, eps, REPEATS)
+            row = spectrum_case(model, eps, D_EPS_REPEATS, REPEATS)
             spectrum_cases.append(row)
             print(f"D_eps n={n:5d} m={row['m']:5d} eps={eps:<6g}  dense {row['dense_s']:.3f} s  "
                   f"traces {row['traces_s']:.4f} s  block pass {row['block_pass_s']:.3f} s  "
@@ -290,6 +285,7 @@ def main(argv=None) -> int:
         "benchmark": "layers",
         "command": ["python3", "bench/layers.py", *(argv if argv is not None else sys.argv[1:])],
         "repeats": REPEATS,
+        "d_eps_repeats": D_EPS_REPEATS,
         "machine": machine(),
         "gauss_legendre_nodes": nodes_cases,
         "h_eigensolve": h_cases,

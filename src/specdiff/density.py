@@ -26,26 +26,28 @@ __all__ = [
 ]
 
 EDGE_FLOOR = 1e-6
+SECH_TOL = 1e-12  # absolute and relative tolerance of sech_moment's quadrature
+RHS_TOL = 1e-10  # the same for rhs_integral's
 
 
 class BandSet:
     """Band edges a_n, stored descending in (0, 1].
 
-    Edges at or below ``floor`` are dropped: they carry no weight at the
+    Edges at or below ``EDGE_FLOOR`` are dropped: they carry no weight at the
     resolutions any experiment here reaches and would otherwise poison the
     arccosh terms with huge arguments.
     """
 
     __slots__ = ("edges",)
 
-    def __init__(self, edges, floor: float = EDGE_FLOOR):
+    def __init__(self, edges):
         arr = np.sort(np.asarray(list(edges), dtype=float))[::-1]
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("band edges must be finite")
         if arr.size and arr[0] > 1.0 + 1e-12:
             raise ValueError(f"band edges must lie in (0, 1], got {arr[0]!r}")
         arr = np.minimum(arr, 1.0)
-        self.edges = tuple(float(a) for a in arr if a > floor)
+        self.edges = tuple(float(a) for a in arr if a > EDGE_FLOOR)
 
     def __iter__(self):
         return iter(self.edges)
@@ -91,7 +93,7 @@ def band_count_slope(bands: BandSet, b: float) -> float:
     return total / np.pi**2
 
 
-def sech_moment(m: float, tol: float = 1e-12) -> float:
+def sech_moment(m: float) -> float:
     """Integral over the line of sech(x)^m, by adaptive quadrature."""
     if not (m >= 1):
         raise ValueError(f"moment order must be >= 1, got {m!r}")
@@ -101,7 +103,7 @@ def sech_moment(m: float, tol: float = 1e-12) -> float:
         u = math.exp(-x)
         return (2.0 * u / (1.0 + u * u)) ** float(m)
 
-    val, err = integrate.quad(integrand, 0.0, np.inf, epsabs=tol, epsrel=tol)
+    val, err = integrate.quad(integrand, 0.0, np.inf, epsabs=SECH_TOL, epsrel=SECH_TOL)
     return 2.0 * val
 
 
@@ -119,7 +121,7 @@ def delta_m(bands: BandSet, m: int) -> float:
     return edge_sum * sech_moment(m) / np.pi**2
 
 
-def rhs_integral(bands: BandSet, g, eta: float, tol: float = 1e-10) -> float:
+def rhs_integral(bands: BandSet, g, eta: float) -> float:
     """Integral of g against mu, for g vanishing on (-eta, eta).
 
     Uses the substitution y = a_n / cosh(x), under which the band-n term
@@ -138,6 +140,6 @@ def rhs_integral(bands: BandSet, g, eta: float, tol: float = 1e-10) -> float:
             y = a / np.cosh(x)
             return g(y) + g(-y)
 
-        val, err = integrate.quad(integrand, 0.0, cap, epsabs=tol, epsrel=tol, limit=400)
+        val, err = integrate.quad(integrand, 0.0, cap, epsabs=RHS_TOL, epsrel=RHS_TOL, limit=400)
         total += val  # integrand is even in x, so (-X, X) is twice (0, X)
     return total / np.pi**2

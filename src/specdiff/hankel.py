@@ -43,6 +43,10 @@ __all__ = [
 
 SMALL_T = 1e-12
 ORACLE_RTOL = 1e-4
+PANEL_POINTS = 12  # Gauss-Legendre points per panel of the default grids
+PANELS_PER_DECADE = 2.0
+IMAG_TOL = 1e-8  # largest imaginary residual kernel_from_symbol accepts
+HS_RTOL = 1e-7  # relative tolerance of hs_log_check's nested quadrature
 
 
 class QuadratureGrid:
@@ -97,7 +101,7 @@ def geometric_panel_grid(lo: float, hi: float, panels: int, points_per_panel: in
     return QuadratureGrid(np.concatenate(nodes), np.concatenate(weights))
 
 
-def default_grid(eps: float, points_per_panel: int = 12, panels_per_decade: float = 2.0) -> QuadratureGrid:
+def default_grid(eps: float) -> QuadratureGrid:
     """Default t-grid for discretizing K_eps.
 
     The kernel transitions at t ~ 1 and t ~ 1/eps and decays exponentially
@@ -106,15 +110,15 @@ def default_grid(eps: float, points_per_panel: int = 12, panels_per_decade: floa
     """
     _validate_eps(eps)
     lo, hi = 1e-6 * eps, 50.0 / eps
-    panels = int(math.ceil(math.log10(hi / lo) * panels_per_decade))
-    return geometric_panel_grid(lo, hi, panels, points_per_panel)
+    panels = int(math.ceil(math.log10(hi / lo) * PANELS_PER_DECADE))
+    return geometric_panel_grid(lo, hi, panels, PANEL_POINTS)
 
 
-def default_laplace_grid(eps: float, points_per_panel: int = 12, panels_per_decade: float = 2.0) -> QuadratureGrid:
+def default_laplace_grid(eps: float) -> QuadratureGrid:
     """Default x-grid on (eps, 1) for the Laplace-transform factor."""
     _validate_eps(eps)
-    panels = max(2, int(math.ceil(math.log10(1.0 / eps) * panels_per_decade)))
-    return geometric_panel_grid(eps, 1.0, panels, points_per_panel)
+    panels = max(2, int(math.ceil(math.log10(1.0 / eps) * PANELS_PER_DECADE)))
+    return geometric_panel_grid(eps, 1.0, panels, PANEL_POINTS)
 
 
 def _validate_eps(eps: float) -> float:
@@ -186,7 +190,7 @@ def _central_derivative(f, x: float, h: float) -> float:
     return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
 
 
-def kernel_from_symbol(omega, t_values, imag_tol: float = 1e-8) -> np.ndarray:
+def kernel_from_symbol(omega, t_values) -> np.ndarray:
     """Recover the Hankel kernel of a decaying odd symbol by Fourier transform.
 
     For a real odd symbol with O(1/x) decay, k(t) = -(i/2pi) int omega(x)
@@ -196,7 +200,7 @@ def kernel_from_symbol(omega, t_values, imag_tol: float = 1e-8) -> np.ndarray:
         k(t) = -(1/(2 pi t)) int omega'(x) e^{-i x t} dx,
 
     and the remaining oscillatory integrals go to the QUADPACK Fourier rules.
-    The imaginary part is computed as well and must stay below ``imag_tol``.
+    The imaginary part is computed as well and must stay below ``IMAG_TOL``.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if np.any(t_values <= 0):
@@ -219,9 +223,9 @@ def kernel_from_symbol(omega, t_values, imag_tol: float = 1e-8) -> np.ndarray:
             odd_defect, 0.0, np.inf, weight="sin", wvar=t, limlst=200, limit=400
         )
         imag = abs(sin_defect) / (2.0 * np.pi * t)
-        if imag > imag_tol:
+        if imag > IMAG_TOL:
             raise ValueError(
-                f"imaginary residual {imag:.3e} at t={t} exceeds {imag_tol:.0e}; "
+                f"imaginary residual {imag:.3e} at t={t} exceeds {IMAG_TOL:.0e}; "
                 "symbol is not odd enough"
             )
         out[i] = -cos_part / (np.pi * t)
@@ -240,8 +244,7 @@ def _check_symbol(omega) -> None:
         )
 
 
-def hs_log_check(profile, eps: float, box: tuple[float, float] = (-1.0, 1.0),
-                 rtol: float = 1e-7) -> float:
+def hs_log_check(profile, eps: float, box: tuple[float, float] = (-1.0, 1.0)) -> float:
     """Squared difference-quotient mass of psi_eps over box x box.
 
     Computes int int |(psi_eps(x) - psi_eps(y)) / (x - y)|^2 dx dy, which for
@@ -270,12 +273,12 @@ def hs_log_check(profile, eps: float, box: tuple[float, float] = (-1.0, 1.0),
         pts = sorted(set(p for p in interior + [x] if a < p < b))
         val, _ = integrate.quad(
             lambda y: quotient(x, y) ** 2, a, b,
-            points=pts, limit=300, epsabs=1e-12, epsrel=rtol,
+            points=pts, limit=300, epsabs=1e-12, epsrel=HS_RTOL,
         )
         return val
 
     total, _ = integrate.quad(
-        inner, a, b, points=interior, limit=300, epsabs=1e-12, epsrel=rtol
+        inner, a, b, points=interior, limit=300, epsabs=1e-12, epsrel=HS_RTOL
     )
     return total
 

@@ -5,10 +5,10 @@ wrapper types exist to keep symmetry validation and eigendecomposition
 caching in one place: ``SelfAdjointMatrix`` checks and symmetrizes its
 entries once, on construction, so callers hand it the raw array they
 computed, and solves them with a dense ``eigh``.  ``DiagonalPlusRankOne`` is
-the same contract for diag(x) + c u u^T kept as (x, u, c): its eigenpairs
-come from the secular equation in O(n^2), with no dense matrix built, and
-its ``block`` on the nodes that do not deflate is solved on its own, with
-an O(n) check of the coupling it drops.
+the same contract for diag(x) + c u u^T kept as (x, u, c), with no dense
+matrix built: a node that deflates is an eigenpair (x_j, e_j), and the
+``block`` on the others, after an O(n) check of the coupling it drops, is
+solved from the secular equation in O(m^2).
 ``SpectralDifference`` keeps a difference
 ``Q diag(f) Q^T - diag(g)`` factored: its low traces cost O(n^2), its
 numerical spectrum comes from one certified block Rayleigh-Ritz pass, and
@@ -173,13 +173,16 @@ class SelfAdjointMatrix:
 class DiagonalPlusRankOne(SelfAdjointMatrix):
     """H = diag(x) + c u u^T, kept as (x, u, c): x strictly increasing, u and c real.
 
-    ``eig`` solves the secular equation (Bunch, Nielsen & Sorensen 1978) for
-    the eigenvalues and takes the eigenvectors from the Cauchy form with the
-    Löwner-corrected coupling (Gu & Eisenstat 1994): O(n^2) time, with no
-    n x n matrix formed but the eigenvectors, in place of a dense ``eigh``.
-    The decomposition is accepted only if it passes ``check``.  ``kept`` and
-    ``block`` split off the nodes that deflate, so that a caller can solve
-    the rest alone.  ``entries`` builds the dense H, for comparison.
+    ``kept`` and ``block`` split off the nodes that deflate, the one place
+    where H does; ``eig`` takes (x_j, e_j) for those and solves the block of
+    the m others alone.  With no node deflated it solves the secular
+    equation (Bunch, Nielsen & Sorensen 1978) for the eigenvalues and takes
+    the eigenvectors from the Cauchy form with the Löwner-corrected coupling
+    (Gu & Eisenstat 1994): O(m^2) time, with no matrix formed but the
+    eigenvectors, in place of a dense ``eigh``.  The decomposition is
+    accepted only if it passes ``check``.  A caller that needs only the
+    block, as ``RankOneModel`` does, calls its ``eig``.  ``entries`` builds
+    the dense H, for comparison.
     Neighbours in x must be 2 ulps apart or more, so that the midpoints the
     solve brackets roots at lie between.
     """
@@ -250,13 +253,16 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
             )
 
     def kept(self) -> np.ndarray:
-        """Indices of the nodes the secular solve keeps, by LAPACK's ``dlaed2`` rule.
+        """Indices of the nodes that do not deflate, by LAPACK's ``dlaed2`` rule.
 
         With z = sqrt(|c|) u, node j is deflated when
         |z_j| ||z|| <= 8 eps max(max|x|, ||z||^2): (x_j, e_j) is then taken
         as an eigenpair of H.
         """
-        return np.flatnonzero(_kept(self.x, np.sqrt(abs(self.c)) * self.u))
+        z = np.sqrt(abs(self.c)) * self.u
+        rho = float(z @ z)
+        return np.flatnonzero(
+            np.abs(z) * np.sqrt(rho) > 8.0 * _EPS * max(float(np.max(np.abs(self.x))), rho))
 
     def block(self, kept) -> DiagonalPlusRankOne | None:
         """H on the nodes ``kept`` (ascending indices), None if there are none.
@@ -308,14 +314,21 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
 
     def _decompose(self) -> tuple[np.ndarray, np.ndarray]:
         x, u, c = self.x, self.u, self.c
-        if c > 0.0:
+        kept = self.kept()
+        if kept.size < x.size:
+            # the deflated nodes keep (x_j, e_j), the block on the rest is solved alone
+            block = self.block(kept)
+            w, q = x.copy(), np.eye(x.size)
+            if block is not None:
+                w[kept], q[np.ix_(kept, kept)] = block.eig()
+            order = np.argsort(w, kind="stable")
+            w, q = w[order], q[:, order]
+        elif c > 0.0:
             w, q = _secular_eig(x, np.sqrt(c) * u)
-        elif c < 0.0:
+        else:
             # -H = diag(-x) + |c| u u^T; reversing the order keeps -x increasing
             w, q = _secular_eig(-x[::-1], np.sqrt(-c) * u[::-1])
             w, q = -w[::-1], np.ascontiguousarray(q[::-1, ::-1])
-        else:
-            w, q = x.copy(), np.eye(x.size)
         self.check(w, q)
         return w, q
 
@@ -454,47 +467,24 @@ class SpectralDifference:
 
 
 def _secular_eig(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of diag(d) + z z^T, d strictly increasing.
+    """Eigendecomposition of diag(d) + z z^T, d strictly increasing, no node deflated.
 
-    A node with a negligible coupling is deflated (``_kept``) and keeps
-    (d_j, e_j): the Cauchy form would divide 0 by 0 there.
+    Every node must pass ``DiagonalPlusRankOne.kept``: the Cauchy form would
+    divide 0 by 0 at a node with a negligible coupling.
     """
-    n = d.size
-    keep = _kept(d, z)
-    dk, zk = d[keep], z[keep]
-    origin, tau = _secular_roots(dk, zk)
+    origin, tau = _secular_roots(d, z)
     # delta[i, k] = d_i - w_k, formed from the pole nearest w_k without cancellation
-    delta = (dk[:, None] - dk[origin]) - tau
+    delta = (d[:, None] - d[origin]) - tau
     # Löwner: the coupling for which the computed w_k are exact eigenvalues,
     # z_i^2 = prod_k (w_k - d_i) / prod_{k != i} (d_k - d_i)
-    ratio = dk[:, None] - dk
+    ratio = d[:, None] - d
     np.fill_diagonal(ratio, -1.0)
     np.divide(delta, ratio, out=ratio)
-    zhat = np.copysign(np.sqrt(np.prod(ratio, axis=1)), zk)
+    zhat = np.copysign(np.sqrt(np.prod(ratio, axis=1)), z)
     del ratio
     vectors = np.divide(zhat[:, None], delta, out=delta)
     vectors /= np.linalg.norm(vectors, axis=0)
-
-    m = dk.size
-    values = np.concatenate((d[~keep], dk[origin] + tau))
-    if m == n and np.all(np.diff(values) >= 0.0):  # the roots interlace the poles
-        return values, vectors
-    order = np.argsort(values, kind="stable")
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    q = np.zeros((n, n))
-    q[np.flatnonzero(~keep), column[: n - m]] = 1.0
-    q[np.ix_(np.flatnonzero(keep), column[n - m:])] = vectors
-    return values[order], q
-
-
-def _kept(d: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Mask of the nodes of diag(d) + z z^T that LAPACK's ``dlaed2`` rule keeps.
-
-    Node j is deflated when |z_j| ||z|| <= 8 eps max(max|d|, ||z||^2).
-    """
-    rho = float(z @ z)
-    return np.abs(z) * np.sqrt(rho) > 8.0 * _EPS * max(float(np.max(np.abs(d))), rho)
+    return d[origin] + tau, vectors
 
 
 def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

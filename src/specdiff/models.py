@@ -53,6 +53,7 @@ RESOLUTION_KAPPA = 0.4
 
 ENDPOINT_MARGIN = 1e-6
 EXCEPTIONAL_TOL = 1e-10
+QUADRATURE_TOL = 1e-8  # largest error the node rule may make in the integral of v^2
 
 BUMPS = {
     "gaussian": lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
@@ -127,14 +128,14 @@ class RankOneModel:
         self._h: SelfAdjointMatrix | None = None
         self._overlaps: np.ndarray | None = None
 
-    def _check_quadrature(self, tol: float = 1e-8) -> None:
+    def _check_quadrature(self) -> None:
         # the grid must integrate v^2 exactly, or the discrete model is not
         # the continuum model it claims to be
         discrete = float(np.dot(self.weights, self.v(self.nodes) ** 2))
         exact, _ = integrate.quad(
             lambda x: float(self.v(x)) ** 2, -self.L, self.L, epsabs=1e-12, epsrel=1e-12
         )
-        if abs(discrete - exact) > tol:
+        if abs(discrete - exact) > QUADRATURE_TOL:
             raise ValueError(
                 f"grid integrates v^2 to {discrete!r} but adaptive quadrature "
                 f"gives {exact!r}; increase n"
@@ -157,7 +158,8 @@ class RankOneModel:
         The m eigenvalues and the m x m eigenvectors of H restricted to the
         nodes ``kept``, solved from the secular equation with an O(m^2) check
         (``DiagonalPlusRankOne``).  With the deflated nodes' (x_j, e_j) they
-        make up the eigendecomposition of H; the dense H of ``h`` is not built.
+        make up the eigendecomposition of H, which ``rank_one.eig`` returns;
+        the dense H of ``h`` is not built.
         """
         if self.block is None:
             return np.empty(0), np.empty((0, 0))

@@ -1,13 +1,16 @@
-"""Self-test of bench/layers.py at a small size."""
+"""Self-test of bench/layers.py at a small size, and of the BENCH_layers.json it wrote."""
 
 import importlib.util
+import itertools
+import json
 from pathlib import Path
 
 import pytest
 
 from specdiff.models import RankOneModel
 
-SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "bench" / "layers.py"
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +57,7 @@ def test_case_times_both_routes_and_cross_checks_them(bench, c):
 @pytest.mark.parametrize("eps", [0.1, 0.01])
 def test_spectrum_case_times_both_routes_and_cross_checks_them(bench, eps):
     model = RankOneModel(n=200)
-    row = bench.spectrum_case(model, eps, 1)
+    row = bench.spectrum_case(model, eps, 1, 1)
     assert (row["n"], row["m"], row["eps"]) == (200, model.kept.size, eps)
     assert row["m"] < 200
     assert row["traces_s"] > 0.0 and row["block_pass_s"] > 0.0 and row["dense_s"] > 0.0
@@ -65,3 +68,30 @@ def test_spectrum_case_times_both_routes_and_cross_checks_them(bench, eps):
     assert checks["count_block_pass"] == checks["count_dense"]
     assert checks["block_width"] < row["m"]
     assert abs(checks["remainder"]) <= 1e-12
+
+
+def key_tree(value):
+    """The nested keys of a JSON value, None for a leaf."""
+    return {key: key_tree(item) for key, item in value.items()} if isinstance(value, dict) else None
+
+
+def test_committed_file_matches_the_script(bench, monkeypatch, tmp_path):
+    committed = json.loads((ROOT / "BENCH_layers.json").read_text())
+    assert (committed["repeats"], committed["d_eps_repeats"]) == (bench.REPEATS,
+                                                                  bench.D_EPS_REPEATS)
+    assert [row["n"] for row in committed["gauss_legendre_nodes"]] == list(bench.SIZES)
+    assert [(row["n"], row["c"]) for row in committed["h_eigensolve"]] == list(
+        itertools.product(bench.SIZES, bench.COUPLINGS))
+    rows = committed["d_eps_spectrum"]
+    assert [(row["n"], row["eps"]) for row in rows] == list(
+        itertools.product(bench.SIZES, bench.EPSILONS))
+    assert all(row["cross_checks"]["count_block_pass"] == row["cross_checks"]["count_dense"]
+               for row in rows)
+    # the script at n = 200 must write what the committed file holds, key for key
+    monkeypatch.setattr(bench, "SIZES", (200,))
+    assert bench.main(["--output", str(tmp_path / "layers.json")]) == 0
+    small = json.loads((tmp_path / "layers.json").read_text())
+    assert set(committed) == set(small)
+    assert key_tree(committed["machine"]) == key_tree(small["machine"])
+    for section in ("gauss_legendre_nodes", "h_eigensolve", "d_eps_spectrum"):
+        assert all(key_tree(row) == key_tree(small[section][0]) for row in committed[section])

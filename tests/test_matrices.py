@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from specdiff import matrices
 from specdiff.matrices import (
     DiagonalPlusRankOne,
     EigendecompositionError,
@@ -198,15 +199,29 @@ class TestDiagonalPlusRankOne:
         block = h.block(kept)
         assert np.array_equal(block.x, x[kept]) and np.array_equal(block.u, u[kept])
         w_k, q_k = block.eig()
-        dropped = np.setdiff1d(np.arange(400), kept)
-        w = np.concatenate((w_k, x[dropped]))
-        q = np.zeros((400, 400))
-        q[np.ix_(kept, np.arange(kept.size))] = q_k
-        q[dropped, np.arange(kept.size, 400)] = 1.0
-        order = np.argsort(w, kind="stable")
-        h.check(w[order], q[:, order])  # the full O(n^2) check of H
-        _, w_d, _, scale = dense_reference(x, u, c)
-        assert np.max(np.abs(w[order] - w_d)) <= 1e-13 * scale
+        w, q = h.eig()
+        # the block's eigenpairs fill the kept rows, (x_j, e_j) the others
+        cols = np.flatnonzero(np.any(q[kept] != 0.0, axis=0))
+        assert np.array_equal(w[cols], w_k) and np.array_equal(q[np.ix_(kept, cols)], q_k)
+        assert np.array_equal(np.delete(w, cols), np.delete(x, kept))
+        deflated = np.delete(q, kept, 0)
+        assert not np.any(deflated[:, cols])
+        assert np.array_equal(np.delete(deflated, cols, 1), np.eye(400 - kept.size))
+
+    @pytest.mark.parametrize("c", [0.5, -0.7, 0.0])
+    def test_the_secular_solve_sees_only_the_kept_block(self, monkeypatch, c):
+        x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])
+        sizes = []
+        solve = matrices._secular_eig
+
+        def recording(d, z):
+            sizes.append(d.size)
+            return solve(d, z)
+
+        monkeypatch.setattr(matrices, "_secular_eig", recording)
+        h = DiagonalPlusRankOne(x, u, c)
+        h.eig()
+        assert sizes == ([] if c == 0.0 else [h.kept().size])
 
     def test_block_rejects_dropping_a_coupled_node(self):
         x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])
