@@ -17,14 +17,17 @@ D_eps layers):
   reconstruction check) against the secular route of ``RankOneModel.eig``
   (``DiagonalPlusRankOne.eig`` of the m x m kept block, the secular solve
   plus its O(m^2) check), the check alone, the split into the kept block
-  (``kept`` and ``block``, with its O(n) dropped-coupling bound), and
-  P = Q∘Q (``RankOneModel.overlaps``); and, on one more fresh model, the
-  tracemalloc peak of ``RankOneModel.eig``;
+  (``kept`` and ``block``, with its O(n) dropped-coupling bound),
+  P = Q∘Q (``RankOneModel.overlaps``) and the start of the block pass,
+  (Ω, Q^T Ω) (``RankOneModel.start_block``), both once per model; and, on
+  one more fresh model, the tracemalloc peak of ``RankOneModel.eig``;
 - the D_eps layers, for each eps in ``EPSILONS`` at c = 0.5, lam = 0 and
   ARCTAN_HALF, on fresh D_eps over the kept block: the traces of D, D^2 and
   D^3 from P = Q∘Q, and the block pass of
   ``SpectralDifference.window_eigenvalues`` at the default window's
-  threshold 0.4 (Tr D^2 is taken before the clock starts, as a sweep does),
+  threshold 0.4 (the range of D Ω, from the model's Q^T Ω, and
+  Rayleigh-Ritz in factored form: two products with Q per block; Tr D^2 is
+  taken before the clock starts, as a sweep does),
   each over ``D_EPS_REPEATS`` fresh D_eps, since one run in several can
   take ten times the others; against the dense route of the oracle (the
   n x n D from the dense H's eigenpairs and ``numpy.linalg.eigvalsh``) over
@@ -132,7 +135,8 @@ def h_case(n: int, c: float, repeats: int) -> dict:
     from specdiff.models import RankOneModel
 
     times = {key: [] for key in ("assembly_s", "eigh_s", "reconstruction_s",
-                                 "split_s", "solve_and_check_s", "check_s", "overlaps_s")}
+                                 "split_s", "solve_and_check_s", "check_s", "overlaps_s",
+                                 "start_block_s")}
     for _ in range(repeats):
         model = RankOneModel(n=n, c=c)
         t0 = time.perf_counter()
@@ -156,7 +160,10 @@ def h_case(n: int, c: float, repeats: int) -> dict:
         t7 = time.perf_counter()
         model.overlaps()
         t8 = time.perf_counter()
-        for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t5 - t4, t6 - t5, t7 - t6, t8 - t7)):
+        model.start_block()
+        t9 = time.perf_counter()
+        for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t5 - t4, t6 - t5, t7 - t6, t8 - t7,
+                                   t9 - t8)):
             times[key].append(dt)
 
     fresh = RankOneModel(n=n, c=c)  # the peak is traced apart from the timings
@@ -179,6 +186,7 @@ def h_case(n: int, c: float, repeats: int) -> dict:
                     "check_s": med["check_s"], "eig_peak_bytes": peak,
                     "eig_peak_block_arrays": peak / (8.0 * model.kept.size ** 2)},
         "overlaps_s": med["overlaps_s"],
+        "start_block_s": med["start_block_s"],
         "speedup": dense_s / (med["split_s"] + med["solve_and_check_s"]),
         "cross_checks": {
             "max_abs_w_minus_dense": float(np.max(np.abs(w_full - w_dense))),
@@ -278,8 +286,9 @@ def main(argv=None) -> int:
             row = spectrum_case(model, eps, D_EPS_REPEATS, REPEATS)
             spectrum_cases.append(row)
             print(f"D_eps n={n:5d} m={row['m']:5d} eps={eps:<6g}  dense {row['dense_s']:.3f} s  "
-                  f"traces {row['traces_s']:.4f} s  block pass {row['block_pass_s']:.3f} s  "
-                  f"x{row['speedup']:.1f}", file=sys.stderr)
+                  f"traces {row['traces_s']:.4f} s  "
+                  f"block pass {1e3 * row['block_pass_s']:.2f} ms  x{row['speedup']:.1f}",
+                  file=sys.stderr)
         del model
     payload = {
         "benchmark": "layers",

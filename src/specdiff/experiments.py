@@ -480,7 +480,9 @@ def run_sweep(config: SweepConfig, profile: str | CutoffProfile | None = None) -
     # every window edge is at least b from 0, so the eigenvalues beyond b and
     # their brackets settle every count and unfolded count
     b = min((_window_gap(win) for win in config.windows), default=math.inf)
-    model.overlaps()  # the one H eigensolve and P = Q∘Q, shared by every eps
+    # the one H eigensolve, P = Q∘Q and the block pass's (Ω, Q^T Ω), shared by every eps
+    model.overlaps()
+    model.start_block()
 
     records = []
     with warnings.catch_warnings():

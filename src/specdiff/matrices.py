@@ -175,19 +175,20 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
 
     ``kept`` and ``block`` split off the nodes that deflate, the one place
     where H does; ``eig`` takes (x_j, e_j) for those and solves the block of
-    the m others alone.  With no node deflated it solves the secular
-    equation (Bunch, Nielsen & Sorensen 1978) for the eigenvalues and takes
-    the eigenvectors from the Cauchy form with the Löwner-corrected coupling
-    (Gu & Eisenstat 1994): O(m^2) time, with no matrix formed but the
-    eigenvectors, in place of a dense ``eigh``.  The decomposition is
-    accepted only if it passes ``check``.  A caller that needs only the
-    block, as ``RankOneModel`` does, calls its ``eig``.  ``entries`` builds
-    the dense H, for comparison.
+    the m others alone, the one that ``split`` caches.  With no node deflated
+    it solves the secular equation (Bunch, Nielsen & Sorensen 1978) for the
+    eigenvalues and takes the eigenvectors from the Cauchy form with the
+    Löwner-corrected coupling (Gu & Eisenstat 1994): O(m^2) time, with no
+    matrix formed but the eigenvectors, in place of a dense ``eigh``.  The
+    decomposition is accepted only if it passes ``check``.  A caller that
+    needs only the block, as ``RankOneModel`` does, calls the ``eig`` of
+    ``split``'s block, and H's ``eig`` then reuses that solve.  ``entries``
+    builds the dense H, for comparison.
     Neighbours in x must be 2 ulps apart or more, so that the midpoints the
     solve brackets roots at lie between.
     """
 
-    __slots__ = ("x", "u", "c")
+    __slots__ = ("x", "u", "c", "_split")
 
     def __init__(self, x, u, c: float):
         x = np.array(x, dtype=float)
@@ -206,6 +207,7 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
         x.setflags(write=False)
         u.setflags(write=False)
         self.x, self.u, self.c = x, u, c
+        self._split: tuple[np.ndarray, DiagonalPlusRankOne | None] | None = None
         self._eigvals: np.ndarray | None = None
         self._eigvecs: np.ndarray | None = None
 
@@ -290,6 +292,13 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
             return None
         return DiagonalPlusRankOne(self.x[kept], self.u[kept], self.c)
 
+    def split(self) -> tuple[np.ndarray, DiagonalPlusRankOne | None]:
+        """``kept()`` and ``block(kept)``, cached: one block object, solved once."""
+        if self._split is None:
+            kept = self.kept()
+            self._split = kept, self.block(kept)
+        return self._split
+
     def _scale(self) -> float:
         """Entry scale of H: max(1, max|x + c u∘u|, |c| max u∘u)."""
         x, u, c = self.x, self.u, self.c
@@ -314,10 +323,9 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
 
     def _decompose(self) -> tuple[np.ndarray, np.ndarray]:
         x, u, c = self.x, self.u, self.c
-        kept = self.kept()
+        kept, block = self.split()
         if kept.size < x.size:
             # the deflated nodes keep (x_j, e_j), the block on the rest is solved alone
-            block = self.block(kept)
             w, q = x.copy(), np.eye(x.size)
             if block is not None:
                 w[kept], q[np.ix_(kept, kept)] = block.eig()
@@ -342,17 +350,20 @@ class SpectralDifference:
     ``q`` is an orthogonal matrix (held, not copied) and ``overlaps`` its
     entrywise square P = Q∘Q.  Because Q^T G^k Q = (Q^T G Q)^k, the traces of
     D, D^2 and D^3 are sums against P and cost O(n^2).  The numerical rank of
-    D is small, so one block pass (a randomized range finder with a power
-    step, then Rayleigh-Ritz; Halko, Martinsson & Tropp 2011) on
-    v -> Q (f∘(Q^T v)) - g∘v finds its whole numerical spectrum, certified by
-    Tr D^2: ``window_eigenvalues`` and the higher powers of ``trace_power``
-    read it.  ``dense``, ``entries`` and ``eigenvalues`` build the dense D,
-    validated as a ``SelfAdjointMatrix``, on first use: the oracle in tests.
+    D is small, so one block pass (a randomized range finder, then
+    Rayleigh-Ritz; Halko, Martinsson & Tropp 2011) finds its whole numerical
+    spectrum, certified by Tr D^2: ``window_eigenvalues`` and the higher
+    powers of ``trace_power`` read it.  The pass starts from ``start`` =
+    (Ω, Q^T Ω), which depends on Q alone, so a caller that builds many D on
+    one Q draws it once (``start_block``) and passes it; else D draws its own.
+    ``dense``, ``entries`` and ``eigenvalues`` build the dense D, validated
+    as a ``SelfAdjointMatrix``, on first use: the oracle in tests.
     """
 
-    __slots__ = ("q", "f", "g", "overlaps", "_traces", "_ritz", "_dense")
+    __slots__ = ("q", "f", "g", "overlaps", "start", "_traces", "_ritz", "_dense")
 
-    def __init__(self, q: np.ndarray, f, g, overlaps: np.ndarray):
+    def __init__(self, q: np.ndarray, f, g, overlaps: np.ndarray,
+                 start: tuple[np.ndarray, np.ndarray] | None = None):
         f = np.asarray(f, dtype=float)
         g = np.asarray(g, dtype=float)
         n = q.shape[0]
@@ -364,9 +375,16 @@ class SpectralDifference:
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
             raise ValueError("diagonal entries must be finite")
         self.q, self.f, self.g, self.overlaps = q, f, g, overlaps
+        self.start = self.start_block(q) if start is None else start
         self._traces: tuple[float, float, float] | None = None
         self._ritz: np.ndarray | None = None
         self._dense: SelfAdjointMatrix | None = None
+
+    @staticmethod
+    def start_block(q: np.ndarray, columns: int = BLOCK_START) -> tuple[np.ndarray, np.ndarray]:
+        """(Ω, Q^T Ω): Ω is n x min(columns, n), gaussian from a fixed seed."""
+        omega = np.random.default_rng(0).standard_normal((q.shape[0], min(columns, q.shape[0])))
+        return omega, q.T @ omega
 
     @property
     def dim(self) -> int:
@@ -438,29 +456,28 @@ class SpectralDifference:
         return self._ritz_values(certified)
 
     def _ritz_values(self, accept) -> np.ndarray:
-        """Eigenvalues theta of V^T D V, V an orthonormal basis of D^2 Ω, cached.
+        """Eigenvalues theta of V^T D V, V an orthonormal basis of D Ω, cached.
 
-        Ω is n x l, gaussian from a fixed seed; l starts at ``BLOCK_START``
-        and doubles until ``accept(theta, R)``, or until l = n, where
-        Rayleigh-Ritz spans the whole space and is exact.
+        D Ω = Q (f∘S) - g∘Ω with S = Q^T Ω, and with W = Q^T V the
+        Rayleigh-Ritz matrix is W^T (f∘W) - V^T (g∘V): two products with Q
+        per block.  Ω has l columns: l starts at ``BLOCK_START``, from
+        ``start``, and doubles, each time from a fresh Ω, until
+        ``accept(theta, R)``, or until l = n, where Rayleigh-Ritz spans the
+        whole space and is exact.
         """
         theta, n = self._ritz, self.dim
+        f, g = self.f[:, None], self.g[:, None]
         while theta is None or (
             theta.size < n and not accept(theta, self.trace_power(2) - float(theta @ theta))
         ):
-            columns = min(BLOCK_START if theta is None else 2 * theta.size, n)
-            v = np.random.default_rng(0).standard_normal((n, columns))
-            for _ in range(2):
-                v = np.linalg.qr(self._apply(v))[0]
-            t = v.T @ self._apply(v)
+            omega, s = self.start if theta is None else self.start_block(self.q, 2 * theta.size)
+            v = np.linalg.qr(self.q @ (f * s) - g * omega)[0]
+            w = self.q.T @ v
+            t = w.T @ (f * w) - v.T @ (g * v)
             theta = np.linalg.eigvalsh((t + t.T) / 2.0)
             theta.setflags(write=False)
         self._ritz = theta
         return theta
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        """D v for a block of columns v."""
-        return self.q @ (self.f[:, None] * (self.q.T @ v)) - self.g[:, None] * v
 
     def __repr__(self) -> str:
         return f"SpectralDifference(dim={self.dim})"

@@ -123,10 +123,10 @@ class RankOneModel:
         # the deflated nodes are eigenpairs (x_j, e_j) of H, on which D_eps
         # vanishes: ``eig`` solves H on the kept block, after an O(n) check of
         # the coupling dropped (None when no node is kept, so H = H0)
-        self.kept = self.rank_one.kept()
-        self.block = self.rank_one.block(self.kept)
+        self.kept, self.block = self.rank_one.split()
         self._h: SelfAdjointMatrix | None = None
         self._overlaps: np.ndarray | None = None
+        self._start: tuple[np.ndarray, np.ndarray] | None = None
 
     def _check_quadrature(self) -> None:
         # the grid must integrate v^2 exactly, or the discrete model is not
@@ -158,8 +158,8 @@ class RankOneModel:
         The m eigenvalues and the m x m eigenvectors of H restricted to the
         nodes ``kept``, solved from the secular equation with an O(m^2) check
         (``DiagonalPlusRankOne``).  With the deflated nodes' (x_j, e_j) they
-        make up the eigendecomposition of H, which ``rank_one.eig`` returns;
-        the dense H of ``h`` is not built.
+        make up the eigendecomposition of H, which ``rank_one.eig`` returns
+        without solving the block again; the dense H of ``h`` is not built.
         """
         if self.block is None:
             return np.empty(0), np.empty((0, 0))
@@ -173,6 +173,16 @@ class RankOneModel:
             p.setflags(write=False)
             self._overlaps = p
         return self._overlaps
+
+    def start_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Ω, Q^T Ω) that every D_eps's block pass starts from, cached.
+
+        ``SpectralDifference.start_block`` of the kept block's Q: it depends
+        on neither eps nor the profile, so one is drawn per model.
+        """
+        if self._start is None:
+            self._start = SpectralDifference.start_block(self.eig()[1])
+        return self._start
 
     def _check_energy(self, lam: float) -> float:
         lam = float(lam)
@@ -250,14 +260,14 @@ class RankOneModel:
 
         H0 is diagonal here, so only H goes through an eigendecomposition
         (``eig``, cached on the model and shared by every eps, with
-        ``overlaps``).  D vanishes on the deflated nodes, so the result is D
-        on the kept block, kept factored: D = Q diag(f) Q^T - diag(g), f =
-        psi((w - lam)/eps) on the block's eigenvalues and g = psi((x -
-        lam)/eps) on the kept nodes.  It has the nonzero spectrum and the
-        traces of the n x n D_eps, costs O(m) per eps, and builds its dense
-        (m x m) matrix only when asked for.  If eps
-        is below the resolution guard a warning is attached and the build
-        proceeds; sweep drivers decide what to do with flagged points.
+        ``overlaps`` and ``start_block``).  D vanishes on the deflated nodes,
+        so the result is D on the kept block, kept factored: D = Q diag(f)
+        Q^T - diag(g), f = psi((w - lam)/eps) on the block's eigenvalues and
+        g = psi((x - lam)/eps) on the kept nodes.  It has the nonzero
+        spectrum and the traces of the n x n D_eps, costs O(m) per eps, and
+        builds its dense (m x m) matrix only when asked for.  If eps is below
+        the resolution guard a warning is attached and the build proceeds;
+        sweep drivers decide what to do with flagged points.
         """
         lam = self._check_energy(lam)
         if not (0 < eps < 1):
@@ -273,7 +283,7 @@ class RankOneModel:
         w, q = self.eig()
         return SpectralDifference(
             q, profile((w - lam) / eps), profile((self.nodes[self.kept] - lam) / eps),
-            self.overlaps(),
+            self.overlaps(), self.start_block(),
         )
 
 

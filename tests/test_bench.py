@@ -45,7 +45,8 @@ def test_case_times_both_routes_and_cross_checks_them(bench, c):
     assert (row["n"], row["c"]) == (200, c)
     assert 0 < row["m"] < 200  # the gaussian bump deflates about half the nodes
     assert all(t > 0.0 for t in row["dense"].values())
-    assert all(t > 0.0 for t in row["secular"].values()) and row["overlaps_s"] > 0.0
+    assert all(t > 0.0 for t in row["secular"].values())
+    assert row["overlaps_s"] > 0.0 and row["start_block_s"] > 0.0
     checks = row["cross_checks"]
     scale = checks["entry_scale"]
     assert checks["max_abs_w_minus_dense"] <= 1e-13 * scale

@@ -25,7 +25,12 @@ from specdiff.experiments import (
     universality_study,
 )
 from specdiff.density import BandSet, band_count_slope
-from specdiff.matrices import DiagonalPlusRankOne, SelfAdjointMatrix, SpectralDifference
+from specdiff.matrices import (
+    BLOCK_START,
+    DiagonalPlusRankOne,
+    SelfAdjointMatrix,
+    SpectralDifference,
+)
 from specdiff.models import RankOneModel, ResolutionGuardWarning
 from specdiff.profiles import builtin_profile
 
@@ -351,16 +356,37 @@ class TestStructuredSweep:
         shapes = set()
         init = SpectralDifference.__init__
 
-        def recording(self, q, f, g, overlaps):
-            shapes.add((q.shape, overlaps.shape, np.shape(f), np.shape(g)))
-            init(self, q, f, g, overlaps)
+        def recording(self, q, f, g, overlaps, start=None):
+            shapes.add((q.shape, overlaps.shape, np.shape(f), np.shape(g),
+                        tuple(a.shape for a in start)))
+            init(self, q, f, g, overlaps, start)
 
         monkeypatch.setattr(SpectralDifference, "__init__", recording)
         cfg = small_config(trace_powers=(1, 2, 3, 4))
         run_sweep(cfg)
         m = cfg.model.build().kept.size
         assert 0 < m < cfg.model.n  # the gaussian bump deflates about half the nodes
-        assert shapes == {((m, m), (m, m), (m,), (m,))}
+        assert shapes == {((m, m), (m, m), (m,), (m,), ((m, BLOCK_START), (m, BLOCK_START)))}
+
+    def test_one_start_block_per_sweep(self, monkeypatch):
+        starts, drawn = [], []
+        init, draw = SpectralDifference.__init__, SpectralDifference.start_block
+
+        def recording_init(self, q, f, g, overlaps, start=None):
+            starts.append(start)
+            init(self, q, f, g, overlaps, start)
+
+        def recording_draw(q, columns=BLOCK_START):
+            drawn.append(columns)
+            return draw(q, columns)
+
+        monkeypatch.setattr(SpectralDifference, "__init__", recording_init)
+        monkeypatch.setattr(SpectralDifference, "start_block", staticmethod(recording_draw))
+        cfg = small_config(trace_powers=(1, 2, 3, 4), windows=self.WINDOWS)
+        run_sweep(cfg)
+        assert drawn == [BLOCK_START]  # no block widens in this sweep
+        assert len(starts) == cfg.eps_count
+        assert all(s[0] is starts[0][0] and s[1] is starts[0][1] for s in starts)
 
     def test_the_sweep_builds_no_dense_h(self, monkeypatch):
         def dense_h(model):

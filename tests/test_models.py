@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from specdiff import matrices
 from specdiff.density import BandSet
 from specdiff.experiments import count_window, unfolded_count
 from specdiff.matrices import BLOCK_START, SpectralDifference
@@ -258,6 +259,27 @@ class TestStructuredDifference:
         assert np.allclose(beyond, np.sort(np.concatenate([outer, -outer])), rtol=0.0, atol=1e-14)
         assert d._dense is None
 
+    def test_a_doubled_block_draws_its_own_start(self, monkeypatch):
+        # the same 50 outer eigenvalues in a random orthogonal basis: the
+        # block of 64 is drawn afresh, with its own Q^T Omega, not from ``start``
+        outer = np.concatenate([[0.9], np.linspace(0.3, 0.24, 24)])
+        f = np.concatenate([outer, -outer, np.zeros(150)])
+        q = np.linalg.qr(np.random.default_rng(7).standard_normal((200, 200)))[0]
+        d = SpectralDifference(q, f, np.zeros(200), q * q, SpectralDifference.start_block(q))
+        drawn = []
+        draw = SpectralDifference.start_block
+
+        def recording(q, columns=BLOCK_START):
+            drawn.append(columns)
+            return draw(q, columns)
+
+        monkeypatch.setattr(SpectralDifference, "start_block", staticmethod(recording))
+        w = d.window_eigenvalues(0.5)
+        assert drawn == [2 * BLOCK_START] and w.size == 2 * BLOCK_START
+        beyond = w[np.abs(w) > 1e-8]
+        assert np.allclose(beyond, np.sort(np.concatenate([outer, -outer])), rtol=0.0, atol=1e-14)
+        assert d._dense is None
+
     def test_small_matrices_use_the_dense_spectrum(self):
         # a block of min(32, n) = n columns spans the whole space: Rayleigh-Ritz is exact
         f = np.linspace(-0.9, 0.9, 8)
@@ -321,6 +343,21 @@ class TestKeptBlock:
         if model.block is None:  # D = 0: exact zeros, and nothing to count
             assert [d.trace_power(m) for m in (1, 2, 3, 4)] == [0.0] * 4
             assert all(count_window(d, window) == 0 for window in WINDOWS)
+
+    def test_h_reuses_the_block_solve(self, monkeypatch):
+        calls = []
+        solve = matrices._secular_eig
+
+        def recording(d, z):
+            calls.append(d.size)
+            return solve(d, z)
+
+        monkeypatch.setattr(matrices, "_secular_eig", recording)
+        model = RankOneModel(n=400)
+        w_k = model.eig()[0]
+        w, q = model.rank_one.eig()
+        assert calls == [model.kept.size]
+        assert w.size == 400 and np.all(np.isin(w_k, w))
 
     @pytest.mark.parametrize("c", [0.5, -0.7])
     def test_eig_peak_memory_stays_near_three_block_arrays(self, c):
