@@ -31,7 +31,14 @@ D_eps layers):
   each over ``D_EPS_REPEATS`` fresh D_eps, since one run in several can
   take ten times the others; against the dense route of the oracle (the
   n x n D from the dense H's eigenpairs and ``numpy.linalg.eigvalsh``) over
-  the first ``REPEATS`` of them.
+  the first ``REPEATS`` of them;
+- the two layers of ``K_eps`` (no rank-one model), as medians over
+  ``HANKEL_REPEATS`` runs: the trace pass of ``k_eps_trace_slopes`` over
+  ``HANKEL_EPS`` (the Carleman section on ``section_grid``) against the
+  t-grid Nystrom route of the oracle (``discretize_hankel`` of
+  ``k_eps_kernel`` on ``default_grid`` and ``eigvalsh``, once), and the
+  ``kernel_from_symbol`` round trip on ``ROUNDTRIP_T`` for each eps in
+  ``ROUNDTRIP_EPS``.
 
 Every case carries cross-checks taken in the same run.  For the nodes: the
 largest absolute node and relative weight differences of both rules and of
@@ -47,8 +54,12 @@ largest relative trace error against the dense spectrum, the largest |theta - y|
 between the Ritz values and the dense eigenvalues with |y| > 1e-6, matched
 from the outside in on each side, the counts in the default window (0.4, 1)
 by both routes, the block width and the certificate remainder R = Tr D^2
-minus the sum of theta^2.  The machine block records the core count, the
-BLAS NumPy was built with and the BLAS thread setting.
+minus the sum of theta^2.  For K_eps: the grid sizes of both routes, the
+largest relative difference between their traces over ``HANKEL_POWERS``,
+the largest relative error of the m = 1, 2 traces against their closed
+forms, and the round trip's sup error against ``k_eps_kernel``.  The machine
+block records the core count, the BLAS NumPy was built with and the BLAS
+thread setting.
 """
 
 from __future__ import annotations
@@ -62,6 +73,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +83,11 @@ COUPLINGS = (0.5, -0.7)
 EPSILONS = (0.1, 0.01, 3e-3)
 REPEATS = 3
 D_EPS_REPEATS = 15  # the traces and block pass cost under 0.05 s each at n = 4000
+HANKEL_REPEATS = 15  # the K_eps trace pass and the round trip cost under 0.05 s each
+HANKEL_EPS = (1e-2, 1e-12, 21)  # geomspace arguments, as hankel-deep's unjittered grid
+HANKEL_POWERS = (1, 2, 3, 4, 6)
+ROUNDTRIP_T = (0.1, 10.0, 40)  # linspace arguments
+ROUNDTRIP_EPS = (0.5, 0.1)
 
 
 def machine() -> dict:
@@ -256,6 +273,74 @@ def spectrum_case(model, eps: float, repeats: int, dense_repeats: int) -> dict:
     }
 
 
+def k_eps_traces_case(repeats: int) -> dict:
+    """Timings (medians over ``repeats``) and cross-checks of the K_eps trace pass."""
+    import numpy as np
+
+    from specdiff.hankel import (default_grid, discretize_hankel, k_eps_kernel,
+                                 k_eps_trace_exact, k_eps_trace_slopes)
+
+    eps_values = np.geomspace(*HANKEL_EPS)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        res = k_eps_trace_slopes(HANKEL_POWERS, eps_values)
+        times.append(time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    nystrom_sizes, nystrom = [], {m: [] for m in HANKEL_POWERS}
+    for eps in res.eps:
+        grid = default_grid(eps)
+        nystrom_sizes.append(grid.size)
+        w = np.linalg.eigvalsh(discretize_hankel(partial(k_eps_kernel, eps=eps), grid).entries)
+        for m in HANKEL_POWERS:
+            nystrom[m].append(float(np.sum(w ** float(m))))
+    nystrom_s = time.perf_counter() - t0
+
+    section_s = statistics.median(times)
+    difference = max(float(np.max(np.abs(res.traces[m] / np.array(nystrom[m]) - 1)))
+                     for m in HANKEL_POWERS)
+    closed_form = max(abs(res.traces[m][i] / k_eps_trace_exact(eps, m) - 1)
+                      for m in (1, 2) for i, eps in enumerate(res.eps))
+    return {
+        "eps": [float(res.eps[0]), float(res.eps[-1]), int(res.eps.size)],
+        "powers": list(HANKEL_POWERS),
+        "section_s": section_s,
+        "nystrom_s": nystrom_s,
+        "speedup": nystrom_s / section_s,
+        "section_sizes": [int(res.grid_sizes.min()), int(res.grid_sizes.max())],
+        "nystrom_sizes": [min(nystrom_sizes), max(nystrom_sizes)],
+        "cross_checks": {
+            "max_relative_trace_difference": difference,
+            "max_relative_closed_form_error": closed_form,
+        },
+    }
+
+
+def roundtrip_case(repeats: int) -> dict:
+    """Timings (medians over ``repeats``) and sup error of the kernel_from_symbol round trip."""
+    import numpy as np
+
+    from specdiff.hankel import k_eps_kernel, kernel_from_symbol
+    from specdiff.profiles import zeta, zeta_eps
+
+    t = np.linspace(*ROUNDTRIP_T)
+    symbols = {eps: (lambda x, e=eps: zeta_eps(x, e) - zeta(x)) for eps in ROUNDTRIP_EPS}
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        recovered = {eps: kernel_from_symbol(omega, t) for eps, omega in symbols.items()}
+        times.append(time.perf_counter() - t0)
+    return {
+        "t": list(ROUNDTRIP_T),
+        "eps": list(ROUNDTRIP_EPS),
+        "round_trip_s": statistics.median(times),
+        "cross_checks": {
+            "max_abs_error": max(float(np.max(np.abs(k - k_eps_kernel(t, eps))))
+                                 for eps, k in recovered.items()),
+        },
+    }
+
+
 def main(argv=None) -> int:
     import numpy as np
 
@@ -290,15 +375,25 @@ def main(argv=None) -> int:
                   f"block pass {1e3 * row['block_pass_s']:.2f} ms  x{row['speedup']:.1f}",
                   file=sys.stderr)
         del model
+    traces = k_eps_traces_case(HANKEL_REPEATS)
+    print(f"K_eps traces {traces['eps'][2]} eps  section {1e3 * traces['section_s']:.1f} ms  "
+          f"Nystrom {traces['nystrom_s']:.3f} s  x{traces['speedup']:.0f}  worst difference "
+          f"{traces['cross_checks']['max_relative_trace_difference']:.1e}", file=sys.stderr)
+    roundtrip = roundtrip_case(HANKEL_REPEATS)
+    print(f"kernel_from_symbol  {1e3 * roundtrip['round_trip_s']:.1f} ms  sup error "
+          f"{roundtrip['cross_checks']['max_abs_error']:.1e}", file=sys.stderr)
     payload = {
         "benchmark": "layers",
         "command": ["python3", "bench/layers.py", *(argv if argv is not None else sys.argv[1:])],
         "repeats": REPEATS,
         "d_eps_repeats": D_EPS_REPEATS,
+        "hankel_repeats": HANKEL_REPEATS,
         "machine": machine(),
         "gauss_legendre_nodes": nodes_cases,
         "h_eigensolve": h_cases,
         "d_eps_spectrum": spectrum_cases,
+        "k_eps_traces": traces,
+        "kernel_from_symbol": roundtrip,
     }
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}", file=sys.stderr)

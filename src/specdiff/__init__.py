@@ -36,12 +36,12 @@ from .hankel import (
     discretize_hankel,
     gauss_legendre_grid,
     geometric_panel_grid,
-    hs_log_check,
     k_eps_kernel,
     k_eps_trace_exact,
     k_eps_trace_slopes,
     kernel_from_symbol,
     laplace_section,
+    section_grid,
 )
 from .matrices import (
     DiagonalPlusRankOne,

@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--edges", required=True,
                            help="comma-separated band edges in (0, 1], e.g. 0.8,0.6")
     p_density.add_argument("--window", type=float, default=None,
-                           help="threshold b: report the count slope beyond (-b, b)")
+                           help="threshold b: report the count slope in (b, 1), one side")
     p_density.add_argument("--moment", type=int, default=None,
                            help="moment order m: report Delta_m")
 

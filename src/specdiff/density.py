@@ -79,9 +79,10 @@ def mu(bands: BandSet, y: float) -> float:
 
 
 def band_count_slope(bands: BandSet, b: float) -> float:
-    """Mass of mu beyond b, (1/pi^2) sum over a_n > b of arccosh(a_n / b).
+    """Mass of mu on (b, 1), one side: (1/pi^2) sum over a_n > b of arccosh(a_n / b).
 
-    This is the predicted log-rate of the eigenvalue count outside (-b, b).
+    This is the predicted log-rate of the eigenvalue count in (b, 1); mu is
+    even, so the count in (-1, -b) has the same rate.
     """
     b = float(b)
     if not (b > 0):

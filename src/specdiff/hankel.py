@@ -9,16 +9,30 @@ and 1.  Its traces grow like |log eps| with computable slopes, which makes it
 the exactly-solvable calibration target for the projection-difference
 experiments: discretize, take traces, fit against |log eps|, and compare with
 the sech-moment law.
+
+The traces are taken in the log variable.  Since
+
+    k_eps(t + s) = (1/pi) int_eps^1 e^{-x t} e^{-x s} dx,
+
+K_eps = L^T L / pi for the Laplace section L : L^2(0, inf) -> L^2(eps, 1),
+so it has the nonzero spectrum of L L^T / pi, the Carleman section with
+kernel 1/(pi (x + y)) on L^2(eps, 1).  In sigma = -log x that operator is a
+convolution on (0, |log eps|) with the analytic kernel
+1/(2 pi cosh((sigma - sigma')/2)) (a Kac-Murdock-Szego setting), so
+``section_grid`` is uniform in sigma, with about 4 |log eps| nodes.
+The t-grids (``default_grid``) stay for the t-space checks: the closed-form
+traces, the Laplace factorization and its positivity.
+
+``kernel_from_symbol`` goes the other way, from an odd symbol to its Hankel
+kernel, on Ooura and Mori's double-exponential rule for Fourier integrals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-from scipy import integrate
 
 from .density import sech_moment
 from .matrices import RectMatrix, SelfAdjointMatrix
@@ -32,21 +46,24 @@ __all__ = [
     "discretize_hankel",
     "gauss_legendre_grid",
     "geometric_panel_grid",
-    "hs_log_check",
     "k_eps_kernel",
     "k_eps_trace_exact",
     "k_eps_trace_slopes",
     "kernel_from_symbol",
     "laplace_section",
     "limit_slope",
+    "section_grid",
 ]
 
 SMALL_T = 1e-12
 ORACLE_RTOL = 1e-4
 PANEL_POINTS = 12  # Gauss-Legendre points per panel of the default grids
 PANELS_PER_DECADE = 2.0
+SECTION_PANEL_WIDTH = 4.0  # panel width of section_grid in sigma = -log x
+SECTION_PANEL_POINTS = 16
 IMAG_TOL = 1e-8  # largest imaginary residual kernel_from_symbol accepts
-HS_RTOL = 1e-7  # relative tolerance of hs_log_check's nested quadrature
+DE_STEP = 0.025  # step h of the double-exponential Fourier rule, M = pi / h
+DE_CUTOFF = 4.0  # |u| beyond which its terms vanish in double precision
 
 
 class QuadratureGrid:
@@ -87,18 +104,19 @@ def gauss_legendre_grid(a: float, b: float, n: int) -> QuadratureGrid:
     return QuadratureGrid(mid + half * x, half * w)
 
 
+def _panel_rule(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Composite nodes and weights of the rule on (-1, 1) over the panels between ``edges``."""
+    x, w = rule
+    mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
 def geometric_panel_grid(lo: float, hi: float, panels: int, points_per_panel: int) -> QuadratureGrid:
     """Composite Gauss-Legendre rule on geometrically spaced panels of (lo, hi)."""
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     edges = np.geomspace(lo, hi, int(panels) + 1)
-    x, w = gauss_legendre(points_per_panel)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return QuadratureGrid(np.concatenate(nodes), np.concatenate(weights))
+    return QuadratureGrid(*_panel_rule(edges, gauss_legendre(points_per_panel)))
 
 
 def default_grid(eps: float) -> QuadratureGrid:
@@ -119,6 +137,24 @@ def default_laplace_grid(eps: float) -> QuadratureGrid:
     _validate_eps(eps)
     panels = max(2, int(math.ceil(math.log10(1.0 / eps) * PANELS_PER_DECADE)))
     return geometric_panel_grid(eps, 1.0, panels, PANEL_POINTS)
+
+
+_SECTION_RULE = gauss_legendre(SECTION_PANEL_POINTS)
+
+
+def section_grid(eps: float) -> QuadratureGrid:
+    """Default x-grid on (eps, 1) for the Carleman section of K_eps.
+
+    Gauss-Legendre panels of width at most ``SECTION_PANEL_WIDTH``, uniform in
+    sigma = -log x on (0, |log eps|), mapped by x = e^{-sigma}, w_x = x w_sigma:
+    32 nodes at eps = 1e-2, 112 at 1e-12.  The integrand of Tr K_eps is
+    constant in sigma, so that trace is exact to rounding.
+    """
+    span = math.log(1.0 / _validate_eps(eps))
+    panels = max(1, math.ceil(span / SECTION_PANEL_WIDTH))
+    sigma, w = _panel_rule(np.linspace(0.0, span, panels + 1), _SECTION_RULE)
+    x = np.exp(-sigma)
+    return QuadratureGrid(x[::-1], (x * w)[::-1])
 
 
 def _validate_eps(eps: float) -> float:
@@ -161,7 +197,9 @@ def laplace_section(eps: float, grid_t: QuadratureGrid, grid_x: QuadratureGrid) 
         k_eps(t + s) = (1/pi) int_eps^1 e^{-x t} e^{-x s} dx.
 
     This factorization is also why the discretized K_eps is positive
-    semi-definite regardless of the x-resolution.
+    semi-definite regardless of the x-resolution.  The other product,
+    L L^T / pi, is the Carleman section 1/(pi (x + y)) on (eps, 1) that
+    ``k_eps_trace_slopes`` diagonalizes.
     """
     _validate_eps(eps)
     x, wx = grid_x.nodes, grid_x.weights
@@ -186,8 +224,38 @@ def k_eps_trace_exact(eps: float, m: int) -> float:
     raise ValueError(f"exact trace known for m in {{1, 2}}, got {m!r}")
 
 
-def _central_derivative(f, x: float, h: float) -> float:
-    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+def _fourier_rule(offset: float, trig) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights c with int_0^inf f(x) trig(t x) dx ~ sum(c f(y / t)) / t.
+
+    Ooura and Mori's substitution x = M phi(u) / t, phi(u) = u / (1 - e^{-6 sinh u}),
+    M = pi / h, on u = (n + offset) h with |u| <= ``DE_CUTOFF``.  Offset 0
+    suits trig = sin and offset -1/2 suits cos: there M u is a zero of trig,
+    and M phi(u) approaches it double exponentially as u grows, so the
+    truncated tail carries nothing.  At u = 0, phi and phi' take their limits
+    1/6 and 1/2.
+    """
+    half = round(DE_CUTOFF / DE_STEP)
+    u = (np.arange(-half, half + 1) + offset) * DE_STEP
+    u = u[np.abs(u) <= DE_CUTOFF]
+    s = 6.0 * np.sinh(u)
+    z = -np.expm1(-s)
+    origin = u == 0.0
+    z[origin] = 1.0
+    phi = u / z
+    dphi = (1.0 - 6.0 * u * np.cosh(u) * np.exp(-s) / z) / z
+    phi[origin], dphi[origin] = 1.0 / 6.0, 0.5
+    y = (np.pi / DE_STEP) * phi
+    return y, np.pi * dphi * trig(y)
+
+
+_STENCIL = np.array([-2.0, -1.0, 1.0, 2.0])
+
+
+def _derivative(omega, x: np.ndarray) -> np.ndarray:
+    """Five-point central difference of omega at x, step 1e-3 (1 + |x|)."""
+    h = 1e-3 * (1.0 + np.abs(x))
+    f = np.asarray(omega((x + np.outer(_STENCIL, h)).ravel()), dtype=float).reshape(4, -1)
+    return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
 
 
 def kernel_from_symbol(omega, t_values) -> np.ndarray:
@@ -199,37 +267,45 @@ def kernel_from_symbol(omega, t_values) -> np.ndarray:
 
         k(t) = -(1/(2 pi t)) int omega'(x) e^{-i x t} dx,
 
-    and the remaining oscillatory integrals go to the QUADPACK Fourier rules.
-    The imaginary part is computed as well and must stay below ``IMAG_TOL``.
+    with omega' a five-point difference of the symbol.  The cosine integral
+    of omega' over (0, inf) and the sine integral of its odd defect
+    omega'(x) - omega'(-x) go to Ooura and Mori's double-exponential rule for
+    Fourier integrals (J. Comput. Appl. Math. 38, 1991), with step
+    ``DE_STEP``: fixed node vectors, scaled by 1/t, so each t takes one
+    vectorized call of the symbol.  The imaginary part, the defect integral
+    over 2 pi t, must stay below ``IMAG_TOL``.  A symbol that takes only
+    scalars is vectorized once, here.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if np.any(t_values <= 0):
         raise ValueError("kernel recovery needs t > 0")
     _check_symbol(omega)
-
-    def deriv(x: float) -> float:
-        h = 1e-3 * (1.0 + abs(x))
-        return _central_derivative(omega, x, h)
-
-    def odd_defect(x: float) -> float:
-        return deriv(x) - deriv(-x)
-
+    omega = _array_symbol(omega)
+    (y_cos, c_cos), (y_sin, c_sin) = _fourier_rule(-0.5, np.cos), _fourier_rule(0.0, np.sin)
+    y = np.concatenate((y_cos, y_sin, -y_sin))
     out = np.empty_like(t_values)
     for i, t in enumerate(t_values):
-        cos_part, _ = integrate.quad(
-            deriv, 0.0, np.inf, weight="cos", wvar=t, limlst=200, limit=400
-        )
-        sin_defect, _ = integrate.quad(
-            odd_defect, 0.0, np.inf, weight="sin", wvar=t, limlst=200, limit=400
-        )
-        imag = abs(sin_defect) / (2.0 * np.pi * t)
+        deriv, plus, minus = np.split(_derivative(omega, y / t),
+                                      [y_cos.size, y_cos.size + y_sin.size])
+        imag = abs(float(c_sin @ (plus - minus))) / (2.0 * np.pi * t * t)
         if imag > IMAG_TOL:
             raise ValueError(
                 f"imaginary residual {imag:.3e} at t={t} exceeds {IMAG_TOL:.0e}; "
                 "symbol is not odd enough"
             )
-        out[i] = -cos_part / (np.pi * t)
+        out[i] = -float(c_cos @ deriv) / (np.pi * t * t)
     return out
+
+
+def _array_symbol(omega):
+    """``omega`` if it maps an array elementwise, else its elementwise loop."""
+    probe = np.array([0.7, 2.3])
+    try:
+        if np.shape(omega(probe)) == probe.shape:
+            return omega
+    except (TypeError, ValueError):
+        pass
+    return np.vectorize(omega, otypes=[float])
 
 
 def _check_symbol(omega) -> None:
@@ -242,45 +318,6 @@ def _check_symbol(omega) -> None:
         raise ValueError(
             f"symbol must decay like 1/x: |omega(1e3)|={far:.3e}, |omega(1e6)|={farther:.3e}"
         )
-
-
-def hs_log_check(profile, eps: float, box: tuple[float, float] = (-1.0, 1.0)) -> float:
-    """Squared difference-quotient mass of psi_eps over box x box.
-
-    Computes int int |(psi_eps(x) - psi_eps(y)) / (x - y)|^2 dx dy, which for
-    any unit-jump profile grows like 2 |log eps| + O(1).  The diagonal is a
-    removable singularity, patched with a central difference quotient.
-    """
-    from .profiles import scale  # local import keeps module deps one-way
-
-    a, b = float(box[0]), float(box[1])
-    if not (a < 0 < b):
-        raise ValueError("box must straddle the jump at 0")
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
-    psi = scale(profile, eps)
-    dq_floor = 1e-9 * eps
-
-    def quotient(x: float, y: float) -> float:
-        if abs(x - y) < dq_floor:
-            h = 1e-6 * eps
-            return (float(psi(x + h)) - float(psi(x - h))) / (2.0 * h)
-        return (float(psi(x)) - float(psi(y))) / (x - y)
-
-    interior = [p for p in (-5 * eps, 0.0, 5 * eps) if a < p < b]
-
-    def inner(x: float) -> float:
-        pts = sorted(set(p for p in interior + [x] if a < p < b))
-        val, _ = integrate.quad(
-            lambda y: quotient(x, y) ** 2, a, b,
-            points=pts, limit=300, epsabs=1e-12, epsrel=HS_RTOL,
-        )
-        return val
-
-    total, _ = integrate.quad(
-        inner, a, b, points=interior, limit=300, epsabs=1e-12, epsrel=HS_RTOL
-    )
-    return total
 
 
 def limit_slope(x, y) -> float:
@@ -326,11 +363,18 @@ class TraceSlopeResult:
     extrapolated: dict[int, float]
 
 
-def k_eps_trace_slopes(m_list, eps_values, grid_factory=default_grid) -> TraceSlopeResult:
-    """Discretize K_eps across eps_values and fit Tr K^m ~ slope * |log eps|.
+def _carleman(s):
+    return 1.0 / (np.pi * s)
 
-    Each power gets two slope estimates: the least-squares ``fitted`` and the
-    limit estimate ``extrapolated`` (see ``limit_slope``).
+
+def k_eps_trace_slopes(m_list, eps_values, *, grid_factory=section_grid) -> TraceSlopeResult:
+    """Fit Tr K_eps^m ~ slope * |log eps| across eps_values.
+
+    The traces are those of the Carleman section 1/(pi (x + y)) on (eps, 1),
+    which has the nonzero spectrum of K_eps (see ``laplace_section``),
+    discretized on ``grid_factory(eps)``, an x-grid on (eps, 1).  Each power
+    gets two slope estimates: the least-squares ``fitted`` and the limit
+    estimate ``extrapolated`` (see ``limit_slope``).
 
     The m = 1 trace is compared with its closed form at every eps; a relative
     deviation beyond 1e-4 marks the grid as under-resolved (``resolution_ok``
@@ -350,8 +394,7 @@ def k_eps_trace_slopes(m_list, eps_values, grid_factory=default_grid) -> TraceSl
     for i, eps in enumerate(eps_values):
         grid = grid_factory(eps)
         sizes[i] = grid.size
-        mat = discretize_hankel(partial(k_eps_kernel, eps=eps), grid)
-        w = mat.eigenvalues()
+        w = discretize_hankel(_carleman, grid).eigenvalues()
         trace1 = float(np.sum(w))
         exact1 = k_eps_trace_exact(eps, 1)
         oracle_dev[i] = abs(trace1 - exact1) / exact1

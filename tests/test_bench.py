@@ -78,8 +78,8 @@ def key_tree(value):
 
 def test_committed_file_matches_the_script(bench, monkeypatch, tmp_path):
     committed = json.loads((ROOT / "BENCH_layers.json").read_text())
-    assert (committed["repeats"], committed["d_eps_repeats"]) == (bench.REPEATS,
-                                                                  bench.D_EPS_REPEATS)
+    assert (committed["repeats"], committed["d_eps_repeats"], committed["hankel_repeats"]) == (
+        bench.REPEATS, bench.D_EPS_REPEATS, bench.HANKEL_REPEATS)
     assert [row["n"] for row in committed["gauss_legendre_nodes"]] == list(bench.SIZES)
     assert [(row["n"], row["c"]) for row in committed["h_eigensolve"]] == list(
         itertools.product(bench.SIZES, bench.COUPLINGS))
@@ -96,3 +96,16 @@ def test_committed_file_matches_the_script(bench, monkeypatch, tmp_path):
     assert key_tree(committed["machine"]) == key_tree(small["machine"])
     for section in ("gauss_legendre_nodes", "h_eigensolve", "d_eps_spectrum"):
         assert all(key_tree(row) == key_tree(small[section][0]) for row in committed[section])
+    for section in ("k_eps_traces", "kernel_from_symbol"):
+        assert key_tree(committed[section]) == key_tree(small[section])
+    for run in (committed, small):
+        traces = run["k_eps_traces"]
+        assert (traces["eps"], traces["powers"]) == (list(bench.HANKEL_EPS),
+                                                     list(bench.HANKEL_POWERS))
+        assert traces["section_sizes"] == [32, 112]
+        assert traces["cross_checks"]["max_relative_trace_difference"] <= 1e-7
+        assert traces["cross_checks"]["max_relative_closed_form_error"] <= 1e-13
+        roundtrip = run["kernel_from_symbol"]
+        assert (roundtrip["t"], roundtrip["eps"]) == (list(bench.ROUNDTRIP_T),
+                                                      list(bench.ROUNDTRIP_EPS))
+        assert roundtrip["cross_checks"]["max_abs_error"] <= 1e-6

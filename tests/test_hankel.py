@@ -1,6 +1,7 @@
-"""Model trace class: kernel, grids, factorization, trace slopes, HS check."""
+"""Model trace class: kernel, grids, factorization, symbol recovery, trace slopes."""
 
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -13,15 +14,16 @@ from specdiff.hankel import (
     discretize_hankel,
     gauss_legendre_grid,
     geometric_panel_grid,
-    hs_log_check,
     k_eps_kernel,
     k_eps_trace_exact,
     k_eps_trace_slopes,
     kernel_from_symbol,
     laplace_section,
     limit_slope,
+    section_grid,
 )
-from specdiff.profiles import builtin_profile, zeta, zeta_eps
+from specdiff import hankel
+from specdiff.profiles import zeta, zeta_eps
 
 
 class TestGrids:
@@ -46,6 +48,14 @@ class TestGrids:
     def test_default_grid_spans_kernel_support(self):
         g = default_grid(1e-3)
         assert g.nodes[0] < 1e-3 and g.nodes[-1] > 1e3
+
+    def test_section_grid_is_uniform_in_log_x(self):
+        for eps, size in ((1e-2, 32), (1e-12, 112)):
+            g = section_grid(eps)
+            assert g.size == size
+            assert eps < g.nodes[0] and g.nodes[-1] < 1.0
+            # w_x / x integrates 1 over sigma = -log x in (0, |log eps|)
+            assert np.sum(g.weights / g.nodes) == pytest.approx(math.log(1 / eps), rel=1e-14)
 
 
 class TestKernel:
@@ -133,6 +143,24 @@ class TestKernelFromSymbol:
         with pytest.raises(ValueError):
             kernel_from_symbol(omega, [0.0])
 
+    def test_scalar_only_symbol(self):
+        t = np.array([0.3, 1.0, 4.0])
+        omega = lambda x: -(2.0 / math.pi) * (math.atan(x / 0.1) - math.atan(x))
+        rec = kernel_from_symbol(omega, t)
+        assert np.max(np.abs(rec - k_eps_kernel(t, 0.1))) < 1e-6
+
+    def test_imaginary_residual_check_fires(self, monkeypatch):
+        monkeypatch.setattr(hankel, "IMAG_TOL", 1e-20)
+        omega = lambda x: zeta_eps(x, 0.5) - zeta(x)
+        with pytest.raises(ValueError, match="imaginary residual"):
+            kernel_from_symbol(omega, [1.0])
+
+    def test_no_runtime_warnings(self):
+        omega = lambda x: zeta_eps(x, 0.1) - zeta(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel_from_symbol(omega, np.linspace(0.1, 10.0, 40))
+
 
 class TestTraceSlopes:
     def test_slopes_match_sech_moments(self):
@@ -151,9 +179,28 @@ class TestTraceSlopes:
             k_eps_trace_slopes([1], [1e-2, 1e-3])
 
     def test_coarse_grid_trips_resolution_flag(self):
-        coarse = lambda eps: gauss_legendre_grid(1e-4, 10.0, 24)
+        coarse = lambda eps: gauss_legendre_grid(eps, 1.0, 6)
         res = k_eps_trace_slopes([1], np.geomspace(1e-2, 1e-4, 4), grid_factory=coarse)
         assert not res.resolution_ok
+
+    def test_grid_factory_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            k_eps_trace_slopes([1], np.geomspace(1e-2, 1e-4, 4), section_grid)
+
+    def test_section_traces_match_nystrom_traces(self):
+        powers = [1, 2, 3, 4, 6]
+        eps_values = [1e-2, 1e-3, 1e-4]
+        res = k_eps_trace_slopes(powers, eps_values)
+        for i, eps in enumerate(res.eps):
+            w = discretize_hankel(partial(k_eps_kernel, eps=eps), default_grid(eps)).eigenvalues()
+            for m in powers:
+                assert res.traces[m][i] == pytest.approx(float(np.sum(w ** float(m))), rel=1e-7)
+
+    def test_section_traces_match_closed_forms(self):
+        res = k_eps_trace_slopes([1, 2], np.geomspace(1e-2, 1e-12, 11))
+        for m in (1, 2):
+            exact = [k_eps_trace_exact(eps, m) for eps in res.eps]
+            np.testing.assert_allclose(res.traces[m], exact, rtol=1e-13)
 
 
 class TestLimitSlope:
@@ -189,18 +236,3 @@ class TestLimitSlope:
             limit_slope([1.0], [2.0])
         with pytest.raises(ValueError):
             limit_slope([1.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-
-
-class TestHsLogCheck:
-    def test_log_rate(self):
-        tanh = builtin_profile("TANH_HALF")
-        v1 = hs_log_check(tanh, 1e-2)
-        v2 = hs_log_check(tanh, 5e-3)
-        assert v2 - v1 == pytest.approx(2.0 * math.log(2.0), abs=0.02)
-
-    def test_unscaled_profile_is_bounded(self):
-        assert hs_log_check(builtin_profile("TANH_HALF"), 1.0) < 5.0
-
-    def test_box_must_straddle_zero(self):
-        with pytest.raises(ValueError):
-            hs_log_check(builtin_profile("TANH_HALF"), 0.1, box=(0.5, 1.0))
