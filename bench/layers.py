@@ -38,7 +38,11 @@ D_eps layers):
   t-grid Nystrom route of the oracle (``discretize_hankel`` of
   ``k_eps_kernel`` on ``default_grid`` and ``eigvalsh``, once), and the
   ``kernel_from_symbol`` round trip on ``ROUNDTRIP_T`` for each eps in
-  ``ROUNDTRIP_EPS``.
+  ``ROUNDTRIP_EPS``;
+- the import of the package, the set-up cost of every ``specdiff`` command:
+  the wall time of a fresh ``python -c "import specdiff"`` beside a fresh
+  ``python -c "import numpy"``, medians over ``IMPORT_PROCESSES`` processes
+  of each, run alternately.
 
 Every case carries cross-checks taken in the same run.  For the nodes: the
 largest absolute node and relative weight differences of both rules and of
@@ -57,7 +61,9 @@ by both routes, the block width and the certificate remainder R = Tr D^2
 minus the sum of theta^2.  For K_eps: the grid sizes of both routes, the
 largest relative difference between their traces over ``HANKEL_POWERS``,
 the largest relative error of the m = 1, 2 traces against their closed
-forms, and the round trip's sup error against ``k_eps_kernel``.  The machine
+forms, and the round trip's sup error against ``k_eps_kernel``.  For the
+import: the number of SciPy modules a fresh ``import specdiff`` loads, which
+is 0 (the package runs on NumPy alone; SciPy is a test oracle).  The machine
 block records the core count, the BLAS NumPy was built with and the BLAS
 thread setting.
 """
@@ -88,6 +94,7 @@ HANKEL_EPS = (1e-2, 1e-12, 21)  # geomspace arguments, as hankel-deep's unjitter
 HANKEL_POWERS = (1, 2, 3, 4, 6)
 ROUNDTRIP_T = (0.1, 10.0, 40)  # linspace arguments
 ROUNDTRIP_EPS = (0.5, 0.1)
+IMPORT_PROCESSES = 15  # fresh interpreters per import timing
 
 
 def machine() -> dict:
@@ -341,6 +348,32 @@ def roundtrip_case(repeats: int) -> dict:
     }
 
 
+def import_case(processes: int) -> dict:
+    """Wall times (medians over ``processes`` fresh interpreters) of importing specdiff and NumPy."""
+    import subprocess
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def python(code: str) -> tuple[float, str]:
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        return time.perf_counter() - t0, out
+
+    times = {"numpy_s": [], "specdiff_s": []}
+    for _ in range(processes):
+        times["numpy_s"].append(python("import numpy")[0])
+        times["specdiff_s"].append(python("import specdiff")[0])
+    loaded = python("import sys, specdiff; "
+                    "print(sum(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")[1]
+    return {
+        "processes": processes,
+        **{key: statistics.median(values) for key, values in times.items()},
+        "cross_checks": {"scipy_modules_loaded": int(loaded)},
+    }
+
+
 def main(argv=None) -> int:
     import numpy as np
 
@@ -382,6 +415,10 @@ def main(argv=None) -> int:
     roundtrip = roundtrip_case(HANKEL_REPEATS)
     print(f"kernel_from_symbol  {1e3 * roundtrip['round_trip_s']:.1f} ms  sup error "
           f"{roundtrip['cross_checks']['max_abs_error']:.1e}", file=sys.stderr)
+    imports = import_case(IMPORT_PROCESSES)
+    print(f"import  numpy {imports['numpy_s']:.3f} s  specdiff {imports['specdiff_s']:.3f} s  "
+          f"SciPy modules loaded: {imports['cross_checks']['scipy_modules_loaded']}",
+          file=sys.stderr)
     payload = {
         "benchmark": "layers",
         "command": ["python3", "bench/layers.py", *(argv if argv is not None else sys.argv[1:])],
@@ -394,6 +431,7 @@ def main(argv=None) -> int:
         "d_eps_spectrum": spectrum_cases,
         "k_eps_traces": traces,
         "kernel_from_symbol": roundtrip,
+        "import": imports,
     }
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}", file=sys.stderr)

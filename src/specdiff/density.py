@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
+
+from .quadrature import gauss_legendre, panel_integral, uniform_panels
 
 __all__ = [
     "BandSet",
@@ -26,8 +27,12 @@ __all__ = [
 ]
 
 EDGE_FLOOR = 1e-6
-SECH_TOL = 1e-12  # absolute and relative tolerance of sech_moment's quadrature
-RHS_TOL = 1e-10  # the same for rhs_integral's
+RHS_TOL = 1e-10  # absolute and relative tolerance of rhs_integral's quadrature
+RHS_PANEL_WIDTH = 1.0  # widest panel of rhs_integral's first composite rule, in x
+RHS_HALVINGS = 6  # halvings of those panels before rhs_integral gives up
+_RHS_RULE = gauss_legendre(16)
+# Gamma(x) / Gamma(x + 1/2) = x^(-1/2) (1 + 1/(8x) + 1/(128x^2) - ...), highest power first
+_GAMMA_RATIO_SERIES = (399 / 262144, -21 / 32768, -5 / 1024, 1 / 128, 1 / 8, 1.0)
 
 
 class BandSet:
@@ -95,17 +100,19 @@ def band_count_slope(bands: BandSet, b: float) -> float:
 
 
 def sech_moment(m: float) -> float:
-    """Integral over the line of sech(x)^m, by adaptive quadrature."""
+    """Integral over the line of sech(x)^m, B(m/2, 1/2) = sqrt(pi) Gamma(m/2) / Gamma((m+1)/2)."""
     if not (m >= 1):
         raise ValueError(f"moment order must be >= 1, got {m!r}")
-
-    def integrand(x: float) -> float:
-        # sech(x)^m through exp(-x) so large x cannot overflow cosh
-        u = math.exp(-x)
-        return (2.0 * u / (1.0 + u * u)) ** float(m)
-
-    val, err = integrate.quad(integrand, 0.0, np.inf, epsabs=SECH_TOL, epsrel=SECH_TOL)
-    return 2.0 * val
+    half = float(m) / 2.0
+    if half < 170.0:  # Gamma(x + 1/2) overflows a float64 from x = 171.1
+        ratio = math.gamma(half) / math.gamma(half + 0.5)
+    else:  # Gamma(x) / Gamma(x + 1/2) by its asymptotic series in 1/x, to 4e-16 here
+        r = 1.0 / half
+        series = _GAMMA_RATIO_SERIES[0]
+        for c in _GAMMA_RATIO_SERIES[1:]:
+            series = series * r + c
+        ratio = math.sqrt(r) * series
+    return math.sqrt(math.pi) * ratio
 
 
 def delta_m(bands: BandSet, m: int) -> float:
@@ -127,7 +134,10 @@ def rhs_integral(bands: BandSet, g, eta: float) -> float:
 
     Uses the substitution y = a_n / cosh(x), under which the band-n term
     becomes (1/(2 pi^2)) int_{-X}^{X} [g(a_n/cosh x) + g(-a_n/cosh x)] dx and
-    the vanishing of g below eta truncates to X = arccosh(a_n / eta).
+    the vanishing of g below eta truncates to X = arccosh(a_n / eta).  Each
+    term is a composite Gauss-Legendre rule on (0, X), its panels halved until
+    two successive sums agree to ``RHS_TOL`` (``quadrature.panel_integral``);
+    ``ValueError`` if they never do.  g is called on one float at a time.
     """
     if not (eta > 0):
         raise ValueError(f"eta must be positive, got {eta!r}")
@@ -138,9 +148,9 @@ def rhs_integral(bands: BandSet, g, eta: float) -> float:
         cap = float(np.arccosh(a / eta))
 
         def integrand(x, a=a):
-            y = a / np.cosh(x)
-            return g(y) + g(-y)
+            return np.array([g(y) + g(-y) for y in (a / np.cosh(x)).tolist()])
 
-        val, err = integrate.quad(integrand, 0.0, cap, epsabs=RHS_TOL, epsrel=RHS_TOL, limit=400)
-        total += val  # integrand is even in x, so (-X, X) is twice (0, X)
+        # integrand is even in x, so (-X, X) is twice (0, X)
+        total += panel_integral(integrand, uniform_panels(0.0, cap, RHS_PANEL_WIDTH),
+                                _RHS_RULE, RHS_TOL, RHS_HALVINGS)
     return total / np.pi**2

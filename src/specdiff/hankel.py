@@ -36,7 +36,16 @@ import numpy as np
 
 from .density import sech_moment
 from .matrices import RectMatrix, SelfAdjointMatrix
-from .quadrature import gauss_legendre
+# imported by name: default_grid and default_laplace_grid call geometric_panel_grid
+# through this module, so a wrapper set on hankel.geometric_panel_grid sees those calls
+from .quadrature import (
+    QuadratureGrid,
+    gauss_legendre,
+    gauss_legendre_grid,
+    geometric_panel_grid,
+    panel_rule,
+    uniform_panels,
+)
 
 __all__ = [
     "QuadratureGrid",
@@ -64,59 +73,6 @@ SECTION_PANEL_POINTS = 16
 IMAG_TOL = 1e-8  # largest imaginary residual kernel_from_symbol accepts
 DE_STEP = 0.025  # step h of the double-exponential Fourier rule, M = pi / h
 DE_CUTOFF = 4.0  # |u| beyond which its terms vanish in double precision
-
-
-class QuadratureGrid:
-    """Positive-weight quadrature nodes, strictly increasing."""
-
-    __slots__ = ("nodes", "weights")
-
-    def __init__(self, nodes, weights):
-        n = np.array(nodes, dtype=float)
-        w = np.array(weights, dtype=float)
-        if n.ndim != 1 or n.shape != w.shape:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(w))):
-            raise ValueError("grid nodes and weights must be finite")
-        if np.any(w <= 0):
-            raise ValueError("grid weights must be positive")
-        if np.any(np.diff(n) <= 0):
-            raise ValueError("grid nodes must be strictly increasing")
-        n.setflags(write=False)
-        w.setflags(write=False)
-        self.nodes = n
-        self.weights = w
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
-    def __repr__(self) -> str:
-        return f"QuadratureGrid(size={self.size})"
-
-
-def gauss_legendre_grid(a: float, b: float, n: int) -> QuadratureGrid:
-    """Gauss-Legendre rule with n points on (a, b)."""
-    if not (b > a):
-        raise ValueError("need b > a")
-    x, w = gauss_legendre(n)
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return QuadratureGrid(mid + half * x, half * w)
-
-
-def _panel_rule(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Composite nodes and weights of the rule on (-1, 1) over the panels between ``edges``."""
-    x, w = rule
-    mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
-    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
-
-
-def geometric_panel_grid(lo: float, hi: float, panels: int, points_per_panel: int) -> QuadratureGrid:
-    """Composite Gauss-Legendre rule on geometrically spaced panels of (lo, hi)."""
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
-    edges = np.geomspace(lo, hi, int(panels) + 1)
-    return QuadratureGrid(*_panel_rule(edges, gauss_legendre(points_per_panel)))
 
 
 def default_grid(eps: float) -> QuadratureGrid:
@@ -151,8 +107,7 @@ def section_grid(eps: float) -> QuadratureGrid:
     constant in sigma, so that trace is exact to rounding.
     """
     span = math.log(1.0 / _validate_eps(eps))
-    panels = max(1, math.ceil(span / SECTION_PANEL_WIDTH))
-    sigma, w = _panel_rule(np.linspace(0.0, span, panels + 1), _SECTION_RULE)
+    sigma, w = panel_rule(uniform_panels(0.0, span, SECTION_PANEL_WIDTH), _SECTION_RULE)
     x = np.exp(-sigma)
     return QuadratureGrid(x[::-1], (x * w)[::-1])
 

@@ -29,12 +29,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .density import BandSet
 from .matrices import DiagonalPlusRankOne, SelfAdjointMatrix, SpectralDifference
 from .profiles import CutoffProfile, ProfileKind
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, panel_integral, uniform_panels
 
 __all__ = [
     "BUMPS",
@@ -54,6 +53,9 @@ RESOLUTION_KAPPA = 0.4
 ENDPOINT_MARGIN = 1e-6
 EXCEPTIONAL_TOL = 1e-10
 QUADRATURE_TOL = 1e-8  # largest error the node rule may make in the integral of v^2
+PANEL_TOL = 1e-11  # largest change of a panel rule's sum when its panels are halved
+PANEL_WIDTH = 1.0  # widest panel of t_plus's composite rule; the v^2 reference takes 1/4
+_PANEL_RULE = gauss_legendre(20)
 
 BUMPS = {
     "gaussian": lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
@@ -130,14 +132,16 @@ class RankOneModel:
 
     def _check_quadrature(self) -> None:
         # the grid must integrate v^2 exactly, or the discrete model is not
-        # the continuum model it claims to be
+        # the continuum model it claims to be; the reference is a composite
+        # rule, independent of the node rule and checked by halving its panels
         discrete = float(np.dot(self.weights, self.v(self.nodes) ** 2))
-        exact, _ = integrate.quad(
-            lambda x: float(self.v(x)) ** 2, -self.L, self.L, epsabs=1e-12, epsrel=1e-12
+        exact = panel_integral(
+            lambda x: np.asarray(self.v(x), dtype=float) ** 2,
+            uniform_panels(-self.L, self.L, PANEL_WIDTH / 4.0), _PANEL_RULE, PANEL_TOL, 1,
         )
         if abs(discrete - exact) > QUADRATURE_TOL:
             raise ValueError(
-                f"grid integrates v^2 to {discrete!r} but adaptive quadrature "
+                f"grid integrates v^2 to {discrete!r} but the panel rule "
                 f"gives {exact!r}; increase n"
             )
 
@@ -196,22 +200,24 @@ class RankOneModel:
         """Boundary value T(lam + i0) of the resolvent form int v^2/(x - z) dx.
 
         The real part is the principal value, computed by subtracting the
-        singular constant (the smooth remainder goes to adaptive quadrature,
-        the constant integrates to a log); the imaginary part is pi v(lam)^2.
+        singular constant: the smooth remainder (v(x)^2 - v(lam)^2)/(x - lam)
+        goes to a composite Gauss-Legendre rule on panels of width at most
+        ``PANEL_WIDTH`` on each side of lam, checked once against the rule on
+        the halved panels (``ValueError`` if they differ by more than
+        ``PANEL_TOL``: v is too narrow for the panels), and the constant
+        integrates to a log.  The imaginary part is pi v(lam)^2.
         """
         lam = self._check_energy(lam)
         v2_lam = float(self.v(lam)) ** 2
 
-        def smooth(x: float) -> float:
-            d = x - lam
-            if abs(d) < 1e-13:
-                h = 1e-7
-                return (float(self.v(lam + h)) ** 2 - float(self.v(lam - h)) ** 2) / (2 * h)
-            return (float(self.v(x)) ** 2 - v2_lam) / d
+        def smooth(x: np.ndarray) -> np.ndarray:
+            # no node of the rule is lam, an edge of its panels
+            return (np.asarray(self.v(x), dtype=float) ** 2 - v2_lam) / (x - lam)
 
-        pv, _ = integrate.quad(
-            smooth, -self.L, self.L, points=[lam], limit=2000, epsabs=1e-11, epsrel=1e-11
+        edges = np.concatenate(
+            (uniform_panels(-self.L, lam, PANEL_WIDTH), uniform_panels(lam, self.L, PANEL_WIDTH)[1:])
         )
+        pv = panel_integral(smooth, edges, _PANEL_RULE, PANEL_TOL, 1)
         pv += v2_lam * np.log((self.L - lam) / (self.L + lam))
         return complex(pv, np.pi * v2_lam)
 

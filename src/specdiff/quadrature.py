@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules on [-1, 1]: one rule for the whole package.
+"""Gauss-Legendre rules on [-1, 1] and composite rules on panels: one copy for the package.
 
 ``gauss_legendre(n)`` is NumPy's ``leggauss`` up to 100 points and, above
 that, Bogaert's iteration-free asymptotic formulas (I. Bogaert, "Iteration-
@@ -13,23 +13,55 @@ symmetric and the middle node of an odd n is exactly 0.
 
 ``gauss_legendre_reference(n)`` is the test oracle: Newton's method on the
 three-term recurrence in ``np.longdouble``, O(n^2).
+
+``panel_rule`` lays a rule on (-1, 1) over the panels between given edges
+(``uniform_panels`` gives equal ones); ``panel_integral`` sums a function on
+such panels and checks the sum against the one on the halved panels.
+``QuadratureGrid`` and its builders (``gauss_legendre_grid``,
+``geometric_panel_grid``) are the positive-weight grids that ``hankel``
+discretizes on.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import special
+import math
 
-__all__ = ["ASYMPTOTIC_MIN_N", "gauss_legendre", "gauss_legendre_reference"]
+import numpy as np
+
+__all__ = [
+    "ASYMPTOTIC_MIN_N",
+    "QuadratureGrid",
+    "gauss_legendre",
+    "gauss_legendre_grid",
+    "gauss_legendre_reference",
+    "geometric_panel_grid",
+    "panel_integral",
+    "panel_rule",
+    "uniform_panels",
+]
 
 # Below this size the asymptotic series lose digits; Bogaert tabulates the
 # range, and NumPy's leggauss is exact to rounding there.
 ASYMPTOTIC_MIN_N = 101
 
-# j_k, the k-th zero of J0, from SciPy for k <= 20 (McMahon's expansion above),
-# and J1(j_k)^2 from SciPy's J1 for k <= 21 (an asymptotic series above)
-_J0_ZEROS = special.jn_zeros(0, 20)
-_TABULATED_J1 = 21
+# j_k, the k-th zero of J0, for k <= 20 (McMahon's expansion above), and
+# J1(j_k)^2 for k <= 21 (an asymptotic series above; the 21st is J1 at
+# McMahon's j_21): the float64 values of SciPy's jn_zeros and j1, tabulated
+_J0_ZEROS = np.array([
+    2.4048255576957724, 5.520078110286311, 8.653727912911013, 11.791534439014281,
+    14.930917708487787, 18.071063967910924, 21.21163662987926, 24.352471530749302,
+    27.493479132040253, 30.634606468431976, 33.77582021357357, 36.917098353664045,
+    40.05842576462824, 43.19979171317673, 46.341188371661815, 49.482609897397815,
+    52.624051841115, 55.76551075501998, 58.90698392608094, 62.048469190227166,
+])
+_J1_SQUARED_AT_ZEROS = np.array([
+    0.269514123941917, 0.11578013858220378, 0.07368635113640826, 0.054037573198116286,
+    0.04266142901724307, 0.03524210349099611, 0.03002107010305466, 0.026147391495308092,
+    0.023159121824691403, 0.020783829122267842, 0.018850450669317672, 0.017246157569665008,
+    0.0158935181059236, 0.014737626096472192, 0.013738465145387117, 0.01286618173761514,
+    0.012098051548626794, 0.011416471224491607, 0.010807592791180208, 0.010260372926280771,
+    0.009765897139791058,
+])
 
 # McMahon's expansion of j_k in r = 1 / (pi (k - 1/4)), odd powers from r^1
 _MCMAHON = (
@@ -105,8 +137,8 @@ def _bessel_data(count: int) -> tuple[np.ndarray, np.ndarray]:
     s = 1.0 / (k - 0.25)
     s2 = s * s
     j1_squared = s * (_J1_SQUARED[0] + s2 * s2 * _horner(_J1_SQUARED[:0:-1], s2))
-    head = min(count, _TABULATED_J1)
-    j1_squared[:head] = special.j1(zeros[:head]) ** 2
+    head = min(count, _J1_SQUARED_AT_ZEROS.size)
+    j1_squared[:head] = _J1_SQUARED_AT_ZEROS[:head]
     return zeros, j1_squared
 
 
@@ -165,3 +197,88 @@ def gauss_legendre_reference(n: int, steps: int = 2) -> tuple[np.ndarray, np.nda
     w = 2 * (one - 2 * x * dx / s) / (s * dp * dp)
     x = x + dx
     return np.concatenate((-x[n % 2 :][::-1], x)), np.concatenate((w[n % 2 :][::-1], w))
+
+
+def uniform_panels(lo: float, hi: float, width: float) -> np.ndarray:
+    """Edges of the fewest equal panels of (lo, hi), lo < hi, no wider than ``width``."""
+    return np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
+
+
+def panel_rule(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Composite nodes and weights of the rule on (-1, 1) over the panels between ``edges``."""
+    x, w = rule
+    mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def panel_integral(f, edges: np.ndarray, rule, tol: float, halvings: int) -> float:
+    """Integral of f over the panels between ``edges``, checked by halving them.
+
+    The composite ``rule`` on the panels is compared with the one on the
+    panels cut in two, up to ``halvings`` (>= 1) times, until two successive
+    sums agree to ``tol`` (absolute below 1, relative above); the finer sum is
+    returned.  f takes an array of nodes.  Raises ``ValueError`` when the sums
+    never agree: the panels are too wide for f.
+    """
+    edges = np.asarray(edges, dtype=float)
+    x, w = panel_rule(edges, rule)
+    fine = float(w @ f(x))
+    for _ in range(halvings):
+        halved = np.empty(2 * edges.size - 1)
+        halved[::2], halved[1::2] = edges, (edges[:-1] + edges[1:]) / 2.0
+        edges = halved
+        x, w = panel_rule(edges, rule)
+        coarse, fine = fine, float(w @ f(x))
+        if abs(fine - coarse) <= tol * max(1.0, abs(fine)):
+            return fine
+    raise ValueError(
+        f"composite rule on {edges.size - 1} panels of ({float(edges[0])!r}, "
+        f"{float(edges[-1])!r}) did not settle to {tol:g}: its last two sums differ "
+        f"by {abs(fine - coarse):.3g}"
+    )
+
+
+class QuadratureGrid:
+    """Positive-weight quadrature nodes, strictly increasing."""
+
+    __slots__ = ("nodes", "weights")
+
+    def __init__(self, nodes, weights):
+        n = np.array(nodes, dtype=float)
+        w = np.array(weights, dtype=float)
+        if n.ndim != 1 or n.shape != w.shape:
+            raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(w))):
+            raise ValueError("grid nodes and weights must be finite")
+        if np.any(w <= 0):
+            raise ValueError("grid weights must be positive")
+        if np.any(np.diff(n) <= 0):
+            raise ValueError("grid nodes must be strictly increasing")
+        n.setflags(write=False)
+        w.setflags(write=False)
+        self.nodes = n
+        self.weights = w
+
+    @property
+    def size(self) -> int:
+        return self.nodes.size
+
+    def __repr__(self) -> str:
+        return f"QuadratureGrid(size={self.size})"
+
+
+def gauss_legendre_grid(a: float, b: float, n: int) -> QuadratureGrid:
+    """Gauss-Legendre rule with n points on (a, b)."""
+    if not (b > a):
+        raise ValueError("need b > a")
+    x, w = gauss_legendre(n)
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    return QuadratureGrid(mid + half * x, half * w)
+
+
+def geometric_panel_grid(lo: float, hi: float, panels: int, points_per_panel: int) -> QuadratureGrid:
+    """Composite Gauss-Legendre rule on geometrically spaced panels of (lo, hi)."""
+    if not (0 < lo < hi):
+        raise ValueError("need 0 < lo < hi")
+    edges = np.geomspace(lo, hi, int(panels) + 1)
+    return QuadratureGrid(*panel_rule(edges, gauss_legendre(points_per_panel)))

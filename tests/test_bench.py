@@ -88,15 +88,17 @@ def test_committed_file_matches_the_script(bench, monkeypatch, tmp_path):
         itertools.product(bench.SIZES, bench.EPSILONS))
     assert all(row["cross_checks"]["count_block_pass"] == row["cross_checks"]["count_dense"]
                for row in rows)
+    assert committed["import"]["processes"] == bench.IMPORT_PROCESSES
     # the script at n = 200 must write what the committed file holds, key for key
     monkeypatch.setattr(bench, "SIZES", (200,))
+    monkeypatch.setattr(bench, "IMPORT_PROCESSES", 1)
     assert bench.main(["--output", str(tmp_path / "layers.json")]) == 0
     small = json.loads((tmp_path / "layers.json").read_text())
     assert set(committed) == set(small)
     assert key_tree(committed["machine"]) == key_tree(small["machine"])
     for section in ("gauss_legendre_nodes", "h_eigensolve", "d_eps_spectrum"):
         assert all(key_tree(row) == key_tree(small[section][0]) for row in committed[section])
-    for section in ("k_eps_traces", "kernel_from_symbol"):
+    for section in ("k_eps_traces", "kernel_from_symbol", "import"):
         assert key_tree(committed[section]) == key_tree(small[section])
     for run in (committed, small):
         traces = run["k_eps_traces"]
@@ -109,3 +111,6 @@ def test_committed_file_matches_the_script(bench, monkeypatch, tmp_path):
         assert (roundtrip["t"], roundtrip["eps"]) == (list(bench.ROUNDTRIP_T),
                                                       list(bench.ROUNDTRIP_EPS))
         assert roundtrip["cross_checks"]["max_abs_error"] <= 1e-6
+        imports = run["import"]
+        assert imports["numpy_s"] > 0.0 and imports["specdiff_s"] > 0.0
+        assert imports["cross_checks"]["scipy_modules_loaded"] == 0

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from specdiff.density import (
     BandSet,
@@ -103,6 +103,16 @@ class TestSechMoment:
         assert sech_moment(4) == pytest.approx(4.0 / 3.0, rel=1e-11)
         assert sech_moment(6) == pytest.approx(16.0 / 15.0, rel=1e-11)
 
+    @pytest.mark.parametrize("m", [1, 1.5, 2, 2.5, 3, 4, 6, 7.3, 20, 60])
+    def test_equals_the_beta_function(self, m):
+        assert sech_moment(m) == pytest.approx(special.beta(m / 2.0, 0.5), rel=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 7.3, 60, 338, 339.9, 340, 341, 1000, 1e6])
+    def test_recurrence_holds_across_the_series_switch(self, m):
+        # int sech^(m+2) = m / (m + 1) int sech^m, by parts; m = 340 is where
+        # the gamma ratio hands over to its asymptotic series
+        assert sech_moment(m + 2) == pytest.approx(sech_moment(m) * m / (m + 1), rel=1e-14)
+
     def test_rejects_order_below_one(self):
         with pytest.raises(ValueError):
             sech_moment(0.5)
@@ -149,3 +159,23 @@ class TestRhsIntegral:
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
             rhs_integral(BandSet([0.5]), lambda y: y, 0.0)
+
+    @pytest.mark.parametrize("g", [math.exp, lambda y: y * y * math.cos(5.0 * y)])
+    def test_matches_quadpack_in_y(self, g):
+        # independent oracle: the y-space integral of g against mu, band by
+        # band, with QUADPACK's algebraic weight (a - y)^(-1/2) at the edge
+        bands, eta = BandSet([0.9, 0.35]), 0.05
+        expected = 0.0
+        for a in bands:
+            val, _ = integrate.quad(
+                lambda y, a=a: a * (g(y) + g(-y)) / (y * math.sqrt(a + y)),
+                eta, a, weight="alg", wvar=(0.0, -0.5), epsabs=1e-13, epsrel=1e-13,
+            )
+            expected += val / math.pi**2
+        assert rhs_integral(bands, g, eta) == pytest.approx(expected, rel=1e-10)
+
+    def test_jump_inside_the_bands_raises(self):
+        # the composite rule cannot settle across a jump of g above eta; the
+        # mass of a window (b1, b2) is rhs(1_{|y|>=b1}, b1) - rhs(1_{|y|>=b2}, b2)
+        with pytest.raises(ValueError, match="did not settle"):
+            rhs_integral(BandSet([0.8]), lambda y: 1.0 if abs(y) < 0.5 else 0.0, 0.2)

@@ -79,6 +79,28 @@ class TestResolventBoundaryValue:
             )
             assert model.t_plus(lam).real == pytest.approx(pv, abs=1e-8)
 
+    @pytest.mark.parametrize("bump", ["gaussian", "sech"])
+    def test_real_part_matches_quadpack_across_the_interval(self, bump):
+        # the panel rule against QUADPACK's Cauchy-weight rule at tight
+        # tolerance, up to 0.4 from either end of (-8, 8)
+        m = RankOneModel(n=400, bump=bump)
+        for lam in (-7.6, -3.2, -1.1, 0.7, 2.5, 5.0, 7.6):
+            pv, _ = integrate.quad(
+                lambda x: float(m.v(x)) ** 2, -m.L, m.L,
+                weight="cauchy", wvar=lam, limit=400, epsabs=1e-12, epsrel=1e-12,
+            )
+            assert m.t_plus(lam).real == pytest.approx(pv, rel=1e-10)
+
+    def test_narrow_bump_raises_instead_of_a_wrong_value(self):
+        # width 0.1: the n = 1000 nodes and the v^2 reference resolve it, the
+        # unit panels of t_plus do not, and their halving check says so
+        narrow = RankOneModel(n=1000, bump=lambda x: np.exp(-(np.asarray(x) / 0.1) ** 2))
+        with pytest.raises(ValueError, match="did not settle"):
+            narrow.t_plus(0.5)
+        # width 0.03 is too narrow for the v^2 reference itself
+        with pytest.raises(ValueError, match="did not settle"):
+            RankOneModel(n=4000, bump=lambda x: np.exp(-(np.asarray(x) / 0.03) ** 2))
+
     def test_energy_domain(self, model):
         for lam in (8.0, -8.0, 7.9999999):
             with pytest.raises(ValueError):

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
-from specdiff.hankel import gauss_legendre_grid
+from specdiff import hankel, quadrature
 from specdiff.models import RankOneModel
-from specdiff.quadrature import ASYMPTOTIC_MIN_N, gauss_legendre, gauss_legendre_reference
+from specdiff.quadrature import (
+    ASYMPTOTIC_MIN_N,
+    gauss_legendre,
+    gauss_legendre_grid,
+    gauss_legendre_reference,
+    panel_integral,
+    panel_rule,
+)
 
 ASYMPTOTIC_SIZES = [101, 200, 800, 1500, 4000]
 extended = pytest.mark.skipif(
@@ -67,3 +75,38 @@ def test_the_model_and_the_kernel_grids_read_the_rule():
     assert np.array_equal(model.nodes, 8.0 * x) and np.array_equal(model.weights, 8.0 * w)
     grid = gauss_legendre_grid(-1.0, 1.0, 150)
     assert np.array_equal(grid.nodes, gauss_legendre(150)[0])
+
+
+def test_bessel_tables_are_scipys_values_bit_for_bit():
+    assert np.array_equal(quadrature._J0_ZEROS, special.jn_zeros(0, 20))
+    # the 21st J1 value is taken at McMahon's j_21, as the rule uses it
+    zeros = quadrature._bessel_data(60)[0]
+    assert np.array_equal(zeros[:20], quadrature._J0_ZEROS)
+    assert np.array_equal(quadrature._J1_SQUARED_AT_ZEROS, special.j1(zeros[:21]) ** 2)
+
+
+def test_hankel_reads_the_grids_from_here():
+    for name in ("QuadratureGrid", "gauss_legendre_grid", "geometric_panel_grid", "panel_rule"):
+        assert getattr(hankel, name) is getattr(quadrature, name)
+
+
+class TestPanelRules:
+    def test_panel_rule_is_exact_for_piecewise_polynomials(self):
+        edges = np.array([-1.0, -0.25, 0.5, 2.0])
+        x, w = panel_rule(edges, gauss_legendre(3))
+        assert x.shape == w.shape == (9,) and np.all(np.diff(x) > 0.0)
+        assert float(w @ x**5) == pytest.approx((2.0**6 - 1.0) / 6.0, rel=1e-14)
+        assert float(w @ np.abs(x - 0.5) ** 3) == pytest.approx((1.5**4 + 1.5**4) / 4.0, rel=1e-14)
+
+    def test_panel_integral_settles_on_a_smooth_integrand(self):
+        value = panel_integral(np.exp, np.linspace(0.0, 3.0, 4), gauss_legendre(8), 1e-13, 1)
+        assert value == pytest.approx(np.expm1(3.0), rel=1e-14)
+
+    def test_panel_integral_raises_when_the_panels_are_too_wide(self):
+        with pytest.raises(ValueError, match="did not settle"):
+            panel_integral(lambda x: np.sin(200.0 * x), np.linspace(0.0, 3.0, 4),
+                           gauss_legendre(8), 1e-10, 3)
+        # a jump never settles to a tight tolerance, however often it is halved
+        with pytest.raises(ValueError, match="did not settle"):
+            panel_integral(lambda x: (x > 1.0 / 3.0).astype(float), np.array([0.0, 1.0]),
+                           gauss_legendre(8), 1e-10, 6)
