@@ -78,7 +78,6 @@ import statistics
 import sys
 import time
 import tracemalloc
-import warnings
 from functools import partial
 from pathlib import Path
 
@@ -232,29 +231,26 @@ def spectrum_case(model, eps: float, repeats: int, dense_repeats: int) -> dict:
     import numpy as np
 
     from specdiff.experiments import count_window
-    from specdiff.models import ResolutionGuardWarning
     from specdiff.profiles import builtin_profile
 
     psi = builtin_profile("ARCTAN_HALF")
     w_h, q_h = model.h.eig()  # the dense oracle's H, solved once per model
     times = {"traces_s": [], "block_pass_s": [], "dense_s": []}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResolutionGuardWarning)
-        for run in range(repeats):
-            d = model.build_d_eps(psi, eps, 0.0)
-            t0 = time.perf_counter()
-            traces = [d.trace_power(k) for k in (1, 2, 3)]
-            t1 = time.perf_counter()
-            theta = d.window_eigenvalues(0.4)
-            t2 = time.perf_counter()
-            times["traces_s"].append(t1 - t0)
-            times["block_pass_s"].append(t2 - t1)
-            if run < dense_repeats:
-                dense = (q_h * psi(w_h / eps)) @ q_h.T
-                dense[np.diag_indices(model.n)] -= psi(model.nodes / eps)
-                y = np.linalg.eigvalsh(dense)
-                times["dense_s"].append(time.perf_counter() - t2)
-                del dense
+    for run in range(repeats):
+        d = model.build_d_eps(psi, eps, 0.0)
+        t0 = time.perf_counter()
+        traces = [d.trace_power(k) for k in (1, 2, 3)]
+        t1 = time.perf_counter()
+        theta = d.window_eigenvalues(0.4)
+        t2 = time.perf_counter()
+        times["traces_s"].append(t1 - t0)
+        times["block_pass_s"].append(t2 - t1)
+        if run < dense_repeats:
+            dense = (q_h * psi(w_h / eps)) @ q_h.T
+            dense[np.diag_indices(model.n)] -= psi(model.nodes / eps)
+            y = np.linalg.eigvalsh(dense)
+            times["dense_s"].append(time.perf_counter() - t2)
+            del dense
 
     med = {key: statistics.median(values) for key, values in times.items()}
     top, bottom = int(np.count_nonzero(y > 1e-6)), int(np.count_nonzero(y < -1e-6))

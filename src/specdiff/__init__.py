@@ -57,7 +57,6 @@ from .matrices import (
 from .models import (
     ExceptionalPointError,
     RankOneModel,
-    ResolutionGuardWarning,
     ScatteringPoint,
     negative_control,
 )

@@ -17,15 +17,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .density import BandSet, band_count_slope, delta_m
+from .hankel import sequence_limit
 from .matrices import SelfAdjointMatrix, SpectralDifference
-from .models import RESOLUTION_KAPPA, RankOneModel, ResolutionGuardWarning, negative_control
+from .models import RankOneModel, negative_control
 from .profiles import CutoffProfile, builtin_profile
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "FitResult",
     "ModelSpec",
     "NegativeControlResult",
+    "RESOLUTION_KAPPA",
     "ResolutionGuardError",
     "SweepConfig",
     "SweepRecord",
@@ -213,6 +214,12 @@ class ModelSpec:
 
     def build(self) -> RankOneModel:
         return RankOneModel(L=self.L, n=self.n, bump=self.bump, c=self.c)
+
+
+# Guard multiplier: a sweep point eps is trusted only when eps exceeds
+# RESOLUTION_KAPPA times the local H0 level spacing at lam.  Below that the
+# discretization resolves individual levels instead of the continuum.
+RESOLUTION_KAPPA = 0.4
 
 
 @dataclass(frozen=True)
@@ -457,8 +464,11 @@ def _trace_key(m: int) -> str:
 def run_sweep(config: SweepConfig, profile: str | CutoffProfile | None = None) -> SweepResult:
     """Run one sweep for one profile (default: the first configured one).
 
-    Guard-flagged eps points are recorded but excluded from the fits; if
-    fewer than 3 points survive the guard, the sweep refuses to fit.
+    The resolution guard is applied here and only here: an eps below
+    ``config.kappa`` times the local level spacing at lam is recorded with
+    its guard flag but left out of the fits.  The flags depend only on the
+    eps grid and the floor, so a grid with fewer than 3 clean points is
+    refused with ``ResolutionGuardError`` before H is solved.
     """
     if profile is None:
         profile = config.profiles[0]
@@ -468,10 +478,11 @@ def run_sweep(config: SweepConfig, profile: str | CutoffProfile | None = None) -
     floor = model.guard_floor(config.lam, config.kappa)
     eps_grid = config.epsilon_grid()
     flags = eps_grid < floor
-    if np.all(flags):
+    clean_count = int(np.count_nonzero(~flags))
+    if clean_count < 3:
         raise ResolutionGuardError(
-            f"every eps in [{eps_grid[-1]:.3e}, {eps_grid[0]:.3e}] is below the "
-            f"resolution guard {floor:.3e}; increase model n or raise eps"
+            f"only {clean_count} of the eps in [{eps_grid[-1]:.3e}, {eps_grid[0]:.3e}] "
+            f"clear the resolution guard {floor:.3e}; increase model n or raise eps"
         )
 
     point = model.scattering_point(config.lam)
@@ -485,30 +496,22 @@ def run_sweep(config: SweepConfig, profile: str | CutoffProfile | None = None) -
     model.start_block()
 
     records = []
-    with warnings.catch_warnings():
-        # flags are recorded per record; the per-build warning is redundant here
-        warnings.simplefilter("ignore", ResolutionGuardWarning)
-        for eps, flag in zip(eps_grid, flags):
-            eps = float(eps)
-            d = model.build_d_eps(prof, eps, config.lam, kappa=config.kappa)
-            traces = {m: d.trace_power(m) for m in config.trace_powers}
-            w = d.window_eigenvalues(b) if windows else np.empty(0)
-            records.append(SweepRecord(
-                epsilon=eps,
-                log_inv_eps=float(np.log(1.0 / eps)),
-                counts={key: count_window(w, win) for key, win in windows},
-                traces=traces,
-                guard_flag=bool(flag),
-                unfolded={key: unfolded_count(w, win, bands) for key, win in windows},
-            ))
+    for eps, flag in zip(eps_grid, flags):
+        eps = float(eps)
+        d = model.build_d_eps(prof, eps, config.lam)
+        traces = {m: d.trace_power(m) for m in config.trace_powers}
+        w = d.window_eigenvalues(b) if windows else np.empty(0)
+        records.append(SweepRecord(
+            epsilon=eps,
+            log_inv_eps=float(np.log(1.0 / eps)),
+            counts={key: count_window(w, win) for key, win in windows},
+            traces=traces,
+            guard_flag=bool(flag),
+            unfolded={key: unfolded_count(w, win, bands) for key, win in windows},
+        ))
     records = tuple(records)
 
     clean = [r for r in records if not r.guard_flag]
-    if len(clean) < 3:
-        raise ResolutionGuardError(
-            f"only {len(clean)} eps points survive the resolution guard "
-            f"{floor:.3e}; increase model n or raise eps"
-        )
     x = np.array([r.log_inv_eps for r in clean])
 
     fitted, intercepts, predicted, deviations, residuals = {}, {}, {}, {}, {}
@@ -634,32 +637,24 @@ class TraceFormulaResult:
 def trace_formula_study(config: SweepConfig) -> TraceFormulaResult:
     """Extrapolate Tr D_eps to eps -> 0 and compare with -xi(lam).
 
-    The trace is a bounded quantity with no |log eps| growth; a Richardson
-    style acceleration (Aitken delta-squared on the last three clean points)
-    sharpens the plain smallest-eps estimate when the sequence is regular,
-    and falls back to the last value when it is not.
+    The trace is a bounded quantity with no |log eps| growth.  Its limit is
+    the ``hankel.sequence_limit`` of the clean traces: Aitken's delta-squared
+    on the last three when their differences shrink with one sign, else the
+    smallest-eps trace.
     """
     if 1 not in config.trace_powers:
         config = replace(config, trace_powers=(1,) + tuple(config.trace_powers))
     res = run_sweep(config)
     clean = res.clean_records()
     traces = [r.traces[1] for r in clean]
-    limit = traces[-1]
-    if len(traces) >= 3:
-        t0, t1, t2 = traces[-3], traces[-2], traces[-1]
-        denom = (t2 - t1) - (t1 - t0)
-        if abs(denom) > 1e-14:
-            accel = t2 - (t2 - t1) ** 2 / denom
-            spread = max(traces) - min(traces)
-            if np.isfinite(accel) and abs(accel - t2) <= max(spread, abs(t2 - t1) * 10):
-                limit = float(accel)
+    limit = sequence_limit(traces)
     predicted = -res.xi
     return TraceFormulaResult(
         eps=tuple(r.epsilon for r in clean),
         traces=tuple(traces),
-        limit=float(limit),
+        limit=limit,
         predicted=predicted,
-        deviation=abs(float(limit) - predicted),
+        deviation=abs(limit - predicted),
         result=res,
     )
 

@@ -62,6 +62,7 @@ __all__ = [
     "laplace_section",
     "limit_slope",
     "section_grid",
+    "sequence_limit",
 ]
 
 SMALL_T = 1e-12
@@ -275,14 +276,30 @@ def _check_symbol(omega) -> None:
         )
 
 
+def sequence_limit(values) -> float:
+    """Limit of a converging sequence, from its last three terms.
+
+    When the last two differences shrink with one sign (0 < d2/d1 < 1),
+    Aitken's delta-squared extrapolates them, which is exact for a geometric
+    tail; otherwise the last term is returned.  ``values`` must be a
+    non-empty 1-d sequence.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size < 1:
+        raise ValueError("values must be a non-empty 1-d sequence")
+    if values.size >= 3:
+        d1, d2 = values[-2] - values[-3], values[-1] - values[-2]
+        if d1 != 0 and 0 < d2 / d1 < 1:
+            return float(values[-1] - d2 * d2 / (d2 - d1))
+    return float(values[-1])
+
+
 def limit_slope(x, y) -> float:
     """Slope of y against x in the limit x -> inf, from the deepest local slopes.
 
     The local (two-point) slopes between consecutive points carry the
-    finite-x transient.  When their last two differences shrink with one sign
-    (0 < d2/d1 < 1), Aitken's delta-squared on the last three extrapolates
-    them, which is exact for a geometric tail; otherwise the deepest local
-    slope is returned.  ``x`` must be increasing with at least 2 points.
+    finite-x transient; their ``sequence_limit`` is returned.  ``x`` must be
+    increasing with at least 2 points.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -290,12 +307,7 @@ def limit_slope(x, y) -> float:
         raise ValueError("x and y must be 1-d arrays of equal length >= 2")
     if np.any(np.diff(x) <= 0):
         raise ValueError("x must be strictly increasing")
-    local = np.diff(y) / np.diff(x)
-    if local.size >= 3:
-        d1, d2 = local[-2] - local[-3], local[-1] - local[-2]
-        if d1 != 0 and 0 < d2 / d1 < 1:
-            return float(local[-1] - d2 * d2 / (d2 - d1))
-    return float(local[-1])
+    return sequence_limit(np.diff(y) / np.diff(x))
 
 
 @dataclass(frozen=True)

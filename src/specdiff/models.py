@@ -25,12 +25,10 @@ Q psi_eps(W - lam) Q^T - psi_eps(X - lam) on that block is kept as a
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import BandSet
 from .matrices import DiagonalPlusRankOne, SelfAdjointMatrix, SpectralDifference
 from .profiles import CutoffProfile, ProfileKind
 from .quadrature import gauss_legendre, panel_integral, uniform_panels
@@ -38,17 +36,10 @@ from .quadrature import gauss_legendre, panel_integral, uniform_panels
 __all__ = [
     "BUMPS",
     "ExceptionalPointError",
-    "RESOLUTION_KAPPA",
     "RankOneModel",
-    "ResolutionGuardWarning",
     "ScatteringPoint",
     "negative_control",
 ]
-
-# Guard multiplier: a sweep point eps is trusted only when eps exceeds
-# RESOLUTION_KAPPA times the local H0 level spacing at lam.  Below that the
-# discretization resolves individual levels instead of the continuum.
-RESOLUTION_KAPPA = 0.4
 
 ENDPOINT_MARGIN = 1e-6
 EXCEPTIONAL_TOL = 1e-10
@@ -65,10 +56,6 @@ BUMPS = {
 
 class ExceptionalPointError(ValueError):
     """1 + c T(lam + i0) vanished: lam is in the exceptional set."""
-
-
-class ResolutionGuardWarning(UserWarning):
-    """eps fell below the trusted resolution of the discretized continuum."""
 
 
 @dataclass(frozen=True)
@@ -240,10 +227,6 @@ class RankOneModel:
         xi = float(np.angle(den)) / np.pi
         return ScatteringPoint(lam=lam, t_plus=t, s=complex(s), a1=float(a1), xi=xi)
 
-    def band_set(self, lam: float) -> BandSet:
-        """Band edges of the limiting density at energy lam (one band here)."""
-        return BandSet([self.scattering_point(lam).a1])
-
     def local_level_spacing(self, lam: float) -> float:
         """Gap between the H0 levels straddling lam."""
         lam = self._check_energy(lam)
@@ -251,17 +234,11 @@ class RankOneModel:
         i = min(max(i, 1), self.n - 1)
         return float(self.nodes[i] - self.nodes[i - 1])
 
-    def guard_floor(self, lam: float, kappa: float = RESOLUTION_KAPPA) -> float:
+    def guard_floor(self, lam: float, kappa: float) -> float:
         """Smallest eps the discretization can be trusted at, kappa * spacing."""
         return float(kappa) * self.local_level_spacing(lam)
 
-    def build_d_eps(
-        self,
-        profile: CutoffProfile,
-        eps: float,
-        lam: float,
-        kappa: float = RESOLUTION_KAPPA,
-    ) -> SpectralDifference:
+    def build_d_eps(self, profile: CutoffProfile, eps: float, lam: float) -> SpectralDifference:
         """The smoothed projection difference psi_eps(H - lam) - psi_eps(H0 - lam).
 
         H0 is diagonal here, so only H goes through an eigendecomposition
@@ -271,21 +248,13 @@ class RankOneModel:
         Q^T - diag(g), f = psi((w - lam)/eps) on the block's eigenvalues and
         g = psi((x - lam)/eps) on the kept nodes.  It has the nonzero
         spectrum and the traces of the n x n D_eps, costs O(m) per eps, and
-        builds its dense (m x m) matrix only when asked for.  If eps is below
-        the resolution guard a warning is attached and the build proceeds;
-        sweep drivers decide what to do with flagged points.
+        builds its dense (m x m) matrix only when asked for.  Any eps in
+        (0, 1) is built; whether the grid resolves it (``guard_floor``) is
+        the sweep's decision, not the build's.
         """
         lam = self._check_energy(lam)
         if not (0 < eps < 1):
             raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-        floor = self.guard_floor(lam, kappa)
-        if eps < floor:
-            warnings.warn(
-                f"eps = {eps:.3e} is below the resolution guard {floor:.3e} "
-                f"(kappa = {kappa}, local spacing {floor / kappa:.3e})",
-                ResolutionGuardWarning,
-                stacklevel=2,
-            )
         w, q = self.eig()
         return SpectralDifference(
             q, profile((w - lam) / eps), profile((self.nodes[self.kept] - lam) / eps),

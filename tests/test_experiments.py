@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -25,13 +24,14 @@ from specdiff.experiments import (
     universality_study,
 )
 from specdiff.density import BandSet, band_count_slope
+from specdiff.hankel import sequence_limit
 from specdiff.matrices import (
     BLOCK_START,
     DiagonalPlusRankOne,
     SelfAdjointMatrix,
     SpectralDifference,
 )
-from specdiff.models import RankOneModel, ResolutionGuardWarning
+from specdiff.models import RankOneModel
 from specdiff.profiles import builtin_profile
 
 # small-n config: guard floor is 0.4 * pi * 8 / 400 ~ 0.025, so eps down to
@@ -272,13 +272,21 @@ class TestRunSweep:
             (r.epsilon for r in a.records), reverse=True
         )
 
-    def test_all_flagged_is_a_hard_error(self):
-        with pytest.raises(ResolutionGuardError):
-            run_sweep(small_config(eps_start=0.02, eps_stop=0.005))
+    @pytest.mark.parametrize(
+        "eps_start, eps_stop",
+        [(0.02, 0.005), (0.04, 0.01)],
+        ids=["all_flagged", "two_clean"],
+    )
+    def test_guard_blocked_sweep_is_refused_before_h_is_solved(
+        self, monkeypatch, eps_start, eps_stop
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a guard-blocked sweep reached the model")
 
-    def test_too_few_clean_points_is_a_hard_error(self):
-        with pytest.raises(ResolutionGuardError):
-            run_sweep(small_config(eps_start=0.04, eps_stop=0.01))
+        monkeypatch.setattr(RankOneModel, "eig", unreachable)
+        monkeypatch.setattr(RankOneModel, "scattering_point", unreachable)
+        with pytest.raises(ResolutionGuardError, match="resolution guard"):
+            run_sweep(small_config(eps_start=eps_start, eps_stop=eps_stop))
 
     def test_flagged_points_are_kept_but_not_fitted(self):
         res = run_sweep(small_config(eps_start=0.3, eps_stop=0.02))
@@ -296,10 +304,8 @@ class TestStructuredSweep:
     def dense_spectra(config, name):
         model = config.model.build()
         prof = builtin_profile(name)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResolutionGuardWarning)
-            return [model.build_d_eps(prof, float(eps), config.lam, kappa=config.kappa)
-                    .eigenvalues() for eps in config.epsilon_grid()]
+        return [model.build_d_eps(prof, float(eps), config.lam).eigenvalues()
+                for eps in config.epsilon_grid()]
 
     @pytest.mark.parametrize("lam", [0.0, 0.2])
     @pytest.mark.parametrize("name", ["ARCTAN_HALF", "TANH_HALF", "MOLLIFIED_STEP"])
@@ -496,7 +502,7 @@ class TestStudies:
     def test_trace_formula_bounded_and_adds_power_one(self):
         res = trace_formula_study(small_config(trace_powers=(2,)))
         assert all(abs(t) <= 1.0 for t in res.traces)
-        assert math.isfinite(res.limit)
+        assert res.limit == sequence_limit(res.traces)
         assert res.predicted == pytest.approx(-res.result.xi)
 
     def test_negative_control_exponent_recovery(self):

@@ -21,6 +21,7 @@ from specdiff.hankel import (
     laplace_section,
     limit_slope,
     section_grid,
+    sequence_limit,
 )
 from specdiff import hankel
 from specdiff.profiles import zeta, zeta_eps
@@ -230,6 +231,16 @@ class TestLimitSlope:
     def test_shallow_window_can_still_miss(self):
         res = k_eps_trace_slopes([6], np.geomspace(1e-1, 1e-4, 7))
         assert abs(res.extrapolated[6] - res.predicted[6]) > 0.02 * res.predicted[6]
+
+    def test_sequence_limit_is_the_rule_on_any_sequence(self):
+        tail = 0.7 - 2.5 * 0.4 ** np.arange(6.0)
+        assert sequence_limit(tail) == pytest.approx(0.7, rel=1e-12)
+        growing = [0.0, 1.0, 3.0, 7.0]  # d2/d1 = 2: the last term
+        assert sequence_limit(growing) == 7.0
+        assert sequence_limit([0.0, 1.0, 0.5]) == 0.5  # d2/d1 < 0
+        assert sequence_limit([4.0, 3.0]) == 3.0  # fewer than three terms
+        with pytest.raises(ValueError):
+            sequence_limit([])
 
     def test_validation(self):
         with pytest.raises(ValueError):

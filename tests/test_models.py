@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from specdiff.models import (
     BUMPS,
     ExceptionalPointError,
     RankOneModel,
-    ResolutionGuardWarning,
     negative_control,
 )
 from specdiff.profiles import CutoffProfile, ProfileKind, builtin_profile
@@ -126,10 +124,6 @@ class TestScatteringPoint:
                 assert abs(abs(p.s) - 1.0) < 1e-8
                 assert 0.0 <= p.a1 <= 1.0
 
-    def test_band_set_has_single_edge(self, model):
-        bands = model.band_set(0.0)
-        assert len(bands) == 1
-
     def test_exceptional_point_raises_before_blowup(self):
         # at lam = 4 the coupling weight pi v^2 ~ 1e-13 is already below the
         # guard, so tuning c to cancel Re(1 + cT) lands inside the tolerance
@@ -151,19 +145,6 @@ class TestProjectionDifference:
         assert model.guard_floor(0.0, kappa=2.0) == pytest.approx(
             2.0 * model.local_level_spacing(0.0)
         )
-
-    def test_warns_below_guard(self, model):
-        psi = builtin_profile("ARCTAN_HALF")
-        with pytest.warns(ResolutionGuardWarning):
-            model.build_d_eps(psi, 1e-4, 0.0)
-
-    def test_no_warning_above_guard(self, model):
-        psi = builtin_profile("ARCTAN_HALF")
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResolutionGuardWarning)
-            model.build_d_eps(psi, 0.2, 0.0)
 
     def test_zero_coupling_gives_zero_difference(self):
         m = RankOneModel(n=400, c=0.0)
@@ -203,10 +184,8 @@ class TestStructuredDifference:
     @pytest.mark.parametrize("eps", [0.1, 0.03, 0.02])  # 0.02 is below the n = 400 guard
     def test_matches_dense(self, model, name, lam, eps):
         psi = builtin_profile(name)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResolutionGuardWarning)
-            d = model.build_d_eps(psi, eps, lam)
-            w = model.build_d_eps(psi, eps, lam).eigenvalues()
+        d = model.build_d_eps(psi, eps, lam)
+        w = model.build_d_eps(psi, eps, lam).eigenvalues()
         bands = BandSet([model.scattering_point(lam).a1])
         assert_traces_close(d, w)
         for window in WINDOWS + ((0.01, 1.0),):
@@ -223,10 +202,8 @@ class TestStructuredDifference:
     def test_low_threshold_matches_dense(self, model, eps):
         psi = builtin_profile("ARCTAN_HALF")
         window = (0.01, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResolutionGuardWarning)
-            d = model.build_d_eps(psi, eps, 0.0)
-            w = model.build_d_eps(psi, eps, 0.0).eigenvalues()
+        d = model.build_d_eps(psi, eps, 0.0)
+        w = model.build_d_eps(psi, eps, 0.0).eigenvalues()
         theta = d.window_eigenvalues(0.01)
         assert np.all(np.diff(theta) >= 0.0)
         beyond = w[np.abs(w) > 0.01]
@@ -347,9 +324,7 @@ class TestKeptBlock:
         model = RankOneModel(**spec)
         assert size_ok(model.kept.size, model.n)
         psi = builtin_profile("TANH_HALF")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResolutionGuardWarning)
-            d = model.build_d_eps(psi, eps, lam)
+        d = model.build_d_eps(psi, eps, lam)
         y = dense_spectrum(model, psi, eps, lam)
         assert d.dim == model.kept.size
         for m in (1, 2, 3, 4):
