@@ -40,9 +40,9 @@ D_eps layers):
   ``kernel_from_symbol`` round trip on ``ROUNDTRIP_T`` for each eps in
   ``ROUNDTRIP_EPS``;
 - the import of the package, the set-up cost of every ``specdiff`` command:
-  the wall time of a fresh ``python -c "import specdiff"`` beside a fresh
-  ``python -c "import numpy"``, medians over ``IMPORT_PROCESSES`` processes
-  of each, run alternately.
+  the wall time of a fresh ``python -c "import specdiff.cli"`` (what the
+  console script loads) beside a fresh ``python -c "import numpy"``, medians
+  over ``IMPORT_PROCESSES`` processes of each, run alternately.
 
 Every case carries cross-checks taken in the same run.  For the nodes: the
 largest absolute node and relative weight differences of both rules and of
@@ -62,7 +62,7 @@ minus the sum of theta^2.  For K_eps: the grid sizes of both routes, the
 largest relative difference between their traces over ``HANKEL_POWERS``,
 the largest relative error of the m = 1, 2 traces against their closed
 forms, and the round trip's sup error against ``k_eps_kernel``.  For the
-import: the number of SciPy modules a fresh ``import specdiff`` loads, which
+import: the number of SciPy modules a fresh ``import specdiff.cli`` loads, which
 is 0 (the package runs on NumPy alone; SciPy is a test oracle).  The machine
 block records the core count, the BLAS NumPy was built with and the BLAS
 thread setting.
@@ -345,7 +345,7 @@ def roundtrip_case(repeats: int) -> dict:
 
 
 def import_case(processes: int) -> dict:
-    """Wall times (medians over ``processes`` fresh interpreters) of importing specdiff and NumPy."""
+    """Medians over ``processes`` fresh interpreters of the import of specdiff.cli and of NumPy."""
     import subprocess
 
     env = dict(os.environ)
@@ -360,8 +360,8 @@ def import_case(processes: int) -> dict:
     times = {"numpy_s": [], "specdiff_s": []}
     for _ in range(processes):
         times["numpy_s"].append(python("import numpy")[0])
-        times["specdiff_s"].append(python("import specdiff")[0])
-    loaded = python("import sys, specdiff; "
+        times["specdiff_s"].append(python("import specdiff.cli")[0])
+    loaded = python("import sys, specdiff.cli; "
                     "print(sum(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")[1]
     return {
         "processes": processes,

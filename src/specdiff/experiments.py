@@ -24,7 +24,6 @@ import numpy as np
 
 from .density import BandSet, band_count_slope, delta_m
 from .hankel import sequence_limit
-from .matrices import SelfAdjointMatrix, SpectralDifference
 from .models import RankOneModel, negative_control
 from .profiles import CutoffProfile, builtin_profile
 
@@ -109,20 +108,16 @@ def _window_key(window: tuple[float, float]) -> str:
     return f"({lo:g},{hi:g})"
 
 
-def count_window(target, window) -> int:
-    """Number of eigenvalues strictly inside the open window (lo, hi).
+def count_window(eigenvalues, window) -> int:
+    """Number of the given eigenvalues strictly inside the open window (lo, hi).
 
     Boundary eigenvalues count as outside.  The window closure must exclude
-    0, where the limiting density is not integrable.  A ``SpectralDifference``
-    is counted from its eigenvalues beyond the window's distance to 0.
+    0, where the limiting density is not integrable.  ``eigenvalues`` need
+    only hold those beyond the window's distance to 0, as
+    ``SpectralDifference.window_eigenvalues`` returns them.
     """
     lo, hi = _validate_window(window)
-    if isinstance(target, SpectralDifference):
-        eigs = target.window_eigenvalues(_window_gap((lo, hi)))
-    elif isinstance(target, SelfAdjointMatrix):
-        eigs = target.eigenvalues()
-    else:
-        eigs = np.asarray(target, dtype=float)
+    eigs = np.asarray(eigenvalues, dtype=float)
     return int(np.count_nonzero((eigs > lo) & (eigs < hi)))
 
 
@@ -302,9 +297,9 @@ class SweepConfig:
         def bound(v, default):
             return default if v is None else _real(v, "window bound")
 
-        profiles = _list(data.get("profiles", ["ARCTAN_HALF"]), "profiles")
+        profiles = _list(data.get("profiles", cls.profiles), "profiles")
         windows = []
-        for w in _list(data.get("windows", [(0.4, 1.0)]), "windows"):
+        for w in _list(data.get("windows", cls.windows), "windows"):
             if not isinstance(w, (list, tuple)) or len(w) != 2:
                 raise ConfigError(f"window must be a pair, got {w!r}")
             windows.append((bound(w[0], -math.inf), bound(w[1], math.inf)))
@@ -312,16 +307,16 @@ class SweepConfig:
         # that __post_init__ rejects a float or bool integer and a non-string path
         return cls(
             model=model,
-            lam=_real(data.get("lambda", 0.0), "lambda"),
+            lam=_real(data.get("lambda", cls.lam), "lambda"),
             profiles=tuple(str(p) for p in profiles),
-            eps_start=_real(epsilon.get("start", 1e-1), "epsilon start"),
-            eps_stop=_real(epsilon.get("stop", 3e-3), "epsilon stop"),
-            eps_count=epsilon.get("count", 8),
+            eps_start=_real(epsilon.get("start", cls.eps_start), "epsilon start"),
+            eps_stop=_real(epsilon.get("stop", cls.eps_stop), "epsilon stop"),
+            eps_count=epsilon.get("count", cls.eps_count),
             windows=tuple(windows),
-            trace_powers=tuple(_list(data.get("trace_powers", (1, 2, 3)), "trace_powers")),
-            kappa=_real(data.get("kappa", RESOLUTION_KAPPA), "kappa"),
-            tolerance=_real(data.get("tolerance", 0.15), "tolerance"),
-            output=data.get("output"),
+            trace_powers=tuple(_list(data.get("trace_powers", cls.trace_powers), "trace_powers")),
+            kappa=_real(data.get("kappa", cls.kappa), "kappa"),
+            tolerance=_real(data.get("tolerance", cls.tolerance), "tolerance"),
+            output=data.get("output", cls.output),
         )
 
     @classmethod
@@ -355,7 +350,7 @@ class SweepConfig:
 
 def default_config(**overrides) -> SweepConfig:
     """The reference sweep: default model at lam = 0, one positive window."""
-    return replace(SweepConfig(), **overrides) if overrides else SweepConfig()
+    return SweepConfig(**overrides)
 
 
 @dataclass(frozen=True)
@@ -461,18 +456,21 @@ def _trace_key(m: int) -> str:
     return f"trace m={m}"
 
 
-def run_sweep(config: SweepConfig, profile: str | CutoffProfile | None = None) -> SweepResult:
-    """Run one sweep for one profile (default: the first configured one).
+def run_sweep(config: SweepConfig, profile: str | None = None) -> SweepResult:
+    """Run one sweep for the named built-in profile (default: the first configured one).
 
     The resolution guard is applied here and only here: an eps below
     ``config.kappa`` times the local level spacing at lam is recorded with
     its guard flag but left out of the fits.  The flags depend only on the
     eps grid and the floor, so a grid with fewer than 3 clean points is
     refused with ``ResolutionGuardError`` before H is solved.
+
+    A sweep reads five things from the model that ``config.model`` builds:
+    ``guard_floor`` and ``scattering_point`` at lam, ``overlaps`` and
+    ``start_block`` (solved once and shared by every eps), and
+    ``build_d_eps``, which reads ``eig`` and the kept nodes.
     """
-    if profile is None:
-        profile = config.profiles[0]
-    prof = builtin_profile(profile) if isinstance(profile, str) else profile
+    prof = builtin_profile(config.profiles[0] if profile is None else profile)
 
     model = config.model.build()
     floor = model.guard_floor(config.lam, config.kappa)

@@ -334,18 +334,20 @@ def _carleman(s):
     return 1.0 / (np.pi * s)
 
 
-def k_eps_trace_slopes(m_list, eps_values, *, grid_factory=section_grid) -> TraceSlopeResult:
+def k_eps_trace_slopes(m_list, eps_values) -> TraceSlopeResult:
     """Fit Tr K_eps^m ~ slope * |log eps| across eps_values.
 
     The traces are those of the Carleman section 1/(pi (x + y)) on (eps, 1),
     which has the nonzero spectrum of K_eps (see ``laplace_section``),
-    discretized on ``grid_factory(eps)``, an x-grid on (eps, 1).  Each power
-    gets two slope estimates: the least-squares ``fitted`` and the limit
-    estimate ``extrapolated`` (see ``limit_slope``).
+    discretized on ``section_grid(eps)``.  Each power gets two slope
+    estimates: the least-squares ``fitted`` and the limit estimate
+    ``extrapolated`` (see ``limit_slope``).
 
-    The m = 1 trace is compared with its closed form at every eps; a relative
-    deviation beyond 1e-4 marks the grid as under-resolved (``resolution_ok``
-    goes False) without aborting the run.
+    The m = 2 trace is compared with its closed form at every eps; a relative
+    deviation beyond ``ORACLE_RTOL`` marks the grid as under-resolved
+    (``resolution_ok`` goes False) without aborting the run.  The m = 1 trace
+    cannot serve: its integrand is constant in sigma = -log x, so any rule
+    uniform in sigma gets it exact to rounding however coarse it is.
     """
     eps_values = np.asarray(sorted(set(float(e) for e in np.atleast_1d(eps_values)), reverse=True))
     if eps_values.size < 3:
@@ -359,12 +361,11 @@ def k_eps_trace_slopes(m_list, eps_values, *, grid_factory=section_grid) -> Trac
     oracle_dev = np.empty_like(eps_values)
     sizes = np.empty(eps_values.size, dtype=int)
     for i, eps in enumerate(eps_values):
-        grid = grid_factory(eps)
+        grid = section_grid(eps)
         sizes[i] = grid.size
         w = discretize_hankel(_carleman, grid).eigenvalues()
-        trace1 = float(np.sum(w))
-        exact1 = k_eps_trace_exact(eps, 1)
-        oracle_dev[i] = abs(trace1 - exact1) / exact1
+        exact2 = k_eps_trace_exact(eps, 2)
+        oracle_dev[i] = abs(float(np.sum(w * w)) - exact2) / exact2
         for m in m_list:
             traces[m][i] = float(np.sum(w ** float(m)))
 

@@ -20,10 +20,8 @@ from .quadrature import gauss_legendre
 __all__ = [
     "CutoffProfile",
     "ProfileKind",
-    "ScaledProfile",
     "builtin_profile",
     "builtin_profile_names",
-    "scale",
     "zeta",
     "zeta_eps",
 ]
@@ -42,7 +40,6 @@ class CutoffProfile:
     fn: Callable[[np.ndarray], np.ndarray]
     kind: ProfileKind
     flat_radius: float | None = None
-    sup_bound: float = 0.5
 
     def __post_init__(self):
         if self.kind is ProfileKind.COMPACT_FLAT:
@@ -53,31 +50,6 @@ class CutoffProfile:
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
-class ScaledProfile:
-    """psi_eps(x) = psi(x / eps)."""
-
-    base: CutoffProfile
-    epsilon: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-
-    @property
-    def flat_radius(self) -> float | None:
-        r = self.base.flat_radius
-        return None if r is None else r * self.epsilon
-
-    def __call__(self, x):
-        return self.base.fn(np.asarray(x, dtype=float) / self.epsilon)
-
-
-def scale(profile: CutoffProfile, epsilon: float) -> ScaledProfile:
-    """Squeeze a profile onto the scale ``epsilon``."""
-    return ScaledProfile(profile, float(epsilon))
 
 
 def zeta(x):

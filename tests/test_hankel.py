@@ -25,6 +25,7 @@ from specdiff.hankel import (
 )
 from specdiff import hankel
 from specdiff.profiles import zeta, zeta_eps
+from specdiff.quadrature import gauss_legendre, panel_rule, uniform_panels
 
 
 class TestGrids:
@@ -179,14 +180,25 @@ class TestTraceSlopes:
         with pytest.raises(ValueError):
             k_eps_trace_slopes([1], [1e-2, 1e-3])
 
-    def test_coarse_grid_trips_resolution_flag(self):
-        coarse = lambda eps: gauss_legendre_grid(eps, 1.0, 6)
-        res = k_eps_trace_slopes([1], np.geomspace(1e-2, 1e-4, 4), grid_factory=coarse)
+    def test_coarse_grid_trips_resolution_flag(self, monkeypatch):
+        monkeypatch.setattr(hankel, "section_grid", lambda eps: gauss_legendre_grid(eps, 1.0, 6))
+        res = k_eps_trace_slopes([1], np.geomspace(1e-2, 1e-4, 4))
         assert not res.resolution_ok
 
-    def test_grid_factory_is_keyword_only(self):
-        with pytest.raises(TypeError):
-            k_eps_trace_slopes([1], np.geomspace(1e-2, 1e-4, 4), section_grid)
+    def test_coarse_sigma_uniform_grid_trips_resolution_flag(self, monkeypatch):
+        # 2 Gauss points on width-20 panels in sigma = -log x: Tr K stays exact
+        # to rounding on any sigma-uniform rule, Tr K^2 is 92% off at eps = 1e-6
+        def coarse(eps):
+            sigma, w = panel_rule(uniform_panels(0.0, math.log(1.0 / eps), 20.0),
+                                  gauss_legendre(2))
+            x = np.exp(-sigma)
+            return QuadratureGrid(x[::-1], (x * w)[::-1])
+
+        monkeypatch.setattr(hankel, "section_grid", coarse)
+        res = k_eps_trace_slopes([1], [1e-6, 1e-7, 1e-8])
+        exact = [k_eps_trace_exact(eps, 1) for eps in res.eps]
+        np.testing.assert_allclose(res.traces[1], exact, rtol=1e-14)
+        assert not res.resolution_ok
 
     def test_section_traces_match_nystrom_traces(self):
         powers = [1, 2, 3, 4, 6]

@@ -1,4 +1,7 @@
-"""specdiff runs on NumPy alone: a fresh process that uses every layer loads no SciPy module."""
+"""specdiff runs on NumPy alone: a fresh process that uses every layer loads no SciPy module.
+
+The package itself re-exports nothing, so ``import specdiff`` loads no module at all.
+"""
 
 import json
 import os
@@ -43,3 +46,14 @@ def test_a_full_pass_loads_no_scipy():
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["records"] > 0 and report["finite"] and report["code"] == 0
     assert report["scipy"] == []
+
+
+def test_the_package_alone_loads_no_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import json, sys, specdiff; print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('specdiff.') or m == 'numpy' or m.startswith('numpy.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

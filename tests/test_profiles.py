@@ -1,4 +1,4 @@
-"""Cutoff profiles: limits, oddness, scaling, and the model symbol zeta."""
+"""Cutoff profiles: limits, oddness, and the model symbol zeta."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from specdiff.profiles import (
     ProfileKind,
     builtin_profile,
     builtin_profile_names,
-    scale,
     zeta,
     zeta_eps,
 )
@@ -91,29 +90,6 @@ class TestMollifiedStep:
         h = 1e-4
         assert abs(psi(1.0) - psi(1.0 - h)) < 1e-8
         assert abs(psi(-1.0 + h) - psi(-1.0)) < 1e-8
-
-
-class TestScaling:
-    def test_scale_identity(self):
-        psi = builtin_profile("ARCTAN_HALF")
-        x = np.linspace(-5, 5, 101)
-        assert np.allclose(scale(psi, 1.0)(x), psi(x))
-
-    def test_scale_squeezes(self):
-        psi = builtin_profile("TANH_HALF")
-        scaled = scale(psi, 0.01)
-        assert scaled(0.05) == pytest.approx(psi(5.0))
-
-    def test_scaled_flat_radius(self):
-        psi = builtin_profile("MOLLIFIED_STEP")
-        assert scale(psi, 0.25).flat_radius == pytest.approx(0.25)
-        assert scale(builtin_profile("TANH_HALF"), 0.25).flat_radius is None
-
-    def test_scale_rejects_bad_epsilon(self):
-        psi = builtin_profile("ARCTAN_HALF")
-        for eps in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ValueError):
-                scale(psi, eps)
 
 
 def test_profile_kind_validation():
