@@ -24,7 +24,7 @@ import numpy as np
 from .density import BandSet, band_count_slope, delta_m
 from .experiments import ConfigError, ResolutionGuardError, SweepConfig, run_sweep
 from .hankel import k_eps_trace_exact, k_eps_trace_slopes
-from .report import render_svg, render_text
+from .report import check_summary, render_svg, render_text
 
 __all__ = ["build_parser", "main"]
 
@@ -204,13 +204,10 @@ def _cmd_report(args) -> int:
         return _fail(f"cannot read {args.input!r}: {exc}", 2)
     except json.JSONDecodeError as exc:
         return _fail(f"{args.input!r} is not valid JSON: {exc}", 2)
-    if not isinstance(summary, dict):
-        return _fail(f"{args.input!r} is not a sweep summary: expected a JSON object, "
-                     f"got {type(summary).__name__}", 2)
-    if not (isinstance(summary.get("records"), list)
-            and isinstance(summary.get("fitted_slopes"), dict)):
-        return _fail(f"{args.input!r} is not a sweep summary: it needs a \"records\" list "
-                     f"and a \"fitted_slopes\" object", 2)
+    try:
+        check_summary(summary)
+    except ValueError as exc:
+        return _fail(f"{args.input!r} is not a sweep summary: {exc}", 2)
     svg_path = Path(args.svg) if args.svg else path.with_suffix(".svg")
     try:
         svg_path.write_text(render_svg(summary))

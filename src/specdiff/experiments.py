@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -83,11 +84,10 @@ def _is_integer(value) -> bool:
 
 
 def _real(value, what: str) -> float:
-    """A config number; a value float() cannot take is a config error."""
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    """A config number: a real that is not a bool; a string or a bool is an error, not parsed."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _list(value, what: str) -> list | tuple:
@@ -600,10 +600,16 @@ class SymmetryResult:
     result: SweepResult
 
 
-def symmetry_study(config: SweepConfig, b: float = 0.4) -> SymmetryResult:
-    """Compare count slopes on (b, inf) and (-inf, -b); mu is even."""
-    if not (b > 0):
-        raise ConfigError(f"threshold must be positive, got {b!r}")
+SYMMETRY_THRESHOLD = 0.4
+
+
+def symmetry_study(config: SweepConfig) -> SymmetryResult:
+    """Compare count slopes on (b, inf) and (-inf, -b); mu is even.
+
+    The threshold b is ``SYMMETRY_THRESHOLD``, the lower edge of the default
+    window (0.4, 1).
+    """
+    b = SYMMETRY_THRESHOLD
     cfg = replace(config, windows=((b, math.inf), (-math.inf, -b)))
     res = run_sweep(cfg)
     pos = res.fitted_slopes[_count_key((b, math.inf))]
@@ -668,24 +674,27 @@ class NegativeControlResult:
     loglaw_fit: FitResult
 
 
+NEGATIVE_CONTROL_N = 100000  # levels of the power-law pair
+
+
 def negative_control_study(
     alpha: float,
     profile: CutoffProfile,
     eps_values: Sequence[float],
-    n: int = 100000,
 ) -> NegativeControlResult:
     """Count sweep for the power-law pair; the log law must fail here.
+
+    The pair has ``NEGATIVE_CONTROL_N`` levels, so a count saturates only
+    once eps R falls below NEGATIVE_CONTROL_N^{-1/alpha}.
 
     ``loglog_fit`` regresses log(count) on log(1/eps) and should recover
     alpha; ``loglaw_fit`` regresses count on log(1/eps), same as the rank-one
     sweeps, and its residual is the separation diagnostic.
     """
     eps_values = tuple(sorted((float(e) for e in eps_values), reverse=True))
-    counts = tuple(negative_control(alpha, n, profile, e) for e in eps_values)
+    counts = tuple(negative_control(alpha, NEGATIVE_CONTROL_N, profile, e) for e in eps_values)
     if min(counts) < 1:
-        raise ValueError(
-            "negative control produced an empty count; lower eps or raise n"
-        )
+        raise ValueError("negative control produced an empty count; lower eps")
     log_inv = np.log(1.0 / np.asarray(eps_values))
     counts_arr = np.asarray(counts, dtype=float)
     return NegativeControlResult(

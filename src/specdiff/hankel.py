@@ -229,14 +229,13 @@ def kernel_from_symbol(omega, t_values) -> np.ndarray:
     Fourier integrals (J. Comput. Appl. Math. 38, 1991), with step
     ``DE_STEP``: fixed node vectors, scaled by 1/t, so each t takes one
     vectorized call of the symbol.  The imaginary part, the defect integral
-    over 2 pi t, must stay below ``IMAG_TOL``.  A symbol that takes only
-    scalars is vectorized once, here.
+    over 2 pi t, must stay below ``IMAG_TOL``.  ``omega`` must map a NumPy
+    array elementwise.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if np.any(t_values <= 0):
         raise ValueError("kernel recovery needs t > 0")
     _check_symbol(omega)
-    omega = _array_symbol(omega)
     (y_cos, c_cos), (y_sin, c_sin) = _fourier_rule(-0.5, np.cos), _fourier_rule(0.0, np.sin)
     y = np.concatenate((y_cos, y_sin, -y_sin))
     out = np.empty_like(t_values)
@@ -251,17 +250,6 @@ def kernel_from_symbol(omega, t_values) -> np.ndarray:
             )
         out[i] = -float(c_cos @ deriv) / (np.pi * t * t)
     return out
-
-
-def _array_symbol(omega):
-    """``omega`` if it maps an array elementwise, else its elementwise loop."""
-    probe = np.array([0.7, 2.3])
-    try:
-        if np.shape(omega(probe)) == probe.shape:
-            return omega
-    except (TypeError, ValueError):
-        pass
-    return np.vectorize(omega, otypes=[float])
 
 
 def _check_symbol(omega) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import DiagonalPlusRankOne, SelfAdjointMatrix, SpectralDifference
-from .profiles import CutoffProfile, ProfileKind
+from .profiles import CutoffProfile
 from .quadrature import gauss_legendre, panel_integral, uniform_panels
 
 __all__ = [
@@ -277,7 +277,7 @@ def negative_control(alpha: float, n: int, profile: CutoffProfile, eps: float) -
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not (eps > 0 and np.isfinite(eps)):
         raise ValueError(f"eps must be positive, got {eps!r}")
-    if profile.kind is not ProfileKind.COMPACT_FLAT:
+    if profile.flat_radius is None:
         raise ValueError("negative control needs a compactly flat profile")
     if abs(float(profile(0.0))) > 1e-12:
         raise ValueError("profile must vanish at 0 so that psi(H0) = 0")

@@ -1,15 +1,14 @@
 """Smoothed step profiles interpolating between +1/2 and -1/2.
 
 A profile psi is a smooth function with psi(-inf) = +1/2 and psi(+inf) = -1/2.
-Two flavours are distinguished: SOFT profiles approach the limits only
-asymptotically, COMPACT_FLAT profiles equal them exactly outside [-R, R].
+Most approach the limits only asymptotically; a compactly flat one equals
+them exactly outside [-R, R], and records R as its ``flat_radius``.
 Scaling by eps compresses the transition region onto a width-eps scale, which
 is the smoothing used throughout the projection-difference experiments.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +18,6 @@ from .quadrature import gauss_legendre
 
 __all__ = [
     "CutoffProfile",
-    "ProfileKind",
     "builtin_profile",
     "builtin_profile_names",
     "zeta",
@@ -27,26 +25,22 @@ __all__ = [
 ]
 
 
-class ProfileKind(enum.Enum):
-    SOFT = "soft"
-    COMPACT_FLAT = "compact_flat"
-
-
 @dataclass(frozen=True)
 class CutoffProfile:
-    """A smoothed step.  ``fn`` must accept and return numpy arrays."""
+    """A smoothed step.  ``fn`` must accept and return numpy arrays.
+
+    ``flat_radius`` is None for a profile that reaches its limits only
+    asymptotically, and the positive R for a compactly flat one, which equals
+    -+1/2 exactly for |x| >= R.
+    """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    kind: ProfileKind
     flat_radius: float | None = None
 
     def __post_init__(self):
-        if self.kind is ProfileKind.COMPACT_FLAT:
-            if self.flat_radius is None or not (self.flat_radius > 0):
-                raise ValueError("COMPACT_FLAT profiles need a positive flat_radius")
-        elif self.flat_radius is not None:
-            raise ValueError("flat_radius only applies to COMPACT_FLAT profiles")
+        if self.flat_radius is not None and not (self.flat_radius > 0):
+            raise ValueError(f"flat_radius must be None or positive, got {self.flat_radius!r}")
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -114,12 +108,10 @@ def _mollified_step(x: np.ndarray) -> np.ndarray:
 
 
 _BUILTINS = {
-    "ARCTAN_HALF": CutoffProfile("ARCTAN_HALF", _arctan_half, ProfileKind.SOFT),
-    "TANH_HALF": CutoffProfile("TANH_HALF", _tanh_half, ProfileKind.SOFT),
-    "MOLLIFIED_STEP": CutoffProfile(
-        "MOLLIFIED_STEP", _mollified_step, ProfileKind.COMPACT_FLAT, flat_radius=1.0
-    ),
-    "SHIFTED_ARCTAN": CutoffProfile("SHIFTED_ARCTAN", _shifted_arctan, ProfileKind.SOFT),
+    "ARCTAN_HALF": CutoffProfile("ARCTAN_HALF", _arctan_half),
+    "TANH_HALF": CutoffProfile("TANH_HALF", _tanh_half),
+    "MOLLIFIED_STEP": CutoffProfile("MOLLIFIED_STEP", _mollified_step, flat_radius=1.0),
+    "SHIFTED_ARCTAN": CutoffProfile("SHIFTED_ARCTAN", _shifted_arctan),
 }
 
 

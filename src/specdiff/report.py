@@ -7,11 +7,47 @@ byte-identical output (no timestamps, no environment lookups).
 
 from __future__ import annotations
 
-__all__ = ["render_svg", "render_text"]
+__all__ = ["check_summary", "render_svg", "render_text"]
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 24, 28, 48
 PALETTE = ("#1f6fb4", "#c23b22", "#2e8b57", "#8b5fbf", "#b8860b", "#476a6f")
+TABLES = ("fitted_slopes", "fitted_intercepts", "predicted_slopes", "deviations", "residuals")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_table(value) -> bool:
+    return isinstance(value, dict) and all(_is_number(v) for v in value.values())
+
+
+def check_summary(summary) -> None:
+    """Raise ValueError unless each field the renderers read has the type they need.
+
+    A sweep summary (``SweepResult.summary_dict``) is an object with a
+    "records" list and a "fitted_slopes" table.  Each record is an object
+    with a number "log_inv_eps" and a "counts" table; "windows", if present,
+    is a list of strings, and every table in ``TABLES`` that is present maps
+    its keys to numbers.
+    """
+    if not isinstance(summary, dict):
+        raise ValueError(f"expected a JSON object, got {type(summary).__name__}")
+    if not (isinstance(summary.get("records"), list)
+            and isinstance(summary.get("fitted_slopes"), dict)):
+        raise ValueError('it needs a "records" list and a "fitted_slopes" object')
+    for i, record in enumerate(summary["records"]):
+        if not (isinstance(record, dict) and _is_number(record.get("log_inv_eps"))
+                and _is_table(record.get("counts"))):
+            raise ValueError(f'record {i} needs a number "log_inv_eps" and a "counts" '
+                             f"object of numbers")
+    windows = summary.get("windows", [])
+    if not (isinstance(windows, list) and all(isinstance(w, str) for w in windows)):
+        raise ValueError('"windows" must be a list of strings')
+    for key in TABLES:
+        if not _is_table(summary.get(key, {})):
+            raise ValueError(f'"{key}" must be an object of numbers')
 
 
 def render_text(summary: dict) -> str:

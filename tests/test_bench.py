@@ -5,6 +5,7 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specdiff.models import RankOneModel
@@ -29,11 +30,11 @@ def test_machine_info(bench):
 
 def test_nodes_case_times_the_rule_and_cross_checks_it(bench):
     row = bench.nodes_case(200, 1)
-    assert row["n"] == 200 and row["gauss_legendre_s"] > 0.0 and row["roots_legendre_s"] > 0.0
+    assert row["n"] == 200 and row["gauss_legendre_s"] > 0.0
     checks = row["cross_checks"]
     against_numpy = checks["gauss_legendre_minus_leggauss"]
     assert against_numpy["max_abs_nodes"] <= 1e-15 and against_numpy["max_rel_weights"] <= 1e-10
-    for rule in ("gauss_legendre", "roots_legendre", "leggauss"):
+    for rule in ("gauss_legendre", "leggauss"):
         assert checks[f"{rule}_minus_reference"]["max_abs_nodes"] <= 1e-15
     if checks["longdouble_eps"] < 1e-18:  # the reference resolves the rule's last digits
         assert checks["gauss_legendre_minus_reference"]["max_rel_weights"] <= 1e-12
@@ -41,12 +42,12 @@ def test_nodes_case_times_the_rule_and_cross_checks_it(bench):
 
 @pytest.mark.parametrize("c", [0.5, -0.7])
 def test_case_times_both_routes_and_cross_checks_them(bench, c):
-    row = bench.h_case(200, c, 1)
+    model = RankOneModel(n=200, c=c)
+    row = bench.h_case(model, np.linalg.eigh(model.h.entries), 1)
     assert (row["n"], row["c"]) == (200, c)
     assert 0 < row["m"] < 200  # the gaussian bump deflates about half the nodes
-    assert all(t > 0.0 for t in row["dense"].values())
-    assert all(t > 0.0 for t in row["secular"].values())
-    assert row["overlaps_s"] > 0.0 and row["start_block_s"] > 0.0
+    assert all(row[key] > 0.0 for key in ("build_s", "split_s", "solve_and_check_s", "check_s",
+                                          "overlaps_s", "start_block_s", "eig_peak_bytes"))
     checks = row["cross_checks"]
     scale = checks["entry_scale"]
     assert checks["max_abs_w_minus_dense"] <= 1e-13 * scale
@@ -58,10 +59,10 @@ def test_case_times_both_routes_and_cross_checks_them(bench, c):
 @pytest.mark.parametrize("eps", [0.1, 0.01])
 def test_spectrum_case_times_both_routes_and_cross_checks_them(bench, eps):
     model = RankOneModel(n=200)
-    row = bench.spectrum_case(model, eps, 1, 1)
+    row = bench.spectrum_case(model, np.linalg.eigh(model.h.entries), eps, 1)
     assert (row["n"], row["m"], row["eps"]) == (200, model.kept.size, eps)
     assert row["m"] < 200
-    assert row["traces_s"] > 0.0 and row["block_pass_s"] > 0.0 and row["dense_s"] > 0.0
+    assert row["traces_s"] > 0.0 and row["block_pass_s"] > 0.0
     checks = row["cross_checks"]
     assert checks["max_relative_trace_error"] <= 1e-11
     assert checks["retained_eigenvalues"] > 0

@@ -331,7 +331,11 @@ class TestReportCommand:
 
     def test_object_that_is_not_a_summary_exits_two(self, capsys, tmp_path):
         for text in ("{}", '{"records": {}, "fitted_slopes": {}}',
-                     '{"records": [], "fitted_slopes": []}'):
+                     '{"records": [], "fitted_slopes": []}',
+                     '{"records": [{}], "fitted_slopes": {}}',
+                     '{"records": [5], "fitted_slopes": {}}',
+                     '{"records": [], "fitted_slopes": {"a": null}}',
+                     '{"records": [], "fitted_slopes": {}, "windows": 5}'):
             path = tmp_path / "other.json"
             path.write_text(text)
             svg_path = tmp_path / "other.svg"

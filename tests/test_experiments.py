@@ -209,6 +209,10 @@ class TestSweepConfig:
         ({"model": {"bump": 3}}, "model bump must be a name string"),
         ({"model": 5}, "model block must have keys"),
         ({"model": {"m": 1}}, "model block must have keys"),
+        ({"lambda": True}, "lambda must be a number"),
+        ({"lambda": "0.3"}, "lambda must be a number"),
+        ({"model": {"c": True, "n": 400}}, "model c must be a number"),
+        ({"tolerance": "1e9"}, "tolerance must be a number"),
     ])
     def test_wrong_value_type_rejected(self, data, message):
         with pytest.raises(ConfigError, match=message):
@@ -492,13 +496,11 @@ class TestStudies:
             universality_study(small_config(), profiles=("ARCTAN_HALF",))
 
     def test_symmetry_windows(self):
-        res = symmetry_study(small_config(), b=0.4)
+        res = symmetry_study(small_config())
         assert math.isfinite(res.positive_slope) and math.isfinite(res.negative_slope)
         assert res.predicted == pytest.approx(
             band_count_slope(BandSet(res.result.band_edges), 0.4)
         )
-        with pytest.raises(ConfigError):
-            symmetry_study(small_config(), b=0.0)
 
     def test_trace_formula_bounded_and_adds_power_one(self):
         res = trace_formula_study(small_config(trace_powers=(2,)))
@@ -508,7 +510,7 @@ class TestStudies:
 
     def test_negative_control_exponent_recovery(self):
         psi = builtin_profile("MOLLIFIED_STEP")
-        res = negative_control_study(1.0, psi, np.geomspace(1e-1, 1e-3, 5), n=10000)
+        res = negative_control_study(1.0, psi, np.geomspace(1e-1, 1e-3, 5))
         assert res.counts[0] == 9 and res.counts[-1] == 999
         assert res.loglog_fit.slope == pytest.approx(1.0, rel=0.05)
         assert res.loglaw_fit.residual_rms > 10.0
@@ -516,4 +518,4 @@ class TestStudies:
     def test_negative_control_rejects_empty_counts(self):
         psi = builtin_profile("MOLLIFIED_STEP")
         with pytest.raises(ValueError, match="empty count"):
-            negative_control_study(1.0, psi, [2.0, 1.5, 1.2], n=100)
+            negative_control_study(1.0, psi, [2.0, 1.5, 1.2])

@@ -145,12 +145,6 @@ class TestKernelFromSymbol:
         with pytest.raises(ValueError):
             kernel_from_symbol(omega, [0.0])
 
-    def test_scalar_only_symbol(self):
-        t = np.array([0.3, 1.0, 4.0])
-        omega = lambda x: -(2.0 / math.pi) * (math.atan(x / 0.1) - math.atan(x))
-        rec = kernel_from_symbol(omega, t)
-        assert np.max(np.abs(rec - k_eps_kernel(t, 0.1))) < 1e-6
-
     def test_imaginary_residual_check_fires(self, monkeypatch):
         monkeypatch.setattr(hankel, "IMAG_TOL", 1e-20)
         omega = lambda x: zeta_eps(x, 0.5) - zeta(x)

@@ -17,7 +17,7 @@ from specdiff.models import (
     RankOneModel,
     negative_control,
 )
-from specdiff.profiles import CutoffProfile, ProfileKind, builtin_profile
+from specdiff.profiles import CutoffProfile, builtin_profile
 
 
 @pytest.fixture(scope="module")
@@ -397,7 +397,6 @@ class TestNegativeControl:
         shifted = CutoffProfile(
             "offset",
             lambda x: np.full_like(np.asarray(x, dtype=float), -0.25),
-            ProfileKind.COMPACT_FLAT,
             flat_radius=1.0,
         )
         with pytest.raises(ValueError, match="vanish at 0"):

@@ -5,7 +5,6 @@ import pytest
 
 from specdiff.profiles import (
     CutoffProfile,
-    ProfileKind,
     builtin_profile,
     builtin_profile_names,
     zeta,
@@ -65,7 +64,6 @@ def test_zeta_values():
 class TestMollifiedStep:
     def test_exactly_flat_outside_radius(self):
         psi = builtin_profile("MOLLIFIED_STEP")
-        assert psi.kind is ProfileKind.COMPACT_FLAT
         assert psi.flat_radius == 1.0
         for x in (1.0, 1.0 + 1e-12, 2.0, 1e6):
             assert psi(x) == -0.5
@@ -92,9 +90,11 @@ class TestMollifiedStep:
         assert abs(psi(-1.0 + h) - psi(-1.0)) < 1e-8
 
 
-def test_profile_kind_validation():
+def test_flat_radius_validation():
     fn = lambda x: np.zeros_like(x)
-    with pytest.raises(ValueError, match="flat_radius"):
-        CutoffProfile("bad", fn, ProfileKind.COMPACT_FLAT)
-    with pytest.raises(ValueError, match="flat_radius"):
-        CutoffProfile("bad", fn, ProfileKind.SOFT, flat_radius=1.0)
+    for radius in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="flat_radius"):
+            CutoffProfile("bad", fn, flat_radius=radius)
+    assert CutoffProfile("soft", fn).flat_radius is None
+    assert [builtin_profile(name).flat_radius for name in builtin_profile_names()] == [
+        None, None, 1.0, None]
