@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .density import BandSet, band_count_slope, delta_m
-from .experiments import ConfigError, ResolutionGuardError, SweepConfig, run_sweep
+from .experiments import ResolutionGuardError, SweepConfig, run_sweep
 from .hankel import k_eps_trace_exact, k_eps_trace_slopes
 from .report import check_summary, render_svg, render_text
 
@@ -69,20 +69,15 @@ def _fail(message: str, code: int) -> int:
 
 
 def _cmd_density(args) -> int:
-    edges_text = args.edges.strip()
-    try:
-        edges = [float(e) for e in edges_text.split(",") if e.strip() != ""]
-        bands = BandSet(edges)
-        if (args.window is None) == (args.moment is None):
-            raise ValueError("exactly one of --window or --moment is required")
-        if args.window is not None:
-            name, value = "band_count_slope", band_count_slope(bands, args.window)
-            argument = args.window
-        else:
-            name, value = f"delta_{args.moment}", delta_m(bands, args.moment)
-            argument = args.moment
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    bands = BandSet([float(e) for e in args.edges.split(",") if e.strip() != ""])
+    if (args.window is None) == (args.moment is None):
+        raise ValueError("exactly one of --window or --moment is required")
+    if args.window is not None:
+        name, value = "band_count_slope", band_count_slope(bands, args.window)
+        argument = args.window
+    else:
+        name, value = f"delta_{args.moment}", delta_m(bands, args.moment)
+        argument = args.moment
     if args.json:
         print(json.dumps({"edges": list(bands), "quantity": name,
                           "argument": argument, "value": value}))
@@ -93,18 +88,15 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_hankel(args) -> int:
-    try:
-        powers = [int(p) for p in args.powers.split(",") if p.strip() != ""]
-        if not (0 < args.eps_stop < args.eps_start < 1):
-            raise ValueError("need 0 < --eps-stop < --eps-start < 1")
-        if args.count < 3:
-            raise ValueError("--count must be at least 3")
-        if any(p < 1 for p in powers):
-            raise ValueError("trace powers must be positive integers")
-        if len(set(powers)) != len(powers):
-            raise ValueError("trace powers must be distinct")
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    powers = [int(p) for p in args.powers.split(",") if p.strip() != ""]
+    if not (0 < args.eps_stop < args.eps_start < 1):
+        raise ValueError("need 0 < --eps-stop < --eps-start < 1")
+    if args.count < 3:
+        raise ValueError("--count must be at least 3")
+    if any(p < 1 for p in powers):
+        raise ValueError("trace powers must be positive integers")
+    if len(set(powers)) != len(powers):
+        raise ValueError("trace powers must be distinct")
 
     header = ["epsilon", "log_inv_eps"]
     header += [f"trace_m{m}" for m in powers]
@@ -155,11 +147,7 @@ def _cmd_hankel(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = SweepConfig.from_json(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc), 2)
-
+    config = SweepConfig.from_json(args.config)
     prefix = config.output or "sweep"
     directory = Path(prefix).parent
     if not directory.is_dir():  # found now, not after the whole sweep has run
@@ -228,7 +216,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError too: the one exit-2 path for bad input
         return _fail(str(exc), 2)
 
 

@@ -219,7 +219,7 @@ RESOLUTION_KAPPA = 0.4
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Validated sweep description; round-trips through JSON."""
+    """Validated sweep description; ``from_json`` reads one from a config file."""
 
     model: ModelSpec = ModelSpec()
     lam: float = 0.0
@@ -240,6 +240,8 @@ class SweepConfig:
             )
         if not _is_integer(self.eps_count) or self.eps_count < 3:
             raise ConfigError(f"epsilon count must be an integer >= 3, got {self.eps_count!r}")
+        if isinstance(self.profiles, str):
+            raise ConfigError(f"profiles must be a sequence of names, got the string {self.profiles!r}")
         if not self.profiles:
             raise ConfigError("at least one profile is required")
         for name in self.profiles:
@@ -330,22 +332,6 @@ class SweepConfig:
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
-    def to_dict(self) -> dict:
-        def jbound(v):
-            return None if math.isinf(v) else v
-
-        return {
-            "model": {"L": self.model.L, "n": self.model.n,
-                      "bump": self.model.bump, "c": self.model.c},
-            "lambda": self.lam,
-            "profiles": list(self.profiles),
-            "epsilon": {"start": self.eps_start, "stop": self.eps_stop, "count": self.eps_count},
-            "windows": [[jbound(lo), jbound(hi)] for lo, hi in self.windows],
-            "trace_powers": list(self.trace_powers),
-            "kappa": self.kappa,
-            "tolerance": self.tolerance,
-            "output": self.output,
-        }
 
 
 def default_config(**overrides) -> SweepConfig:
@@ -555,13 +541,10 @@ def run_sweep(config: SweepConfig, profile: str | None = None) -> SweepResult:
 
 @dataclass(frozen=True)
 class UniversalityResult:
-    """Per-profile sweeps plus the worst pairwise slope disagreement."""
+    """Per-profile sweeps plus each window's worst pairwise slope disagreement."""
 
     results: dict[str, SweepResult]
     pairwise_deviation: dict[str, float]
-
-    def max_pairwise(self) -> float:
-        return max(self.pairwise_deviation.values()) if self.pairwise_deviation else 0.0
 
 
 def universality_study(config: SweepConfig, profiles: Sequence[str] | None = None) -> UniversalityResult:

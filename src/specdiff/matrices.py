@@ -76,16 +76,9 @@ class RectMatrix:
         a.setflags(write=False)
         self.entries = a
 
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
     def __repr__(self) -> str:
-        return f"RectMatrix({self.rows}x{self.cols})"
+        rows, cols = self.entries.shape
+        return f"RectMatrix({rows}x{cols})"
 
 
 class SelfAdjointMatrix:
@@ -293,11 +286,16 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
         return DiagonalPlusRankOne(self.x[kept], self.u[kept], self.c)
 
     def split(self) -> tuple[np.ndarray, DiagonalPlusRankOne | None]:
-        """``kept()`` and ``block(kept)``, cached: one block object, solved once."""
+        """``kept()`` and ``block(kept)``, cached: one block object, solved once.
+
+        With no node deflated the block is H itself, returned without a copy.
+        """
         if self._split is None:
             kept = self.kept()
-            self._split = kept, self.block(kept)
-        return self._split
+            # caches None, not self, when nothing deflates: self would be a reference cycle
+            self._split = kept, None if kept.size == self.dim else self.block(kept)
+        kept, block = self._split
+        return kept, self if kept.size == self.dim else block
 
     def _scale(self) -> float:
         """Entry scale of H: max(1, max|x + c u∘u|, |c| max u∘u)."""
@@ -354,8 +352,8 @@ class SpectralDifference:
     Rayleigh-Ritz; Halko, Martinsson & Tropp 2011) finds its whole numerical
     spectrum, certified by Tr D^2: ``window_eigenvalues`` and the higher
     powers of ``trace_power`` read it.  The pass starts from ``start`` =
-    (Ω, Q^T Ω), which depends on Q alone, so a caller that builds many D on
-    one Q draws it once (``start_block``) and passes it; else D draws its own.
+    (Ω, Q^T Ω) of ``start_block``, which depends on Q alone, so a caller that
+    builds many D on one Q draws it once and passes it to each.
     ``dense``, ``entries`` and ``eigenvalues`` build the dense D, validated
     as a ``SelfAdjointMatrix``, on first use: the oracle in tests.
     """
@@ -363,7 +361,7 @@ class SpectralDifference:
     __slots__ = ("q", "f", "g", "overlaps", "start", "_traces", "_ritz", "_dense")
 
     def __init__(self, q: np.ndarray, f, g, overlaps: np.ndarray,
-                 start: tuple[np.ndarray, np.ndarray] | None = None):
+                 start: tuple[np.ndarray, np.ndarray]):
         f = np.asarray(f, dtype=float)
         g = np.asarray(g, dtype=float)
         n = q.shape[0]
@@ -374,8 +372,7 @@ class SpectralDifference:
             )
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
             raise ValueError("diagonal entries must be finite")
-        self.q, self.f, self.g, self.overlaps = q, f, g, overlaps
-        self.start = self.start_block(q) if start is None else start
+        self.q, self.f, self.g, self.overlaps, self.start = q, f, g, overlaps, start
         self._traces: tuple[float, float, float] | None = None
         self._ritz: np.ndarray | None = None
         self._dense: SelfAdjointMatrix | None = None

@@ -76,27 +76,22 @@ class RankOneModel:
     ----------
     L : half-width of the energy interval.
     n : number of Gauss-Legendre nodes discretizing the interval.
-    bump : name of the coupling bump v (see ``BUMPS``) or a callable.
+    bump : name of the coupling bump v in ``BUMPS``.
     c : real coupling strength.
     """
 
-    def __init__(self, L: float = 8.0, n: int = 4000, bump="gaussian", c: float = 0.5):
+    def __init__(self, L: float = 8.0, n: int = 4000, bump: str = "gaussian", c: float = 0.5):
         if not (L > 0 and np.isfinite(L)):
             raise ValueError(f"L must be positive and finite, got {L!r}")
         if not isinstance(n, (int, np.integer)) or n < 8:
             raise ValueError(f"n must be an integer >= 8, got {n!r}")
         if not np.isfinite(c):
             raise ValueError(f"coupling must be finite, got {c!r}")
-        if callable(bump):
-            self.bump_name = getattr(bump, "__name__", "custom")
-            self.v = bump
-        else:
-            try:
-                self.v = BUMPS[str(bump)]
-            except KeyError:
-                known = ", ".join(BUMPS)
-                raise ValueError(f"unknown bump {bump!r}; known bumps: {known}") from None
-            self.bump_name = str(bump)
+        try:
+            self.v = BUMPS[str(bump)]
+        except KeyError:
+            known = ", ".join(BUMPS)
+            raise ValueError(f"unknown bump {bump!r}; known bumps: {known}") from None
         self.L = float(L)
         self.n = int(n)
         self.c = float(c)

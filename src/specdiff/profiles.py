@@ -19,7 +19,6 @@ from .quadrature import gauss_legendre
 __all__ = [
     "CutoffProfile",
     "builtin_profile",
-    "builtin_profile_names",
     "zeta",
     "zeta_eps",
 ]
@@ -113,10 +112,6 @@ _BUILTINS = {
     "MOLLIFIED_STEP": CutoffProfile("MOLLIFIED_STEP", _mollified_step, flat_radius=1.0),
     "SHIFTED_ARCTAN": CutoffProfile("SHIFTED_ARCTAN", _shifted_arctan),
 }
-
-
-def builtin_profile_names() -> tuple[str, ...]:
-    return tuple(_BUILTINS)
 
 
 def builtin_profile(name: str) -> CutoffProfile:

@@ -41,7 +41,7 @@ def test_nodes_case_times_the_rule_and_cross_checks_it(bench):
 
 
 @pytest.mark.parametrize("c", [0.5, -0.7])
-def test_case_times_both_routes_and_cross_checks_them(bench, c):
+def test_h_case_times_the_package_and_cross_checks_it(bench, c):
     model = RankOneModel(n=200, c=c)
     row = bench.h_case(model, np.linalg.eigh(model.h.entries), 1)
     assert (row["n"], row["c"]) == (200, c)
@@ -57,7 +57,7 @@ def test_case_times_both_routes_and_cross_checks_them(bench, c):
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.01])
-def test_spectrum_case_times_both_routes_and_cross_checks_them(bench, eps):
+def test_spectrum_case_times_the_package_and_cross_checks_it(bench, eps):
     model = RankOneModel(n=200)
     row = bench.spectrum_case(model, np.linalg.eigh(model.h.entries), eps, 1)
     assert (row["n"], row["m"], row["eps"]) == (200, model.kept.size, eps)

@@ -164,10 +164,10 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             default_config(tolerance=-1.0)
 
-    def test_dict_round_trip(self):
-        cfg = small_config(windows=((0.4, 1.0), (0.2, math.inf)))
-        again = SweepConfig.from_dict(cfg.to_dict())
-        assert again == cfg
+    def test_a_bare_profile_string_is_rejected(self):
+        # not read as the profiles "A", "R", "C", ...
+        with pytest.raises(ConfigError, match="profiles must be a sequence of names"):
+            SweepConfig(profiles="ARCTAN_HALF")
 
     def test_null_bounds_become_infinite(self):
         cfg = SweepConfig.from_dict({"windows": [[0.4, None], [None, -0.4]]})
@@ -223,9 +223,23 @@ class TestSweepConfig:
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
-        cfg = small_config(lam=0.5)
-        path.write_text(json.dumps(cfg.to_dict()))
-        assert SweepConfig.from_json(path) == cfg
+        path.write_text(json.dumps({
+            "model": {"L": 8.0, "n": 400, "bump": "sech", "c": -0.7},
+            "lambda": 0.5,
+            "profiles": ["ARCTAN_HALF", "TANH_HALF"],
+            "epsilon": {"start": 0.1, "stop": 0.02, "count": 4},
+            "windows": [[0.4, 1.0], [0.2, None]],
+            "trace_powers": [1, 2],
+            "kappa": 0.5,
+            "tolerance": 0.2,
+            "output": "sw",
+        }))
+        assert SweepConfig.from_json(path) == SweepConfig(
+            model=ModelSpec(L=8.0, n=400, bump="sech", c=-0.7), lam=0.5,
+            profiles=("ARCTAN_HALF", "TANH_HALF"), eps_start=0.1, eps_stop=0.02, eps_count=4,
+            windows=((0.4, 1.0), (0.2, math.inf)), trace_powers=(1, 2), kappa=0.5,
+            tolerance=0.2, output="sw",
+        )
 
     def test_json_errors(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -367,7 +381,7 @@ class TestStructuredSweep:
         shapes = set()
         init = SpectralDifference.__init__
 
-        def recording(self, q, f, g, overlaps, start=None):
+        def recording(self, q, f, g, overlaps, start):
             shapes.add((q.shape, overlaps.shape, np.shape(f), np.shape(g),
                         tuple(a.shape for a in start)))
             init(self, q, f, g, overlaps, start)
@@ -383,7 +397,7 @@ class TestStructuredSweep:
         starts, drawn = [], []
         init, draw = SpectralDifference.__init__, SpectralDifference.start_block
 
-        def recording_init(self, q, f, g, overlaps, start=None):
+        def recording_init(self, q, f, g, overlaps, start):
             starts.append(start)
             init(self, q, f, g, overlaps, start)
 
@@ -489,7 +503,7 @@ class TestStudies:
         res = universality_study(small_config(), profiles=("ARCTAN_HALF", "TANH_HALF"))
         assert set(res.results) == {"ARCTAN_HALF", "TANH_HALF"}
         assert set(res.pairwise_deviation) == {"count (0.4,1)"}
-        assert res.max_pairwise() >= 0.0
+        assert res.pairwise_deviation["count (0.4,1)"] >= 0.0
 
     def test_universality_needs_two(self):
         with pytest.raises(ConfigError):

@@ -109,7 +109,7 @@ class TestLaplaceFactorization:
         gt, gx = default_grid(eps), default_laplace_grid(eps)
         k = discretize_hankel(partial(k_eps_kernel, eps=eps), gt)
         sec = laplace_section(eps, gt, gx)
-        assert sec.rows == gx.size and sec.cols == gt.size
+        assert sec.entries.shape == (gx.size, gt.size)
         err = np.max(np.abs(k.entries - (sec.entries.T @ sec.entries) / math.pi))
         assert err < 1e-8
 

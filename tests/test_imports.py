@@ -1,15 +1,20 @@
 """specdiff runs on NumPy alone: a fresh process that uses every layer loads no SciPy module.
 
-The package itself re-exports nothing, so ``import specdiff`` loads no module at all.
+The package itself re-exports nothing, so ``import specdiff`` loads no module at all, and
+every name a module exports in ``__all__`` exists.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p.stem for p in (ROOT / "src" / "specdiff").glob("*.py") if p.stem != "__init__")
 
 # one pass over every layer that once called SciPy: the model's v^2 check and
 # T(lam + i0), the Gauss-Legendre rule, the sech moments of the predicted
@@ -57,3 +62,10 @@ def test_the_package_alone_loads_no_module():
                           env=env, cwd=ROOT, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"specdiff.{name}")
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert module.__all__ and missing == []

@@ -25,7 +25,7 @@ def random_symmetric(rng, n):
 class TestWrappers:
     def test_rect_matrix_shape(self):
         x = RectMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert (x.rows, x.cols) == (2, 3)
+        assert x.entries.shape == (2, 3) and repr(x) == "RectMatrix(2x3)"
 
     def test_rect_matrix_rejects_vectors_and_nonfinite(self):
         with pytest.raises(ValueError):

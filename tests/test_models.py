@@ -37,10 +37,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RankOneModel(c=math.inf)
 
-    def test_callable_bump(self):
-        m = RankOneModel(n=400, bump=BUMPS["sech"])
-        assert m.bump_name in ("<lambda>", "custom")
-
     def test_underresolved_grid_rejected(self):
         # 20 nodes cannot integrate the gaussian coupling on (-8, 8)
         with pytest.raises(ValueError, match="increase n"):
@@ -89,15 +85,17 @@ class TestResolventBoundaryValue:
             )
             assert m.t_plus(lam).real == pytest.approx(pv, rel=1e-10)
 
-    def test_narrow_bump_raises_instead_of_a_wrong_value(self):
+    def test_narrow_bump_raises_instead_of_a_wrong_value(self, monkeypatch):
         # width 0.1: the n = 1000 nodes and the v^2 reference resolve it, the
         # unit panels of t_plus do not, and their halving check says so
-        narrow = RankOneModel(n=1000, bump=lambda x: np.exp(-(np.asarray(x) / 0.1) ** 2))
+        monkeypatch.setitem(BUMPS, "narrow", lambda x: np.exp(-(np.asarray(x) / 0.1) ** 2))
+        narrow = RankOneModel(n=1000, bump="narrow")
         with pytest.raises(ValueError, match="did not settle"):
             narrow.t_plus(0.5)
         # width 0.03 is too narrow for the v^2 reference itself
+        monkeypatch.setitem(BUMPS, "narrower", lambda x: np.exp(-(np.asarray(x) / 0.03) ** 2))
         with pytest.raises(ValueError, match="did not settle"):
-            RankOneModel(n=4000, bump=lambda x: np.exp(-(np.asarray(x) / 0.03) ** 2))
+            RankOneModel(n=4000, bump="narrower")
 
     def test_energy_domain(self, model):
         for lam in (8.0, -8.0, 7.9999999):
@@ -250,7 +248,8 @@ class TestStructuredDifference:
         # leaves out more than rho^2 = 0.3^2 of Tr D^2, a block of 64 holds them all
         outer = np.concatenate([[0.9], np.linspace(0.3, 0.24, 24)])
         f = np.concatenate([outer, -outer, np.zeros(150)])
-        d = SpectralDifference(np.eye(200), f, np.zeros(200), np.eye(200))
+        q = np.eye(200)
+        d = SpectralDifference(q, f, np.zeros(200), q, SpectralDifference.start_block(q))
         w = d.window_eigenvalues(0.5)
         assert w.size == 2 * BLOCK_START
         beyond = w[np.abs(w) > 1e-8]
@@ -281,17 +280,19 @@ class TestStructuredDifference:
     def test_small_matrices_use_the_dense_spectrum(self):
         # a block of min(32, n) = n columns spans the whole space: Rayleigh-Ritz is exact
         f = np.linspace(-0.9, 0.9, 8)
-        d = SpectralDifference(np.eye(8), f, np.zeros(8), np.eye(8))
+        q = np.eye(8)
+        d = SpectralDifference(q, f, np.zeros(8), q, SpectralDifference.start_block(q))
         assert np.allclose(d.window_eigenvalues(0.4), f, rtol=0.0, atol=1e-15)
         assert d._dense is None
 
     def test_validation(self):
         q = np.eye(3)
+        start = SpectralDifference.start_block(q)
         with pytest.raises(ValueError, match="shapes"):
-            SpectralDifference(q, np.zeros(2), np.zeros(3), q)
+            SpectralDifference(q, np.zeros(2), np.zeros(3), q, start)
         with pytest.raises(ValueError, match="finite"):
-            SpectralDifference(q, np.array([0.0, np.nan, 0.0]), np.zeros(3), q)
-        d = SpectralDifference(q, np.zeros(3), np.zeros(3), q)
+            SpectralDifference(q, np.array([0.0, np.nan, 0.0]), np.zeros(3), q, start)
+        d = SpectralDifference(q, np.zeros(3), np.zeros(3), q, start)
         with pytest.raises(ValueError):
             d.trace_power(0)
         with pytest.raises(ValueError):
@@ -341,7 +342,9 @@ class TestKeptBlock:
             assert all(count_window(d.window_eigenvalues(min(abs(lo), abs(hi))), (lo, hi)) == 0
                        for lo, hi in WINDOWS)
 
-    def test_h_reuses_the_block_solve(self, monkeypatch):
+    @pytest.fixture
+    def secular_calls(self, monkeypatch):
+        """Sizes of the secular solves that the test runs."""
         calls = []
         solve = matrices._secular_eig
 
@@ -350,11 +353,22 @@ class TestKeptBlock:
             return solve(d, z)
 
         monkeypatch.setattr(matrices, "_secular_eig", recording)
+        return calls
+
+    def test_h_reuses_the_block_solve(self, secular_calls):
         model = RankOneModel(n=400)
         w_k = model.eig()[0]
         w, q = model.rank_one.eig()
-        assert calls == [model.kept.size]
+        assert secular_calls == [model.kept.size]
         assert w.size == 400 and np.all(np.isin(w_k, w))
+
+    def test_the_block_is_its_own_split(self, secular_calls):
+        # no node of the kept block deflates: its eig solves it, with no copy made
+        model = RankOneModel(n=400)
+        model.eig()
+        kept, block = model.block.split()
+        assert block is model.block and np.array_equal(kept, np.arange(model.kept.size))
+        assert secular_calls == [model.kept.size]
 
     @pytest.mark.parametrize("c", [0.5, -0.7])
     def test_eig_peak_memory_stays_near_three_block_arrays(self, c):
