@@ -93,10 +93,6 @@ def _cmd_hankel(args) -> int:
         raise ValueError("need 0 < --eps-stop < --eps-start < 1")
     if args.count < 3:
         raise ValueError("--count must be at least 3")
-    if any(p < 1 for p in powers):
-        raise ValueError("trace powers must be positive integers")
-    if len(set(powers)) != len(powers):
-        raise ValueError("trace powers must be distinct")
 
     header = ["epsilon", "log_inv_eps"]
     header += [f"trace_m{m}" for m in powers]

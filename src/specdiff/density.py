@@ -40,7 +40,8 @@ class BandSet:
 
     Edges at or below ``EDGE_FLOOR`` are dropped: they carry no weight at the
     resolutions any experiment here reaches and would otherwise poison the
-    arccosh terms with huge arguments.
+    arccosh terms with huge arguments.  A negative edge is an error; 0 is
+    not, since a1 = |S - 1|/2 can vanish.
     """
 
     __slots__ = ("edges",)
@@ -49,8 +50,8 @@ class BandSet:
         arr = np.sort(np.asarray(list(edges), dtype=float))[::-1]
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("band edges must be finite")
-        if arr.size and arr[0] > 1.0 + 1e-12:
-            raise ValueError(f"band edges must lie in (0, 1], got {arr[0]!r}")
+        if arr.size and not (arr[-1] >= 0.0 and arr[0] <= 1.0 + 1e-12):
+            raise ValueError(f"band edges must lie in [0, 1], got {arr.tolist()!r}")
         arr = np.minimum(arr, 1.0)
         self.edges = tuple(float(a) for a in arr if a > EDGE_FLOOR)
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .density import BandSet, band_count_slope, delta_m
-from .hankel import sequence_limit
+from .hankel import check_trace_powers, sequence_limit
 from .models import RankOneModel, negative_control
 from .profiles import CutoffProfile, builtin_profile
 
@@ -63,10 +63,9 @@ class ResolutionGuardError(RuntimeError):
 
 
 def _validate_window(window) -> tuple[float, float]:
-    try:
-        lo, hi = float(window[0]), float(window[1])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"window must be a pair of numbers, got {window!r}") from exc
+    if not isinstance(window, (list, tuple)) or len(window) != 2:
+        raise ConfigError(f"window must be a pair of numbers, got {window!r}")
+    lo, hi = (_real(bound, "window bound") for bound in window)
     if math.isnan(lo) or math.isnan(hi):
         raise ConfigError(f"window bounds must not be NaN, got {window!r}")
     if not lo < hi:
@@ -200,12 +199,20 @@ def predicted_window_slope(bands: BandSet, window) -> float:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Rank-one model parameters as they appear in sweep configs."""
+    """Rank-one model parameters as they appear in sweep configs; ``RankOneModel`` checks ranges."""
 
     L: float = 8.0
     n: int = 4000
     bump: str = "gaussian"
     c: float = 0.5
+
+    def __post_init__(self):
+        object.__setattr__(self, "L", _real(self.L, "model L"))
+        object.__setattr__(self, "c", _real(self.c, "model c"))
+        if not _is_integer(self.n):
+            raise ConfigError(f"model n must be an integer, got {self.n!r}")
+        if not isinstance(self.bump, str):
+            raise ConfigError(f"model bump must be a name string, got {self.bump!r}")
 
     def build(self) -> RankOneModel:
         return RankOneModel(L=self.L, n=self.n, bump=self.bump, c=self.c)
@@ -219,7 +226,11 @@ RESOLUTION_KAPPA = 0.4
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Validated sweep description; ``from_json`` reads one from a config file."""
+    """Validated sweep description; ``from_json`` reads one from a config file.
+
+    The constructor is the one validator, for Python and JSON alike: it checks
+    every field, and stores the numbers as floats and the lists as tuples.
+    """
 
     model: ModelSpec = ModelSpec()
     lam: float = 0.0
@@ -234,6 +245,12 @@ class SweepConfig:
     output: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.model, ModelSpec):
+            raise ConfigError(f"model must be a ModelSpec, got {self.model!r}")
+        for name, what in (("lam", "lambda"), ("eps_start", "epsilon start"),
+                           ("eps_stop", "epsilon stop"), ("kappa", "kappa"),
+                           ("tolerance", "tolerance")):
+            object.__setattr__(self, name, _real(getattr(self, name), what))
         if not (0.0 < self.eps_stop < self.eps_start < 1.0):
             raise ConfigError(
                 f"need 0 < stop < start < 1, got start={self.eps_start!r}, stop={self.eps_stop!r}"
@@ -242,22 +259,21 @@ class SweepConfig:
             raise ConfigError(f"epsilon count must be an integer >= 3, got {self.eps_count!r}")
         if isinstance(self.profiles, str):
             raise ConfigError(f"profiles must be a sequence of names, got the string {self.profiles!r}")
+        object.__setattr__(self, "profiles", tuple(_list(self.profiles, "profiles")))
         if not self.profiles:
             raise ConfigError("at least one profile is required")
-        for name in self.profiles:
-            try:
-                builtin_profile(name)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        try:  # the profile and trace power rules are the library's, which raises ValueError
+            names = [builtin_profile(name).name for name in self.profiles]
+            powers = check_trace_powers(_list(self.trace_powers, "trace_powers"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if len(set(names)) != len(names):  # case-blind: "arctan_half" repeats "ARCTAN_HALF"
+            raise ConfigError(f"profiles must be distinct, got {list(self.profiles)!r}")
+        object.__setattr__(self, "trace_powers", powers)
+        windows = tuple(_validate_window(w) for w in _list(self.windows, "windows"))
+        object.__setattr__(self, "windows", windows)
         if not (self.windows or self.trace_powers):
             raise ConfigError("nothing to record: no windows and no trace powers")
-        for w in self.windows:
-            _validate_window(w)
-        for m in self.trace_powers:
-            if not _is_integer(m) or m < 1:
-                raise ConfigError(f"trace powers must be positive integers, got {m!r}")
-        if len(set(self.trace_powers)) != len(self.trace_powers):
-            raise ConfigError("trace powers must be distinct")
         if not (self.kappa > 0):
             raise ConfigError(f"kappa must be positive, got {self.kappa!r}")
         if not (self.tolerance > 0):
@@ -270,10 +286,11 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
+        """Read the JSON layout into the constructors, which check every value."""
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         # "workers" and "seed" name removed options; configs written with them
-        # still load, and their values are ignored
+        # still load, and their values are dropped below
         known = {
             "model", "lambda", "profiles", "epsilon", "windows", "trace_powers",
             "workers", "seed", "kappa", "tolerance", "output",
@@ -284,42 +301,18 @@ class SweepConfig:
         block = data.get("model", {})
         if not isinstance(block, dict) or set(block) - {"L", "n", "bump", "c"}:
             raise ConfigError(f"model block must have keys L/n/bump/c, got {block!r}")
-        n = block.get("n", ModelSpec.n)
-        if not _is_integer(n):
-            raise ConfigError(f"model n must be an integer, got {n!r}")
-        bump = block.get("bump", ModelSpec.bump)
-        if not isinstance(bump, str):
-            raise ConfigError(f"model bump must be a name string, got {bump!r}")
-        model = ModelSpec(L=_real(block.get("L", ModelSpec.L), "model L"), n=n, bump=bump,
-                          c=_real(block.get("c", ModelSpec.c), "model c"))
         epsilon = data.get("epsilon", {})
         if not isinstance(epsilon, dict) or set(epsilon) - {"start", "stop", "count"}:
             raise ConfigError(f"epsilon block must have keys start/stop/count, got {epsilon!r}")
-
-        def bound(v, default):
-            return default if v is None else _real(v, "window bound")
-
-        profiles = _list(data.get("profiles", cls.profiles), "profiles")
-        windows = []
-        for w in _list(data.get("windows", cls.windows), "windows"):
-            if not isinstance(w, (list, tuple)) or len(w) != 2:
-                raise ConfigError(f"window must be a pair, got {w!r}")
-            windows.append((bound(w[0], -math.inf), bound(w[1], math.inf)))
-        # the count, the powers and the output go in as given, unconverted, so
-        # that __post_init__ rejects a float or bool integer and a non-string path
-        return cls(
-            model=model,
-            lam=_real(data.get("lambda", cls.lam), "lambda"),
-            profiles=tuple(str(p) for p in profiles),
-            eps_start=_real(epsilon.get("start", cls.eps_start), "epsilon start"),
-            eps_stop=_real(epsilon.get("stop", cls.eps_stop), "epsilon stop"),
-            eps_count=epsilon.get("count", cls.eps_count),
-            windows=tuple(windows),
-            trace_powers=tuple(_list(data.get("trace_powers", cls.trace_powers), "trace_powers")),
-            kappa=_real(data.get("kappa", cls.kappa), "kappa"),
-            tolerance=_real(data.get("tolerance", cls.tolerance), "tolerance"),
-            output=data.get("output", cls.output),
-        )
+        fields = {"lam" if key == "lambda" else key: value for key, value in data.items()
+                  if key not in ("model", "epsilon", "workers", "seed")}
+        fields.update({f"eps_{key}": value for key, value in epsilon.items()})
+        if isinstance(fields.get("windows"), list):  # a null bound is the infinite one
+            fields["windows"] = [
+                (-math.inf if w[0] is None else w[0], math.inf if w[1] is None else w[1])
+                if isinstance(w, list) and len(w) == 2 else w for w in fields["windows"]
+            ]
+        return cls(model=ModelSpec(**block), **fields)
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
@@ -452,14 +445,14 @@ def run_sweep(config: SweepConfig, profile: str | None = None) -> SweepResult:
     refused with ``ResolutionGuardError`` before H is solved.
 
     A sweep reads five things from the model that ``config.model`` builds:
-    ``guard_floor`` and ``scattering_point`` at lam, ``overlaps`` and
+    ``local_level_spacing`` and ``scattering_point`` at lam, ``overlaps`` and
     ``start_block`` (solved once and shared by every eps), and
     ``build_d_eps``, which reads ``eig`` and the kept nodes.
     """
     prof = builtin_profile(config.profiles[0] if profile is None else profile)
 
     model = config.model.build()
-    floor = model.guard_floor(config.lam, config.kappa)
+    floor = config.kappa * model.local_level_spacing(config.lam)
     eps_grid = config.epsilon_grid()
     flags = eps_grid < floor
     clean_count = int(np.count_nonzero(~flags))
@@ -552,8 +545,9 @@ def universality_study(config: SweepConfig, profiles: Sequence[str] | None = Non
 
     The limiting law does not depend on the profile, so the per-window count
     slopes must agree across profiles up to the desk-scale corrections.
+    ``profiles``, if given, replaces the config's and gets the same checks.
     """
-    names = tuple(profiles) if profiles is not None else config.profiles
+    names = (config if profiles is None else replace(config, profiles=profiles)).profiles
     if len(names) < 2:
         raise ConfigError("universality needs at least two profiles")
     results = {name: run_sweep(config, profile=name) for name in names}
@@ -630,7 +624,7 @@ def trace_formula_study(config: SweepConfig) -> TraceFormulaResult:
     smallest-eps trace.
     """
     if 1 not in config.trace_powers:
-        config = replace(config, trace_powers=(1,) + tuple(config.trace_powers))
+        config = replace(config, trace_powers=(1,) + config.trace_powers)
     res = run_sweep(config)
     clean = res.clean_records()
     traces = [r.traces[1] for r in clean]

@@ -50,6 +50,7 @@ from .quadrature import (
 __all__ = [
     "QuadratureGrid",
     "TraceSlopeResult",
+    "check_trace_powers",
     "default_grid",
     "default_laplace_grid",
     "discretize_hankel",
@@ -318,6 +319,17 @@ class TraceSlopeResult:
     extrapolated: dict[int, float]
 
 
+def check_trace_powers(powers) -> tuple[int, ...]:
+    """Distinct positive ints, as a tuple; a float or bool power is an error, not truncated."""
+    powers = tuple(powers)
+    for m in powers:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise ValueError(f"trace powers must be positive integers, got {m!r}")
+    if len(set(powers)) != len(powers):
+        raise ValueError("trace powers must be distinct")
+    return powers
+
+
 def _carleman(s):
     return 1.0 / (np.pi * s)
 
@@ -325,11 +337,12 @@ def _carleman(s):
 def k_eps_trace_slopes(m_list, eps_values) -> TraceSlopeResult:
     """Fit Tr K_eps^m ~ slope * |log eps| across eps_values.
 
-    The traces are those of the Carleman section 1/(pi (x + y)) on (eps, 1),
-    which has the nonzero spectrum of K_eps (see ``laplace_section``),
-    discretized on ``section_grid(eps)``.  Each power gets two slope
-    estimates: the least-squares ``fitted`` and the limit estimate
-    ``extrapolated`` (see ``limit_slope``).
+    The powers are distinct positive ints (``check_trace_powers``).  The
+    traces are those of the Carleman section 1/(pi (x + y)) on (eps, 1), which
+    has the nonzero spectrum of K_eps (see ``laplace_section``), discretized
+    on ``section_grid(eps)``.  Each power gets two slope estimates: the
+    least-squares ``fitted`` and the limit estimate ``extrapolated`` (see
+    ``limit_slope``).
 
     The m = 2 trace is compared with its closed form at every eps; a relative
     deviation beyond ``ORACLE_RTOL`` marks the grid as under-resolved
@@ -340,9 +353,7 @@ def k_eps_trace_slopes(m_list, eps_values) -> TraceSlopeResult:
     eps_values = np.asarray(sorted(set(float(e) for e in np.atleast_1d(eps_values)), reverse=True))
     if eps_values.size < 3:
         raise ValueError("need at least 3 eps values to fit a slope")
-    m_list = [int(m) for m in m_list]
-    if any(m < 1 for m in m_list):
-        raise ValueError("trace powers must be positive integers")
+    m_list = check_trace_powers(m_list)
 
     log_inv = np.log(1.0 / eps_values)
     traces = {m: np.empty_like(eps_values) for m in m_list}

@@ -229,10 +229,6 @@ class RankOneModel:
         i = min(max(i, 1), self.n - 1)
         return float(self.nodes[i] - self.nodes[i - 1])
 
-    def guard_floor(self, lam: float, kappa: float) -> float:
-        """Smallest eps the discretization can be trusted at, kappa * spacing."""
-        return float(kappa) * self.local_level_spacing(lam)
-
     def build_d_eps(self, profile: CutoffProfile, eps: float, lam: float) -> SpectralDifference:
         """The smoothed projection difference psi_eps(H - lam) - psi_eps(H0 - lam).
 
@@ -244,8 +240,8 @@ class RankOneModel:
         g = psi((x - lam)/eps) on the kept nodes.  It has the nonzero
         spectrum and the traces of the n x n D_eps, costs O(m) per eps, and
         builds its dense (m x m) matrix only when asked for.  Any eps in
-        (0, 1) is built; whether the grid resolves it (``guard_floor``) is
-        the sweep's decision, not the build's.
+        (0, 1) is built; whether the grid resolves it (``kappa`` times
+        ``local_level_spacing``) is the sweep's decision, not the build's.
         """
         lam = self._check_energy(lam)
         if not (0 < eps < 1):

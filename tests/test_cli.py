@@ -71,6 +71,11 @@ class TestDensityCommand:
         assert code == 2
         assert "specdiff: error" in err
 
+    def test_rejects_negative_edge(self, capsys):
+        code, out, err = run(capsys, ["density", "--edges", "-0.5", "--window", "0.4"])
+        assert (code, out) == (2, "")
+        assert "specdiff: error: band edges must lie in [0, 1]" in err
+
     def test_rejects_unparseable_edges(self, capsys):
         code, _, _ = run(capsys, ["density", "--edges", "0.8,oops", "--window", "0.4"])
         assert code == 2
@@ -206,6 +211,14 @@ class TestSweepCommand:
             assert (tmp_path / f"sw-{name}.csv").exists()
             summary = json.loads((tmp_path / f"sw-{name}.json").read_text())
             assert summary["profile"] == name
+
+    def test_repeated_profiles_exit_two_before_any_sweep(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"),
+                           profiles=["ARCTAN_HALF", "arctan_half", "ARCTAN_HALF"])
+        code, out, err = run(capsys, ["sweep", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert "specdiff: error: profiles must be distinct" in err
+        assert list(tmp_path.glob("sw*")) == []
 
     def test_missing_config_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, ["sweep", "--config", str(tmp_path / "nope.json")])

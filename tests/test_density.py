@@ -32,6 +32,12 @@ class TestBandSet:
         # roundoff just above 1 is clipped, not rejected
         assert list(BandSet([1.0 + 1e-13])) == [1.0]
 
+    def test_rejects_negative_edges_and_drops_zero(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            BandSet([0.5, -0.5])
+        # a1 = |S - 1|/2 vanishes where S = 1: that edge is dropped, not rejected
+        assert list(BandSet([0.0, 0.5])) == [0.5]
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             BandSet([np.nan])

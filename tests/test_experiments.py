@@ -136,6 +136,26 @@ class TestPredictedWindowSlope:
         )
 
 
+# each config key given a value of the wrong type, and the message it gets
+WRONG_VALUE_TYPES = [
+    ({"trace_powers": 5}, "trace_powers must be a list"),
+    ({"profiles": 5}, "profiles must be a list"),
+    ({"windows": 5}, "windows must be a list"),
+    ({"lambda": [1]}, "lambda must be a number"),
+    ({"model": {"L": [1], "n": 400}}, "model L must be a number"),
+    ({"model": {"c": "x", "n": 400}}, "model c must be a number"),
+    ({"model": {"n": 400.0}}, "model n must be an integer"),
+    ({"model": {"n": True}}, "model n must be an integer"),
+    ({"model": {"bump": 3}}, "model bump must be a name string"),
+    ({"model": 5}, "model block must have keys"),
+    ({"model": {"m": 1}}, "model block must have keys"),
+    ({"lambda": True}, "lambda must be a number"),
+    ({"lambda": "0.3"}, "lambda must be a number"),
+    ({"model": {"c": True, "n": 400}}, "model c must be a number"),
+    ({"tolerance": "1e9"}, "tolerance must be a number"),
+]
+
+
 class TestSweepConfig:
     def test_defaults_are_valid(self):
         cfg = default_config()
@@ -197,26 +217,71 @@ class TestSweepConfig:
                 SweepConfig.from_dict({"output": output})
         assert SweepConfig.from_dict({"output": None}).output is None
 
-    @pytest.mark.parametrize("data, message", [
-        ({"trace_powers": 5}, "trace_powers must be a list"),
-        ({"profiles": 5}, "profiles must be a list"),
-        ({"windows": 5}, "windows must be a list"),
-        ({"lambda": [1]}, "lambda must be a number"),
-        ({"model": {"L": [1], "n": 400}}, "model L must be a number"),
-        ({"model": {"c": "x", "n": 400}}, "model c must be a number"),
-        ({"model": {"n": 400.0}}, "model n must be an integer"),
-        ({"model": {"n": True}}, "model n must be an integer"),
-        ({"model": {"bump": 3}}, "model bump must be a name string"),
-        ({"model": 5}, "model block must have keys"),
-        ({"model": {"m": 1}}, "model block must have keys"),
-        ({"lambda": True}, "lambda must be a number"),
-        ({"lambda": "0.3"}, "lambda must be a number"),
-        ({"model": {"c": True, "n": 400}}, "model c must be a number"),
-        ({"tolerance": "1e9"}, "tolerance must be a number"),
-    ])
+    @pytest.mark.parametrize("data, message", WRONG_VALUE_TYPES)
     def test_wrong_value_type_rejected(self, data, message):
         with pytest.raises(ConfigError, match=message):
             SweepConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        case for case in WRONG_VALUE_TYPES if "block" not in case[1]
+    ])
+    def test_constructors_reject_the_same_types(self, data, message):
+        # the Python twin of each from_dict case (the model block's layout
+        # cases have none): from_dict checks no type of its own
+        fields = {"lam" if key == "lambda" else key: value for key, value in data.items()}
+        with pytest.raises(ConfigError, match=message):
+            if "model" in fields:
+                fields["model"] = ModelSpec(**fields["model"])
+            SweepConfig(**fields)
+
+    @pytest.mark.parametrize("cls, fields, message", [
+        (SweepConfig, {"trace_powers": 3}, "trace_powers must be a list"),
+        (SweepConfig, {"profiles": 3}, "profiles must be a list"),
+        (SweepConfig, {"trace_powers": "12"}, "trace_powers must be a list"),
+        (SweepConfig, {"windows": "ab"}, "windows must be a list"),
+        (SweepConfig, {"eps_start": "0.1"}, "epsilon start must be a number"),
+        (SweepConfig, {"kappa": "1"}, "kappa must be a number"),
+        (SweepConfig, {"lam": "0.0"}, "lambda must be a number"),
+        (SweepConfig, {"lam": True}, "lambda must be a number"),
+        (SweepConfig, {"tolerance": True}, "tolerance must be a number"),
+        (SweepConfig, {"windows": (("0.4", "1"),)}, "window bound must be a number"),
+        (SweepConfig, {"model": {"n": 400}}, "model must be a ModelSpec"),
+        (ModelSpec, {"n": 400.0}, "model n must be an integer"),
+    ], ids=[
+        "powers_int", "profiles_int", "powers_str", "windows_str", "eps_start_str",
+        "kappa_str", "lam_str", "lam_bool", "tolerance_bool", "window_bound_str",
+        "model_dict", "model_n_float",
+    ])
+    def test_python_api_gets_the_config_checks(self, cls, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            cls(**fields)
+
+    def test_numbers_are_stored_as_floats_and_lists_as_tuples(self):
+        cfg = SweepConfig(model=ModelSpec(L=8, n=400, c=1), lam=0, eps_start=0.3,
+                          eps_stop=0.03, eps_count=5, profiles=["TANH_HALF"],
+                          windows=[[1, 2]], trace_powers=[2, 1], kappa=1, tolerance=1)
+        assert cfg == SweepConfig.from_dict({
+            "model": {"L": 8, "n": 400, "c": 1}, "lambda": 0,
+            "epsilon": {"start": 0.3, "stop": 0.03, "count": 5}, "profiles": ["TANH_HALF"],
+            "windows": [[1, 2]], "trace_powers": [2, 1], "kappa": 1, "tolerance": 1,
+        })
+        for value in (cfg.model.L, cfg.model.c, cfg.lam, cfg.kappa, cfg.tolerance,
+                      *cfg.windows[0]):
+            assert type(value) is float
+        assert cfg.profiles == ("TANH_HALF",)
+        assert cfg.windows == ((1.0, 2.0),)
+        assert cfg.trace_powers == (2, 1)
+
+    @pytest.mark.parametrize("profiles", [
+        ("ARCTAN_HALF", "ARCTAN_HALF"),
+        ("ARCTAN_HALF", "arctan_half", "ARCTAN_HALF"),
+        ("TANH_HALF", " tanh_half "),
+    ])
+    def test_repeated_profiles_rejected(self, profiles):
+        with pytest.raises(ConfigError, match="profiles must be distinct"):
+            SweepConfig(profiles=profiles)
+        with pytest.raises(ConfigError, match="profiles must be distinct"):
+            SweepConfig.from_dict({"profiles": list(profiles)})
 
     def test_legacy_workers_and_seed_are_ignored(self):
         assert SweepConfig.from_dict({"workers": 4, "seed": 7}) == SweepConfig()
@@ -308,7 +373,9 @@ class TestRunSweep:
             run_sweep(small_config(eps_start=eps_start, eps_stop=eps_stop))
 
     def test_flagged_points_are_kept_but_not_fitted(self):
-        res = run_sweep(small_config(eps_start=0.3, eps_stop=0.02))
+        cfg = small_config(eps_start=0.3, eps_stop=0.02)
+        res = run_sweep(cfg)
+        assert res.guard_floor == cfg.kappa * cfg.model.build().local_level_spacing(cfg.lam)
         assert any(r.guard_flag for r in res.records)
         assert len(res.clean_records()) >= 3
         assert len(res.clean_records()) < len(res.records)
@@ -508,6 +575,20 @@ class TestStudies:
     def test_universality_needs_two(self):
         with pytest.raises(ConfigError):
             universality_study(small_config(), profiles=("ARCTAN_HALF",))
+
+    @pytest.mark.parametrize("profiles, message", [
+        (("ARCTAN_HALF", "ARCTAN_HALF"), "profiles must be distinct"),
+        (("ARCTAN_HALF", "TANH_HALF", "NOT_A_PROFILE"), "unknown profile"),
+    ])
+    def test_universality_checks_its_profiles_before_any_sweep(
+        self, monkeypatch, profiles, message
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep ran before the profiles were checked")
+
+        monkeypatch.setattr(RankOneModel, "eig", unreachable)
+        with pytest.raises(ConfigError, match=message):
+            universality_study(small_config(), profiles=profiles)
 
     def test_symmetry_windows(self):
         res = symmetry_study(small_config())

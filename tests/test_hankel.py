@@ -174,6 +174,17 @@ class TestTraceSlopes:
         with pytest.raises(ValueError):
             k_eps_trace_slopes([1], [1e-2, 1e-3])
 
+    @pytest.mark.parametrize("powers, message", [
+        ([2.5, 1], "positive integers, got 2.5"),
+        ([2.0], "positive integers, got 2.0"),
+        ([True], "positive integers, got True"),
+        ([0], "positive integers, got 0"),
+        ([2, 1, 2], "trace powers must be distinct"),
+    ])
+    def test_powers_are_checked_not_truncated(self, powers, message):
+        with pytest.raises(ValueError, match=message):
+            k_eps_trace_slopes(powers, np.geomspace(1e-2, 1e-4, 4))
+
     def test_coarse_grid_trips_resolution_flag(self, monkeypatch):
         monkeypatch.setattr(hankel, "section_grid", lambda eps: gauss_legendre_grid(eps, 1.0, 6))
         res = k_eps_trace_slopes([1], np.geomspace(1e-2, 1e-4, 4))

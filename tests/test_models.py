@@ -139,11 +139,6 @@ class TestProjectionDifference:
             math.pi * model.L / model.n, rel=0.05
         )
 
-    def test_guard_floor_scales_with_kappa(self, model):
-        assert model.guard_floor(0.0, kappa=2.0) == pytest.approx(
-            2.0 * model.local_level_spacing(0.0)
-        )
-
     def test_zero_coupling_gives_zero_difference(self):
         m = RankOneModel(n=400, c=0.0)
         psi = builtin_profile("TANH_HALF")
