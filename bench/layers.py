@@ -14,11 +14,11 @@ default rank-one model (gaussian bump, L = 8) it times, as medians over
 - for each c in ``COUPLINGS``, on fresh models: the build of a
   ``RankOneModel`` (the rule, the check of the integral of v^2, u and the
   split), the split into the kept block alone (``kept`` and ``block``, with
-  its O(n) dropped-coupling bound), ``RankOneModel.eig`` (the secular solve
-  of the m x m kept block plus its O(m^2) check), the check alone,
-  P = Q∘Q (``overlaps``) and the block pass's start (Ω, Q^T Ω)
-  (``start_block``); and, on one more fresh model, the tracemalloc peak of
-  ``RankOneModel.eig``;
+  its O(n) dropped-coupling bound), the block's ``eig`` (the secular solve
+  of the m x m kept block plus its O(m^2) check), the check alone, and the
+  rest of ``RankOneModel.solve`` once that solve is cached: P = Q∘Q and the
+  block pass's start (Ω, Q^T Ω); and, on one more fresh model, the
+  tracemalloc peak of the block's ``eig``;
 - at c = 0.5, lam = 0 and ARCTAN_HALF, for each eps in ``EPSILONS``, over
   ``D_EPS_REPEATS`` fresh D_eps on the kept block (one run in several can
   take ten times the others): the traces of D, D^2 and D^3 from P, and the
@@ -147,27 +147,25 @@ def h_case(model, dense, repeats: int) -> dict:
 
     n, c = model.n, model.c
     times = {key: [] for key in ("build_s", "split_s", "solve_and_check_s", "check_s",
-                                 "overlaps_s", "start_block_s")}
+                                 "overlaps_and_start_s")}
     for _ in range(repeats):
         t0 = time.perf_counter()
         fresh = RankOneModel(n=n, c=c)
         t1 = time.perf_counter()
         fresh.rank_one.block(fresh.rank_one.kept())
         t2 = time.perf_counter()
-        w, q = fresh.eig()
+        w, q = fresh.block.eig()
         t3 = time.perf_counter()
         fresh.block.check(w, q)
         t4 = time.perf_counter()
-        fresh.overlaps()
+        fresh.solve()  # the eigensolve is cached: P and the start block
         t5 = time.perf_counter()
-        fresh.start_block()
-        t6 = time.perf_counter()
-        for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5)):
+        for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
             times[key].append(dt)
 
     traced = RankOneModel(n=n, c=c)  # the peak is traced apart from the timings
     tracemalloc.start()
-    traced.eig()
+    traced.block.eig()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     del traced

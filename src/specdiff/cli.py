@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hankel.add_argument("--eps-stop", type=float, default=1e-5)
     p_hankel.add_argument("--count", type=int, default=7)
     p_hankel.add_argument("--powers", default="1,2,3,4,6",
-                          help="comma-separated trace powers (empty: header-only CSV)")
+                          help="comma-separated trace powers (empty: only the eps columns)")
     p_hankel.add_argument("--output", default=None, help="write CSV here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", help="run a configured sweep")
@@ -91,19 +91,12 @@ def _cmd_hankel(args) -> int:
     powers = [int(p) for p in args.powers.split(",") if p.strip() != ""]
     if not (0 < args.eps_stop < args.eps_start < 1):
         raise ValueError("need 0 < --eps-stop < --eps-start < 1")
-    if args.count < 3:
-        raise ValueError("--count must be at least 3")
+    eps_values = np.geomspace(args.eps_start, args.eps_stop, args.count)
+    result = k_eps_trace_slopes(powers, eps_values)
 
     header = ["epsilon", "log_inv_eps"]
     header += [f"trace_m{m}" for m in powers]
     header += [f"exact_m{m}" for m in (1, 2) if m in powers]
-    if not powers:
-        print(",".join(header))
-        return 0
-
-    eps_values = np.geomspace(args.eps_start, args.eps_stop, args.count)
-    result = k_eps_trace_slopes(powers, eps_values)
-
     lines = [",".join(header)]
     for i, eps in enumerate(result.eps):
         row = [f"{eps:.17g}", f"{result.log_inv_eps[i]:.17g}"]
@@ -181,6 +174,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.json:
+        raise ValueError("--json does not apply to report")
     path = Path(args.input)
     try:
         summary = json.loads(path.read_text())

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .matrices import check_trace_powers
 from .quadrature import gauss_legendre, panel_integral, uniform_panels
 
 __all__ = [
@@ -122,8 +123,7 @@ def delta_m(bands: BandSet, m: int) -> float:
     Vanishes identically for odd m; for even m it equals
     (1/pi^2) (sum a_n^m) integral sech(x)^m dx.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"moment order must be a positive integer, got {m!r}")
+    check_trace_powers((m,))
     if m % 2 == 1:
         return 0.0
     edge_sum = sum(a ** float(m) for a in bands)

@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .density import BandSet, band_count_slope, delta_m
-from .hankel import check_trace_powers, sequence_limit
+from .hankel import sequence_limit
+from .matrices import check_trace_powers
 from .models import RankOneModel, negative_control
 from .profiles import CutoffProfile, builtin_profile
 
@@ -444,10 +445,10 @@ def run_sweep(config: SweepConfig, profile: str | None = None) -> SweepResult:
     eps grid and the floor, so a grid with fewer than 3 clean points is
     refused with ``ResolutionGuardError`` before H is solved.
 
-    A sweep reads five things from the model that ``config.model`` builds:
-    ``local_level_spacing`` and ``scattering_point`` at lam, ``overlaps`` and
-    ``start_block`` (solved once and shared by every eps), and
-    ``build_d_eps``, which reads ``eig`` and the kept nodes.
+    A sweep reads four things from the model that ``config.model`` builds:
+    ``local_level_spacing`` and ``scattering_point`` at lam, ``solve`` (once,
+    shared by every eps), and ``build_d_eps``, which reads ``solve`` and the
+    kept nodes.
     """
     prof = builtin_profile(config.profiles[0] if profile is None else profile)
 
@@ -469,8 +470,7 @@ def run_sweep(config: SweepConfig, profile: str | None = None) -> SweepResult:
     # their brackets settle every count and unfolded count
     b = min((_window_gap(win) for win in config.windows), default=math.inf)
     # the one H eigensolve, P = Q∘Q and the block pass's (Ω, Q^T Ω), shared by every eps
-    model.overlaps()
-    model.start_block()
+    model.solve()
 
     records = []
     for eps, flag in zip(eps_grid, flags):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import sech_moment
-from .matrices import RectMatrix, SelfAdjointMatrix
+from .matrices import RectMatrix, SelfAdjointMatrix, check_trace_powers
 # imported by name: default_grid and default_laplace_grid call geometric_panel_grid
 # through this module, so a wrapper set on hankel.geometric_panel_grid sees those calls
 from .quadrature import (
@@ -50,7 +50,6 @@ from .quadrature import (
 __all__ = [
     "QuadratureGrid",
     "TraceSlopeResult",
-    "check_trace_powers",
     "default_grid",
     "default_laplace_grid",
     "discretize_hankel",
@@ -174,6 +173,7 @@ def k_eps_trace_exact(eps: float, m: int) -> float:
     Tr K_eps^2 = (2 log(1+eps) - log(4 eps)) / pi^2
     """
     _validate_eps(eps)
+    check_trace_powers((m,))
     if m == 1:
         return math.log(1.0 / eps) / (2.0 * math.pi)
     if m == 2:
@@ -317,17 +317,6 @@ class TraceSlopeResult:
     resolution_ok: bool
     grid_sizes: np.ndarray
     extrapolated: dict[int, float]
-
-
-def check_trace_powers(powers) -> tuple[int, ...]:
-    """Distinct positive ints, as a tuple; a float or bool power is an error, not truncated."""
-    powers = tuple(powers)
-    for m in powers:
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"trace powers must be positive integers, got {m!r}")
-    if len(set(powers)) != len(powers):
-        raise ValueError("trace powers must be distinct")
-    return powers
 
 
 def _carleman(s):

@@ -26,6 +26,7 @@ __all__ = [
     "RectMatrix",
     "SelfAdjointMatrix",
     "SpectralDifference",
+    "check_trace_powers",
     "schatten_norm",
     "sho_assemble",
     "singular_values",
@@ -49,6 +50,17 @@ class EigendecompositionError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
+
+
+def check_trace_powers(powers) -> tuple[int, ...]:
+    """Distinct positive ints, as a tuple; a float or bool power is an error, not truncated."""
+    powers = tuple(powers)
+    for m in powers:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise ValueError(f"trace powers must be positive integers, got {m!r}")
+    if len(set(powers)) != len(powers):
+        raise ValueError("trace powers must be distinct")
+    return powers
 
 
 def _entries_of(x) -> np.ndarray:
@@ -410,8 +422,7 @@ class SpectralDifference:
         the sum of theta^2; the block widens until that is within 1e-12 of the
         sum of |theta|^m.
         """
-        if not isinstance(m, (int, np.integer)) or m < 1:
-            raise ValueError(f"power must be a positive integer, got {m!r}")
+        check_trace_powers((m,))
         if m > 3:
             theta = self._ritz_values(
                 lambda theta, r: max(r, 0.0) ** (m / 2) <= 1e-12 * np.sum(np.abs(theta) ** m)
@@ -625,7 +636,6 @@ def sho_assemble(x) -> SelfAdjointMatrix:
 
 def trace_power(a: SelfAdjointMatrix, m: int) -> float:
     """Trace of A^m through the eigenvalues, sum of w_i^m."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"power must be a positive integer, got {m!r}")
+    check_trace_powers((m,))
     w = a.eigenvalues()
     return float(np.sum(w ** float(m)))

@@ -14,7 +14,7 @@ need at a point lam follows from it: the band edge a1 = |S - 1|/2 and the
 spectral shift xi = arg(1 + c T)/pi.
 
 The discrete D_eps is built in H's eigenbasis Q, computed once per model
-from the secular equation of H = X + c u u^T (``eig``; the dense H of ``h``
+from the secular equation of H = X + c u u^T (``solve``; the dense H of ``h``
 is only a test oracle).  A node whose coupling u_j is negligible, by
 LAPACK's ``dlaed2`` deflation rule, keeps (x_j, e_j) as an eigenpair of H,
 so psi_eps(H - lam) and psi_eps(H0 - lam) agree on it exactly: H and D_eps
@@ -105,12 +105,11 @@ class RankOneModel:
             self.nodes, np.sqrt(self.weights) * self.v(self.nodes), self.c
         )
         # the deflated nodes are eigenpairs (x_j, e_j) of H, on which D_eps
-        # vanishes: ``eig`` solves H on the kept block, after an O(n) check of
-        # the coupling dropped (None when no node is kept, so H = H0)
+        # vanishes: ``solve`` solves H on the kept block, after an O(n) check
+        # of the coupling dropped (None when no node is kept, so H = H0)
         self.kept, self.block = self.rank_one.split()
         self._h: SelfAdjointMatrix | None = None
-        self._overlaps: np.ndarray | None = None
-        self._start: tuple[np.ndarray, np.ndarray] | None = None
+        self._solved: tuple | None = None
 
     def _check_quadrature(self) -> None:
         # the grid must integrate v^2 exactly, or the discrete model is not
@@ -132,43 +131,30 @@ class RankOneModel:
         """H = H0 + c <v, .> v in the weighted node basis, dense, built lazily.
 
         The dense oracle for tests and comparisons: sweeps solve H through
-        ``eig``, which never builds it.
+        ``solve``, which never builds it.
         """
         if self._h is None:
             self._h = SelfAdjointMatrix(self.rank_one.entries)
         return self._h
 
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and orthonormal eigenvectors of H on its kept block, cached.
+    def solve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """(w, Q, P, (Ω, Q^T Ω)) of H on its kept block, cached: what every D_eps shares.
 
-        The m eigenvalues and the m x m eigenvectors of H restricted to the
-        nodes ``kept``, solved from the secular equation with an O(m^2) check
-        (``DiagonalPlusRankOne``).  With the deflated nodes' (x_j, e_j) they
-        make up the eigendecomposition of H, which ``rank_one.eig`` returns
-        without solving the block again; the dense H of ``h`` is not built.
+        w and Q are the ascending eigenvalues and the m x m orthonormal
+        eigenvectors of H restricted to the nodes ``kept``, solved from the
+        secular equation with an O(m^2) check (``DiagonalPlusRankOne``); with
+        the deflated nodes' (x_j, e_j) they make up the eigendecomposition of
+        H, which ``rank_one.eig`` returns without solving the block again.
+        P = Q∘Q (read-only) and the block pass's start
+        ``SpectralDifference.start_block(Q)`` depend on neither lam, eps nor
+        the profile.  All four are empty when no node is kept.
         """
-        if self.block is None:
-            return np.empty(0), np.empty((0, 0))
-        return self.block.eig()
-
-    def overlaps(self) -> np.ndarray:
-        """P = Q∘Q for the kept block's eigenvectors Q, cached."""
-        if self._overlaps is None:
-            q = self.eig()[1]
+        if self._solved is None:
+            w, q = (np.empty(0), np.empty((0, 0))) if self.block is None else self.block.eig()
             p = q * q
             p.setflags(write=False)
-            self._overlaps = p
-        return self._overlaps
-
-    def start_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Ω, Q^T Ω) that every D_eps's block pass starts from, cached.
-
-        ``SpectralDifference.start_block`` of the kept block's Q: it depends
-        on neither eps nor the profile, so one is drawn per model.
-        """
-        if self._start is None:
-            self._start = SpectralDifference.start_block(self.eig()[1])
-        return self._start
+            self._solved = w, q, p, SpectralDifference.start_block(q)
+        return self._solved
 
     def _check_energy(self, lam: float) -> float:
         lam = float(lam)
@@ -233,8 +219,8 @@ class RankOneModel:
         """The smoothed projection difference psi_eps(H - lam) - psi_eps(H0 - lam).
 
         H0 is diagonal here, so only H goes through an eigendecomposition
-        (``eig``, cached on the model and shared by every eps, with
-        ``overlaps`` and ``start_block``).  D vanishes on the deflated nodes,
+        (``solve``, cached on the model and shared by every eps, with P and
+        the block pass's start).  D vanishes on the deflated nodes,
         so the result is D on the kept block, kept factored: D = Q diag(f)
         Q^T - diag(g), f = psi((w - lam)/eps) on the block's eigenvalues and
         g = psi((x - lam)/eps) on the kept nodes.  It has the nonzero
@@ -246,10 +232,9 @@ class RankOneModel:
         lam = self._check_energy(lam)
         if not (0 < eps < 1):
             raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-        w, q = self.eig()
+        w, q, p, start = self.solve()
         return SpectralDifference(
-            q, profile((w - lam) / eps), profile((self.nodes[self.kept] - lam) / eps),
-            self.overlaps(), self.start_block(),
+            q, profile((w - lam) / eps), profile((self.nodes[self.kept] - lam) / eps), p, start
         )
 
 

@@ -47,7 +47,7 @@ def test_h_case_times_the_package_and_cross_checks_it(bench, c):
     assert (row["n"], row["c"]) == (200, c)
     assert 0 < row["m"] < 200  # the gaussian bump deflates about half the nodes
     assert all(row[key] > 0.0 for key in ("build_s", "split_s", "solve_and_check_s", "check_s",
-                                          "overlaps_s", "start_block_s", "eig_peak_bytes"))
+                                          "overlaps_and_start_s", "eig_peak_bytes"))
     checks = row["cross_checks"]
     scale = checks["entry_scale"]
     assert checks["max_abs_w_minus_dense"] <= 1e-13 * scale

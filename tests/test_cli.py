@@ -102,10 +102,29 @@ class TestHankelCommand:
         assert any(line.startswith("# m=2 fitted_slope=") for line in comments)
         assert any(line.startswith("# resolution_ok=true") for line in comments)
 
-    def test_empty_powers_prints_header_only(self, capsys):
+    def test_empty_powers_prints_only_the_eps_columns(self, capsys):
         code, out, _ = run(capsys, ["hankel", "--powers", ""])
         assert code == 0
-        assert out.strip() == "epsilon,log_inv_eps"
+        lines = out.splitlines()
+        assert lines[0] == "epsilon,log_inv_eps" and len(lines) == 9
+        assert all(len(line.split(",")) == 2 for line in lines[1:8])
+        assert float(lines[1].split(",")[0]) == 1e-2
+        assert lines[8].startswith("# resolution_ok=true max_oracle_deviation=")
+
+    def test_empty_powers_write_the_output_file(self, capsys, tmp_path):
+        path = tmp_path / "traces.csv"
+        code, out, _ = run(capsys, ["hankel", "--powers", "", "--output", str(path)])
+        assert (code, out) == (0, f"wrote {path}\n")
+        assert path.read_text().startswith("epsilon,log_inv_eps\n0.01,")
+
+    def test_empty_powers_json_has_empty_tables(self, capsys, tmp_path):
+        path = tmp_path / "traces.csv"
+        code, out, _ = run(capsys, ["--json", "hankel", "--powers", "", "--output", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["epsilon"]) == 7 and payload["resolution_ok"] is True
+        assert payload["traces"] == payload["fitted_slopes"] == payload["predicted_slopes"] == {}
+        assert path.read_text().startswith("epsilon,log_inv_eps\n")
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "traces.csv"
@@ -358,12 +377,38 @@ class TestReportCommand:
             assert "specdiff: error" in err and "not a sweep summary" in err
             assert out == "" and not svg_path.exists()
 
+    def test_json_flag_is_refused(self, capsys, summary_path, tmp_path):
+        svg_path = tmp_path / "chart.svg"
+        code, out, err = run(capsys, ["--json", "report", "--input", str(summary_path),
+                                      "--svg", str(svg_path)])
+        assert (code, out) == (2, "")
+        assert "specdiff: error: --json does not apply to report" in err
+        assert not svg_path.exists()
+
     def test_unwritable_svg_exits_two(self, capsys, summary_path, tmp_path):
         svg_path = tmp_path / "absent" / "chart.svg"
         code, _, err = run(capsys, ["report", "--input", str(summary_path),
                                     "--svg", str(svg_path)])
         assert code == 2
         assert "specdiff: error: cannot write" in err
+
+
+@pytest.mark.parametrize("command", ["density", "hankel", "hankel-no-powers", "sweep",
+                                     "report"])
+def test_json_prints_one_document_or_exits_two(capsys, tmp_path, summary_path, command):
+    argv = {
+        "density": ["density", "--edges", "0.8,0.6", "--moment", "2"],
+        "hankel": TestHankelCommand.ARGS,
+        "hankel-no-powers": ["hankel", "--count", "4", "--powers", ""],
+        "sweep": ["sweep", "--config",
+                  write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"))],
+        "report": ["report", "--input", str(summary_path), "--svg", str(tmp_path / "c.svg")],
+    }[command]
+    code, out, _ = run(capsys, ["--json", *argv])
+    if code == 2:
+        assert out == ""
+    else:
+        json.loads(out)  # one document: trailing text fails to parse
 
 
 class TestParser:

@@ -139,7 +139,7 @@ class TestDeltaM:
         )
 
     def test_rejects_bad_order(self):
-        for m in (0, -2, 1.5):
+        for m in (0, -2, 1.5, True, 1.0):
             with pytest.raises(ValueError):
                 delta_m(BandSet([0.5]), m)
 

@@ -367,7 +367,7 @@ class TestRunSweep:
         def unreachable(*args, **kwargs):
             raise AssertionError("a guard-blocked sweep reached the model")
 
-        monkeypatch.setattr(RankOneModel, "eig", unreachable)
+        monkeypatch.setattr(RankOneModel, "solve", unreachable)
         monkeypatch.setattr(RankOneModel, "scattering_point", unreachable)
         with pytest.raises(ResolutionGuardError, match="resolution guard"):
             run_sweep(small_config(eps_start=eps_start, eps_stop=eps_stop))
@@ -434,8 +434,12 @@ class TestStructuredSweep:
         cfg = small_config(model=ModelSpec(n=400, c=c), windows=self.WINDOWS)
         fast = run_sweep(cfg)
         # the n x n route: every node kept, H solved by the dense eigh
+        def dense_solve(model):
+            w, q = model.h.eig()
+            return w, q, q * q, SpectralDifference.start_block(q)
+
         monkeypatch.setattr(DiagonalPlusRankOne, "kept", lambda h: np.arange(h.dim))
-        monkeypatch.setattr(RankOneModel, "eig", lambda model: model.h.eig())
+        monkeypatch.setattr(RankOneModel, "solve", dense_solve)
         dense = run_sweep(cfg)
         for a, b in zip(fast.records, dense.records, strict=True):
             assert (a.counts, a.guard_flag) == (b.counts, b.guard_flag)
@@ -586,7 +590,7 @@ class TestStudies:
         def unreachable(*args, **kwargs):
             raise AssertionError("a sweep ran before the profiles were checked")
 
-        monkeypatch.setattr(RankOneModel, "eig", unreachable)
+        monkeypatch.setattr(RankOneModel, "solve", unreachable)
         with pytest.raises(ConfigError, match=message):
             universality_study(small_config(), profiles=profiles)
 

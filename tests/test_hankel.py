@@ -99,8 +99,9 @@ class TestExactTraces:
             assert float(np.sum(w**2)) == pytest.approx(k_eps_trace_exact(eps, 2), rel=1e-6)
 
     def test_unknown_power_rejected(self):
-        with pytest.raises(ValueError):
-            k_eps_trace_exact(1e-3, 3)
+        for m in (3, True, 1.0):
+            with pytest.raises(ValueError):
+                k_eps_trace_exact(1e-3, m)
 
 
 class TestLaplaceFactorization:

@@ -316,7 +316,7 @@ class TestTracePower:
 
     def test_rejects_bad_powers(self):
         a = SelfAdjointMatrix(np.eye(2))
-        for m in (0, -1, 1.5, "2"):
+        for m in (0, -1, 1.5, "2", True, 1.0):
             with pytest.raises(ValueError):
                 trace_power(a, m)
 

@@ -215,7 +215,7 @@ class TestStructuredDifference:
         assert d._dense is None
 
     def test_dense_entries_on_demand(self, model):
-        q = model.eig()[1]
+        q = model.solve()[1]
         psi = builtin_profile("ARCTAN_HALF")
         d = model.build_d_eps(psi, 0.1, 0.0)
         assert d._dense is None and d.q is q
@@ -288,8 +288,9 @@ class TestStructuredDifference:
         with pytest.raises(ValueError, match="finite"):
             SpectralDifference(q, np.array([0.0, np.nan, 0.0]), np.zeros(3), q, start)
         d = SpectralDifference(q, np.zeros(3), np.zeros(3), q, start)
-        with pytest.raises(ValueError):
-            d.trace_power(0)
+        for m in (0, True, 1.0):
+            with pytest.raises(ValueError):
+                d.trace_power(m)
         with pytest.raises(ValueError):
             d.window_eigenvalues(0.0)
 
@@ -352,15 +353,27 @@ class TestKeptBlock:
 
     def test_h_reuses_the_block_solve(self, secular_calls):
         model = RankOneModel(n=400)
-        w_k = model.eig()[0]
+        w_k = model.solve()[0]
         w, q = model.rank_one.eig()
         assert secular_calls == [model.kept.size]
         assert w.size == 400 and np.all(np.isin(w_k, w))
 
+    @pytest.mark.parametrize("c", [0.5, 0.0])
+    def test_solve_is_one_cached_step(self, secular_calls, c):
+        model = RankOneModel(n=400, c=c)
+        solved = model.solve()
+        assert model.solve() is solved
+        w, q, p, (omega, start) = solved
+        m = model.kept.size
+        assert secular_calls == ([m] if m else [])
+        assert (w.shape, q.shape, p.shape) == ((m,), (m, m), (m, m))
+        assert np.array_equal(p, q * q) and not p.flags.writeable
+        assert omega.shape == (m, min(BLOCK_START, m)) and np.array_equal(start, q.T @ omega)
+
     def test_the_block_is_its_own_split(self, secular_calls):
         # no node of the kept block deflates: its eig solves it, with no copy made
         model = RankOneModel(n=400)
-        model.eig()
+        model.solve()
         kept, block = model.block.split()
         assert block is model.block and np.array_equal(kept, np.arange(model.kept.size))
         assert secular_calls == [model.kept.size]
@@ -371,7 +384,7 @@ class TestKeptBlock:
         model = RankOneModel(n=1500, c=c)
         tracemalloc.start()
         try:
-            q = model.eig()[1]
+            q = model.block.eig()[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
