@@ -16,12 +16,12 @@ default rank-one model (gaussian bump, L = 8) it times, as medians over
   split), the split into the kept block alone (``kept`` and ``block``, with
   its O(n) dropped-coupling bound), the block's ``eig`` (the secular solve
   of the m x m kept block plus its O(m^2) check), the check alone, and the
-  rest of ``RankOneModel.solve`` once that solve is cached: P = Q∘Q and the
-  block pass's start (Ω, Q^T Ω); and, on one more fresh model, the
-  tracemalloc peak of the block's ``eig``;
+  rest of ``RankOneModel.solve`` once that solve is cached: the block
+  pass's start (Ω, Q^T Ω); and, on one more fresh model, the tracemalloc
+  peak of the block's ``eig``;
 - at c = 0.5, lam = 0 and ARCTAN_HALF, for each eps in ``EPSILONS``, over
   ``D_EPS_REPEATS`` fresh D_eps on the kept block (one run in several can
-  take ten times the others): the traces of D, D^2 and D^3 from P, and the
+  take ten times the others): the traces of D, D^2 and D^3 from Q, and the
   block pass of ``SpectralDifference.window_eigenvalues`` at the default
   window's threshold 0.4 (two products with Q per block; Tr D^2 is taken
   before the clock starts, as a sweep does);
@@ -147,7 +147,7 @@ def h_case(model, dense, repeats: int) -> dict:
 
     n, c = model.n, model.c
     times = {key: [] for key in ("build_s", "split_s", "solve_and_check_s", "check_s",
-                                 "overlaps_and_start_s")}
+                                 "start_s")}
     for _ in range(repeats):
         t0 = time.perf_counter()
         fresh = RankOneModel(n=n, c=c)
@@ -158,7 +158,7 @@ def h_case(model, dense, repeats: int) -> dict:
         t3 = time.perf_counter()
         fresh.block.check(w, q)
         t4 = time.perf_counter()
-        fresh.solve()  # the eigensolve is cached: P and the start block
+        fresh.solve()  # the eigensolve is cached: the start block alone
         t5 = time.perf_counter()
         for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
             times[key].append(dt)

@@ -4,8 +4,9 @@ A sweep fixes a model, an energy lam, and a profile, builds the smoothed
 projection difference D_eps over a geometric eps grid, and records window
 counts and trace powers per eps.  D_eps stays factored (``SpectralDifference``)
 on the m nodes of H's kept block, where it lives: traces of powers up to 3
-are O(m^2) sums against the squared eigenvector overlaps; the counts and
-the higher powers read the Ritz values of one certified block pass, which
+are O(m^2) sums against the squared entries of H's eigenvectors Q, taken
+row by row, so a sweep holds no m x m array but Q; the counts and the
+higher powers read the Ritz values of one certified block pass, which
 holds every eigenvalue beyond the smallest window edge.  Fitted slopes
 against |log eps| are compared with the predictions coming from the
 scattering data: window masses of the limiting density for counts, Delta_m
@@ -469,7 +470,7 @@ def run_sweep(config: SweepConfig, profile: str | None = None) -> SweepResult:
     # every window edge is at least b from 0, so the eigenvalues beyond b and
     # their brackets settle every count and unfolded count
     b = min((_window_gap(win) for win in config.windows), default=math.inf)
-    # the one H eigensolve, P = Q∘Q and the block pass's (Ω, Q^T Ω), shared by every eps
+    # the one H eigensolve and the block pass's (Ω, Q^T Ω), shared by every eps
     model.solve()
 
     records = []

@@ -12,8 +12,11 @@ solved from the secular equation in O(m^2).
 ``SpectralDifference`` keeps a difference
 ``Q diag(f) Q^T - diag(g)`` factored: its low traces cost O(n^2), its
 numerical spectrum comes from one certified block Rayleigh-Ritz pass, and
-the dense matrix is built only on demand, as a test oracle.  The free
-functions accept either a wrapper or a bare array.
+the dense matrix is built only on demand, as a test oracle.  The
+eigenvector matrix Q is the one m x m array that these make: the secular
+solve and its check run in strips of ``STRIP_WIDTH`` rows or columns
+through work arrays of that width, and the traces read Q row by row.  The
+free functions accept either a wrapper or a bare array.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ SYMMETRY_RTOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
 BLOCK_START = 32  # columns of the first block pass, doubled until certified
 SECULAR_MAX_ITER = 40  # dlaed4 allows 30; a converging root needs about 5
-CHECK_COLUMNS = 256  # columns per block in the O(n^2) eigenvector residual
+STRIP_WIDTH = 64  # rows or columns per strip of an O(m^2) pass: none makes an m x m temporary
 _EPS = float(np.finfo(float).eps)
 
 
@@ -317,17 +320,17 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
     def residual(self, w: np.ndarray, q: np.ndarray) -> float:
         """Largest column residual |x∘q_k + c u (u^T q_k) - w_k q_k|, NaN if any is.
 
-        Taken in blocks of ``CHECK_COLUMNS`` columns, so no n x n temporary
-        is built.
+        Taken in strips of ``STRIP_WIDTH`` rows through two
+        ``STRIP_WIDTH`` x n work arrays, so no n x n temporary is built.
         """
-        cu = self.c * self.u
+        cu, uq = self.c * self.u, self.u @ q
+        work = np.empty((2, min(STRIP_WIDTH, self.dim), self.dim))
         largest = []
-        for start in range(0, self.dim, CHECK_COLUMNS):
-            cols = slice(start, start + CHECK_COLUMNS)
-            block = q[:, cols]
-            r = np.subtract.outer(self.x, w[cols])
-            r *= block
-            r += np.outer(cu, self.u @ block)
+        for rows in _strips(self.dim):
+            r, coupling = work[:, : rows.stop - rows.start]
+            np.subtract.outer(self.x[rows], w, out=r)
+            r *= q[rows]
+            r += np.multiply.outer(cu[rows], uq, out=coupling)
             largest.append(np.max(np.abs(r, out=r)))
         return float(np.max(largest))
 
@@ -345,8 +348,8 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
             w, q = _secular_eig(x, np.sqrt(c) * u)
         else:
             # -H = diag(-x) + |c| u u^T; reversing the order keeps -x increasing
-            w, q = _secular_eig(-x[::-1], np.sqrt(-c) * u[::-1])
-            w, q = -w[::-1], np.ascontiguousarray(q[::-1, ::-1])
+            w, q = _secular_eig(-x[::-1], np.sqrt(-c) * u[::-1], reverse=True)
+            w = -w[::-1]
         self.check(w, q)
         return w, q
 
@@ -357,9 +360,10 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
 class SpectralDifference:
     """The symmetric difference D = Q diag(f) Q^T - diag(g), kept factored.
 
-    ``q`` is an orthogonal matrix (held, not copied) and ``overlaps`` its
-    entrywise square P = Q∘Q.  Because Q^T G^k Q = (Q^T G Q)^k, the traces of
-    D, D^2 and D^3 are sums against P and cost O(n^2).  The numerical rank of
+    ``q`` is an orthogonal matrix, held, not copied.  Because
+    Q^T G^k Q = (Q^T G Q)^k, the traces of D, D^2 and D^3 are sums against
+    the squared overlaps Q∘Q, taken row by row from Q with no n x n
+    temporary, and cost O(n^2).  The numerical rank of
     D is small, so one block pass (a randomized range finder, then
     Rayleigh-Ritz; Halko, Martinsson & Tropp 2011) finds its whole numerical
     spectrum, certified by Tr D^2: ``window_eigenvalues`` and the higher
@@ -370,21 +374,17 @@ class SpectralDifference:
     as a ``SelfAdjointMatrix``, on first use: the oracle in tests.
     """
 
-    __slots__ = ("q", "f", "g", "overlaps", "start", "_traces", "_ritz", "_dense")
+    __slots__ = ("q", "f", "g", "start", "_traces", "_ritz", "_dense")
 
-    def __init__(self, q: np.ndarray, f, g, overlaps: np.ndarray,
-                 start: tuple[np.ndarray, np.ndarray]):
+    def __init__(self, q: np.ndarray, f, g, start: tuple[np.ndarray, np.ndarray]):
         f = np.asarray(f, dtype=float)
         g = np.asarray(g, dtype=float)
         n = q.shape[0]
-        if q.shape != (n, n) or overlaps.shape != (n, n) or f.shape != (n,) or g.shape != (n,):
-            raise ValueError(
-                f"shapes do not match: q {q.shape}, overlaps {overlaps.shape}, "
-                f"f {f.shape}, g {g.shape}"
-            )
+        if q.shape != (n, n) or f.shape != (n,) or g.shape != (n,):
+            raise ValueError(f"shapes do not match: q {q.shape}, f {f.shape}, g {g.shape}")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
             raise ValueError("diagonal entries must be finite")
-        self.q, self.f, self.g, self.overlaps, self.start = q, f, g, overlaps, start
+        self.q, self.f, self.g, self.start = q, f, g, start
         self._traces: tuple[float, float, float] | None = None
         self._ritz: np.ndarray | None = None
         self._dense: SelfAdjointMatrix | None = None
@@ -416,7 +416,7 @@ class SpectralDifference:
         return self.dense().eigenvalues()
 
     def trace_power(self, m: int) -> float:
-        """Tr D^m: from f, g and P for m <= 3, from the Ritz values above.
+        """Tr D^m: from f, g and Q∘Q for m <= 3, from the Ritz values above.
 
         For m >= 4 the sum of theta^m misses at most R^(m/2), R = Tr D^2 minus
         the sum of theta^2; the block widens until that is within 1e-12 of the
@@ -429,8 +429,9 @@ class SpectralDifference:
             )
             return float(np.sum(theta ** float(m)))
         if self._traces is None:
-            f, g = self.f, self.g
-            pf, pf2 = (self.overlaps @ np.column_stack((f, f * f))).T
+            f, g, q = self.f, self.g, self.q
+            # (Q∘Q) f and (Q∘Q) f^2, each row summed in one pass over Q: no n x n temporary
+            pf, pf2 = (np.einsum("ij,ij,j->i", q, q, v) for v in (f, f * f))
             self._traces = (
                 float(np.sum(f) - np.sum(g)),
                 float(np.sum(f * f) + np.sum(g * g) - 2.0 * (g @ pf)),
@@ -491,25 +492,55 @@ class SpectralDifference:
         return f"SpectralDifference(dim={self.dim})"
 
 
-def _secular_eig(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _strips(size: int) -> list[slice]:
+    """Slices of at most ``STRIP_WIDTH`` that cover range(size), in order.
+
+    No strip is one wide unless size is 1: NumPy sums an (m, 1) array down
+    its column pairwise and a wider one row after row, so a strip of one
+    column would change the last bits of a column sum.
+    """
+    starts = list(range(0, size, STRIP_WIDTH))
+    if size > 1 and size - starts[-1] == 1:
+        starts[-1] -= 1
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [size])]
+
+
+def _secular_eig(d: np.ndarray, z: np.ndarray,
+                 reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of diag(d) + z z^T, d strictly increasing, no node deflated.
 
-    Every node must pass ``DiagonalPlusRankOne.kept``: the Cauchy form would
-    divide 0 by 0 at a node with a negligible coupling.
+    The eigenvectors are the one m x m array of the solve, made once its
+    roots are found; the other passes run in strips through work arrays of
+    ``STRIP_WIDTH`` m entries.  With ``reverse`` they are written with rows
+    and columns in reverse order, in place of a reversed copy.  Every node
+    must pass ``DiagonalPlusRankOne.kept``: the Cauchy form would divide 0
+    by 0 at a node with a negligible coupling.
     """
     origin, tau = _secular_roots(d, z)
-    # delta[i, k] = d_i - w_k, formed from the pole nearest w_k without cancellation
-    delta = (d[:, None] - d[origin]) - tau
+    m = d.size
+    q = np.empty((m, m))
+    vectors = q[::-1, ::-1] if reverse else q
+    # delta[i, k] = d_i - w_k, formed from the pole nearest w_k without cancellation,
+    # in the array that becomes the eigenvectors
+    delta = np.subtract.outer(d, d[origin], out=vectors)
+    delta -= tau
     # Löwner: the coupling for which the computed w_k are exact eigenvalues,
-    # z_i^2 = prod_k (w_k - d_i) / prod_{k != i} (d_k - d_i)
-    ratio = d[:, None] - d
-    np.fill_diagonal(ratio, -1.0)
-    np.divide(delta, ratio, out=ratio)
-    zhat = np.copysign(np.sqrt(np.prod(ratio, axis=1)), z)
-    del ratio
-    vectors = np.divide(zhat[:, None], delta, out=delta)
-    vectors /= np.linalg.norm(vectors, axis=0)
-    return d[origin] + tau, vectors
+    # z_i^2 = prod_k (w_k - d_i) / prod_{k != i} (d_k - d_i), a strip of rows at a time
+    work = np.empty((min(STRIP_WIDTH, m), m))
+    zhat = np.empty(m)
+    for rows in _strips(m):
+        ratio = np.subtract.outer(d[rows], d, out=work[: rows.stop - rows.start])
+        np.fill_diagonal(ratio[:, rows], -1.0)
+        zhat[rows] = np.prod(np.divide(delta[rows], ratio, out=ratio), axis=1)
+    zhat = np.copysign(np.sqrt(zhat), z)
+    np.divide(zhat[:, None], delta, out=vectors)
+    norms, work = np.empty(m), work.reshape(m, -1)
+    for cols in _strips(m):
+        block = vectors[:, cols]
+        square = np.multiply(block, block, out=work[:, : block.shape[1]])
+        norms[cols] = np.sqrt(np.sum(square, axis=0))
+    vectors /= norms
+    return d[origin] + tau, q
 
 
 def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -536,7 +567,13 @@ def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     width = np.append(np.diff(d), rho)
     half = width / 2.0
     mid = d + half
-    f_mid = 1.0 + np.sum(z2[:, None] / (d[:, None] - mid), axis=0)
+    # the work arrays of every strip of columns: delta, terms, |terms| and the left poles
+    work = np.empty((3, m, min(STRIP_WIDTH, m)))
+    left_work = np.empty((m, min(STRIP_WIDTH, m)), dtype=bool)
+    f_mid = np.empty(m)
+    for cols in _strips(m):
+        delta = np.subtract.outer(d, mid[cols], out=work[0, :, : cols.stop - cols.start])
+        f_mid[cols] = 1.0 + np.sum(np.divide(z2[:, None], delta, out=delta), axis=0)
     last = k == m - 1
     right = (f_mid < 0.0) & ~last  # root in the right half: origin at d_(k+1)
     up = (f_mid < 0.0) & last
@@ -559,20 +596,26 @@ def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     active = k
     for _ in range(SECULAR_MAX_ITER):
         o, t, ka = origin[active], tau[active], a[active]
-        delta = (d[:, None] - d[o]) - t
-        terms = z2[:, None] / delta
-        f = 1.0 + np.sum(terms, axis=0)
-        bound = 8.0 * (np.sum(np.abs(terms), axis=0) + 1.0)
-        terms /= delta
-        left = k[:, None] <= ka
-        dpsi = np.sum(terms, axis=0, where=left)
-        dphi = np.sum(terms, axis=0, where=~left)
+        f, bound, dpsi, dphi, da, db = np.empty((6, active.size))
+        for cols in _strips(active.size):
+            span = cols.stop - cols.start
+            delta, terms, magnitude = work[:, :, :span]
+            left = left_work[:, :span]
+            np.subtract.outer(d, d[o[cols]], out=delta)
+            delta -= t[cols]
+            np.divide(z2[:, None], delta, out=terms)
+            f[cols] = 1.0 + np.sum(terms, axis=0)
+            bound[cols] = 8.0 * (np.sum(np.abs(terms, out=magnitude), axis=0) + 1.0)
+            terms /= delta
+            np.less_equal(k[:, None], ka[cols], out=left)
+            dpsi[cols] = np.sum(terms, axis=0, where=left)
+            dphi[cols] = np.sum(terms, axis=0, where=np.logical_not(left, out=left))
+            j = np.arange(span)
+            da[cols], db[cols] = delta[ka[cols], j], delta[ka[cols] + 1, j]
         df = dpsi + dphi
         converged = np.abs(f) <= _EPS * (bound + np.abs(t) * df)
         if np.all(converged):
             return origin, tau
-        cols = np.arange(active.size)
-        da, db = delta[ka, cols], delta[ka + 1, cols]
         lo_a = np.where(f < 0.0, np.maximum(lo[active], t), lo[active])
         hi_a = np.where(f > 0.0, np.minimum(hi[active], t), hi[active])
         # f(t + eta) ~ C + s/(da - eta) + S/(db - eta), matching f, psi' and phi'
@@ -589,7 +632,6 @@ def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         step = np.where(converged, t, step)
         tau[active], lo[active], hi[active] = step, lo_a, hi_a
         active = active[~converged]
-        del delta, terms, left  # free this step's m x m arrays before the next step makes its own
     raise EigendecompositionError(
         f"secular equation: {active.size} of {m} roots did not converge "
         f"in {SECULAR_MAX_ITER} steps"
@@ -634,8 +676,13 @@ def sho_assemble(x) -> SelfAdjointMatrix:
     return SelfAdjointMatrix(block)
 
 
-def trace_power(a: SelfAdjointMatrix, m: int) -> float:
-    """Trace of A^m through the eigenvalues, sum of w_i^m."""
+def trace_power(a, m: int) -> float:
+    """Trace of A^m through the eigenvalues, sum of w_i^m.
+
+    A bare array is validated as a ``SelfAdjointMatrix`` first.
+    """
     check_trace_powers((m,))
+    if not isinstance(a, SelfAdjointMatrix):
+        a = SelfAdjointMatrix(_entries_of(a))
     w = a.eigenvalues()
     return float(np.sum(w ** float(m)))

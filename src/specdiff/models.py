@@ -20,7 +20,8 @@ LAPACK's ``dlaed2`` deflation rule, keeps (x_j, e_j) as an eigenpair of H,
 so psi_eps(H - lam) and psi_eps(H0 - lam) agree on it exactly: H and D_eps
 are solved on the m kept nodes only, in O(m^2).  H0 is diagonal, so D_eps =
 Q psi_eps(W - lam) Q^T - psi_eps(X - lam) on that block is kept as a
-``SpectralDifference`` and costs O(m) per eps to build.
+``SpectralDifference`` and costs O(m) per eps to build.  Q is the one m x m
+array a model holds.
 """
 
 from __future__ import annotations
@@ -137,23 +138,21 @@ class RankOneModel:
             self._h = SelfAdjointMatrix(self.rank_one.entries)
         return self._h
 
-    def solve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """(w, Q, P, (Ω, Q^T Ω)) of H on its kept block, cached: what every D_eps shares.
+    def solve(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """(w, Q, (Ω, Q^T Ω)) of H on its kept block, cached: what every D_eps shares.
 
         w and Q are the ascending eigenvalues and the m x m orthonormal
         eigenvectors of H restricted to the nodes ``kept``, solved from the
         secular equation with an O(m^2) check (``DiagonalPlusRankOne``); with
         the deflated nodes' (x_j, e_j) they make up the eigendecomposition of
         H, which ``rank_one.eig`` returns without solving the block again.
-        P = Q∘Q (read-only) and the block pass's start
-        ``SpectralDifference.start_block(Q)`` depend on neither lam, eps nor
-        the profile.  All four are empty when no node is kept.
+        The block pass's start ``SpectralDifference.start_block(Q)`` depends
+        on neither lam, eps nor the profile.  All three are empty when no
+        node is kept.
         """
         if self._solved is None:
             w, q = (np.empty(0), np.empty((0, 0))) if self.block is None else self.block.eig()
-            p = q * q
-            p.setflags(write=False)
-            self._solved = w, q, p, SpectralDifference.start_block(q)
+            self._solved = w, q, SpectralDifference.start_block(q)
         return self._solved
 
     def _check_energy(self, lam: float) -> float:
@@ -219,8 +218,8 @@ class RankOneModel:
         """The smoothed projection difference psi_eps(H - lam) - psi_eps(H0 - lam).
 
         H0 is diagonal here, so only H goes through an eigendecomposition
-        (``solve``, cached on the model and shared by every eps, with P and
-        the block pass's start).  D vanishes on the deflated nodes,
+        (``solve``, cached on the model and shared by every eps, with the
+        block pass's start).  D vanishes on the deflated nodes,
         so the result is D on the kept block, kept factored: D = Q diag(f)
         Q^T - diag(g), f = psi((w - lam)/eps) on the block's eigenvalues and
         g = psi((x - lam)/eps) on the kept nodes.  It has the nonzero
@@ -232,9 +231,9 @@ class RankOneModel:
         lam = self._check_energy(lam)
         if not (0 < eps < 1):
             raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-        w, q, p, start = self.solve()
+        w, q, start = self.solve()
         return SpectralDifference(
-            q, profile((w - lam) / eps), profile((self.nodes[self.kept] - lam) / eps), p, start
+            q, profile((w - lam) / eps), profile((self.nodes[self.kept] - lam) / eps), start
         )
 
 

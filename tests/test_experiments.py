@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,7 +437,7 @@ class TestStructuredSweep:
         # the n x n route: every node kept, H solved by the dense eigh
         def dense_solve(model):
             w, q = model.h.eig()
-            return w, q, q * q, SpectralDifference.start_block(q)
+            return w, q, SpectralDifference.start_block(q)
 
         monkeypatch.setattr(DiagonalPlusRankOne, "kept", lambda h: np.arange(h.dim))
         monkeypatch.setattr(RankOneModel, "solve", dense_solve)
@@ -452,25 +453,24 @@ class TestStructuredSweep:
         shapes = set()
         init = SpectralDifference.__init__
 
-        def recording(self, q, f, g, overlaps, start):
-            shapes.add((q.shape, overlaps.shape, np.shape(f), np.shape(g),
-                        tuple(a.shape for a in start)))
-            init(self, q, f, g, overlaps, start)
+        def recording(self, q, f, g, start):
+            shapes.add((q.shape, np.shape(f), np.shape(g), tuple(a.shape for a in start)))
+            init(self, q, f, g, start)
 
         monkeypatch.setattr(SpectralDifference, "__init__", recording)
         cfg = small_config(trace_powers=(1, 2, 3, 4))
         run_sweep(cfg)
         m = cfg.model.build().kept.size
         assert 0 < m < cfg.model.n  # the gaussian bump deflates about half the nodes
-        assert shapes == {((m, m), (m, m), (m,), (m,), ((m, BLOCK_START), (m, BLOCK_START)))}
+        assert shapes == {((m, m), (m,), (m,), ((m, BLOCK_START), (m, BLOCK_START)))}
 
     def test_one_start_block_per_sweep(self, monkeypatch):
         starts, drawn = [], []
         init, draw = SpectralDifference.__init__, SpectralDifference.start_block
 
-        def recording_init(self, q, f, g, overlaps, start):
+        def recording_init(self, q, f, g, start):
             starts.append(start)
-            init(self, q, f, g, overlaps, start)
+            init(self, q, f, g, start)
 
         def recording_draw(q, columns=BLOCK_START):
             drawn.append(columns)
@@ -483,6 +483,18 @@ class TestStructuredSweep:
         assert drawn == [BLOCK_START]  # no block widens in this sweep
         assert len(starts) == cfg.eps_count
         assert all(s[0] is starts[0][0] and s[1] is starts[0][1] for s in starts)
+
+    def test_the_sweep_holds_no_block_array_but_q(self):
+        # Q, the m x STRIP_WIDTH work arrays of its solve, and the block pass's few columns
+        cfg = default_config(model=ModelSpec(n=1500))
+        m = cfg.model.build().kept.size
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 8 * m * m
 
     def test_the_sweep_builds_no_dense_h(self, monkeypatch):
         def dense_h(model):

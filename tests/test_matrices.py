@@ -208,15 +208,28 @@ class TestDiagonalPlusRankOne:
         assert not np.any(deflated[:, cols])
         assert np.array_equal(np.delete(deflated, cols, 1), np.eye(400 - kept.size))
 
+    @pytest.mark.parametrize("c", [0.5, -0.7])
+    @pytest.mark.parametrize("strips", [1, 2])
+    def test_a_last_strip_of_one_column_changes_no_arithmetic(self, monkeypatch, strips, c):
+        # strips of STRIP_WIDTH leave one column over here; summed alone, it
+        # would round otherwise than in one strip as wide as the matrix
+        m = strips * matrices.STRIP_WIDTH + 1
+        rng = np.random.default_rng(m)
+        x, u = np.sort(rng.standard_normal(m)), rng.uniform(0.5, 1.0, m)
+        w, q = DiagonalPlusRankOne(x, u, c).eig()
+        monkeypatch.setattr(matrices, "STRIP_WIDTH", m + 1)
+        w_wide, q_wide = DiagonalPlusRankOne(x, u, c).eig()
+        assert np.array_equal(w, w_wide) and np.array_equal(q, q_wide)
+
     @pytest.mark.parametrize("c", [0.5, -0.7, 0.0])
     def test_the_secular_solve_sees_only_the_kept_block(self, monkeypatch, c):
         x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])
         sizes = []
         solve = matrices._secular_eig
 
-        def recording(d, z):
+        def recording(d, z, reverse=False):
             sizes.append(d.size)
-            return solve(d, z)
+            return solve(d, z, reverse)
 
         monkeypatch.setattr(matrices, "_secular_eig", recording)
         h = DiagonalPlusRankOne(x, u, c)
@@ -319,6 +332,15 @@ class TestTracePower:
         for m in (0, -1, 1.5, "2", True, 1.0):
             with pytest.raises(ValueError):
                 trace_power(a, m)
+
+    def test_bare_arrays(self):
+        # a bare array is validated as a symmetric matrix, as the wrappers are
+        assert trace_power(np.eye(3), 2) == pytest.approx(3.0)
+        assert trace_power([[0.0, 2.0], [2.0, 0.0]], 2) == pytest.approx(8.0)
+        with pytest.raises(ValueError, match="not symmetric"):
+            trace_power(np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
+        with pytest.raises(ValueError, match="square"):
+            trace_power(RectMatrix(np.ones((2, 3))), 2)
 
 
 class TestInequalities:

@@ -244,7 +244,7 @@ class TestStructuredDifference:
         outer = np.concatenate([[0.9], np.linspace(0.3, 0.24, 24)])
         f = np.concatenate([outer, -outer, np.zeros(150)])
         q = np.eye(200)
-        d = SpectralDifference(q, f, np.zeros(200), q, SpectralDifference.start_block(q))
+        d = SpectralDifference(q, f, np.zeros(200), SpectralDifference.start_block(q))
         w = d.window_eigenvalues(0.5)
         assert w.size == 2 * BLOCK_START
         beyond = w[np.abs(w) > 1e-8]
@@ -257,7 +257,7 @@ class TestStructuredDifference:
         outer = np.concatenate([[0.9], np.linspace(0.3, 0.24, 24)])
         f = np.concatenate([outer, -outer, np.zeros(150)])
         q = np.linalg.qr(np.random.default_rng(7).standard_normal((200, 200)))[0]
-        d = SpectralDifference(q, f, np.zeros(200), q * q, SpectralDifference.start_block(q))
+        d = SpectralDifference(q, f, np.zeros(200), SpectralDifference.start_block(q))
         drawn = []
         draw = SpectralDifference.start_block
 
@@ -276,7 +276,7 @@ class TestStructuredDifference:
         # a block of min(32, n) = n columns spans the whole space: Rayleigh-Ritz is exact
         f = np.linspace(-0.9, 0.9, 8)
         q = np.eye(8)
-        d = SpectralDifference(q, f, np.zeros(8), q, SpectralDifference.start_block(q))
+        d = SpectralDifference(q, f, np.zeros(8), SpectralDifference.start_block(q))
         assert np.allclose(d.window_eigenvalues(0.4), f, rtol=0.0, atol=1e-15)
         assert d._dense is None
 
@@ -284,10 +284,10 @@ class TestStructuredDifference:
         q = np.eye(3)
         start = SpectralDifference.start_block(q)
         with pytest.raises(ValueError, match="shapes"):
-            SpectralDifference(q, np.zeros(2), np.zeros(3), q, start)
+            SpectralDifference(q, np.zeros(2), np.zeros(3), start)
         with pytest.raises(ValueError, match="finite"):
-            SpectralDifference(q, np.array([0.0, np.nan, 0.0]), np.zeros(3), q, start)
-        d = SpectralDifference(q, np.zeros(3), np.zeros(3), q, start)
+            SpectralDifference(q, np.array([0.0, np.nan, 0.0]), np.zeros(3), start)
+        d = SpectralDifference(q, np.zeros(3), np.zeros(3), start)
         for m in (0, True, 1.0):
             with pytest.raises(ValueError):
                 d.trace_power(m)
@@ -344,9 +344,9 @@ class TestKeptBlock:
         calls = []
         solve = matrices._secular_eig
 
-        def recording(d, z):
+        def recording(d, z, reverse=False):
             calls.append(d.size)
-            return solve(d, z)
+            return solve(d, z, reverse)
 
         monkeypatch.setattr(matrices, "_secular_eig", recording)
         return calls
@@ -363,11 +363,10 @@ class TestKeptBlock:
         model = RankOneModel(n=400, c=c)
         solved = model.solve()
         assert model.solve() is solved
-        w, q, p, (omega, start) = solved
+        w, q, (omega, start) = solved
         m = model.kept.size
         assert secular_calls == ([m] if m else [])
-        assert (w.shape, q.shape, p.shape) == ((m,), (m, m), (m, m))
-        assert np.array_equal(p, q * q) and not p.flags.writeable
+        assert (w.shape, q.shape) == ((m,), (m, m))
         assert omega.shape == (m, min(BLOCK_START, m)) and np.array_equal(start, q.T @ omega)
 
     def test_the_block_is_its_own_split(self, secular_calls):
@@ -379,8 +378,8 @@ class TestKeptBlock:
         assert secular_calls == [model.kept.size]
 
     @pytest.mark.parametrize("c", [0.5, -0.7])
-    def test_eig_peak_memory_stays_near_three_block_arrays(self, c):
-        # Q itself, delta (reused as the eigenvectors) and one secular-step temporary
+    def test_eig_peak_memory_stays_near_one_block_array(self, c):
+        # Q itself, formed from delta in place, and the m x STRIP_WIDTH work arrays
         model = RankOneModel(n=1500, c=c)
         tracemalloc.start()
         try:
@@ -389,8 +388,26 @@ class TestKeptBlock:
         finally:
             tracemalloc.stop()
         m = model.kept.size
-        assert q.shape == (m, m)
-        assert peak < 3.3 * 8 * m * m
+        assert q.shape == (m, m) and q.flags.c_contiguous
+        assert peak <= 1.5 * 8 * m * m
+
+    @pytest.mark.parametrize("c", [0.5, -0.7])
+    @pytest.mark.parametrize("n", [800, 1500])
+    def test_strips_change_no_arithmetic(self, monkeypatch, n, c):
+        # a strip wider than the block makes every pass whole: (w, Q) and the
+        # traces must not move by a bit
+        def solved():
+            model = RankOneModel(n=n, c=c)
+            w, q = model.solve()[:2]
+            d = model.build_d_eps(builtin_profile("ARCTAN_HALF"), 0.01, 0.0)
+            return w, q, [d.trace_power(k) for k in (1, 2, 3)]
+
+        w, q, traces = solved()
+        assert q.shape[0] > matrices.STRIP_WIDTH + 1
+        monkeypatch.setattr(matrices, "STRIP_WIDTH", n + 1)
+        w_wide, q_wide, traces_wide = solved()
+        assert np.array_equal(w, w_wide) and np.array_equal(q, q_wide)
+        assert traces == traces_wide
 
 
 class TestNegativeControl:
