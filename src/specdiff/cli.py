@@ -138,7 +138,7 @@ def _cmd_hankel(args) -> int:
 def _cmd_sweep(args) -> int:
     config = SweepConfig.from_json(args.config)
     prefix = config.output or "sweep"
-    directory = Path(prefix).parent
+    directory = Path(f"{prefix}.csv").parent  # "out/" writes out/.csv: pathlib drops the slash
     if not directory.is_dir():  # found now, not after the whole sweep has run
         return _fail(f"cannot write the sweep output: no directory {str(directory)!r}", 2)
     worst = 0.0

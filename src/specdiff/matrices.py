@@ -182,21 +182,20 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
     """H = diag(x) + c u u^T, kept as (x, u, c): x strictly increasing, u and c real.
 
     ``kept`` and ``block`` split off the nodes that deflate, the one place
-    where H does; ``eig`` takes (x_j, e_j) for those and solves the block of
-    the m others alone, the one that ``split`` caches.  With no node deflated
-    it solves the secular equation (Bunch, Nielsen & Sorensen 1978) for the
-    eigenvalues and takes the eigenvectors from the Cauchy form with the
-    Löwner-corrected coupling (Gu & Eisenstat 1994): O(m^2) time, with no
-    matrix formed but the eigenvectors, in place of a dense ``eigh``.  The
-    decomposition is accepted only if it passes ``check``.  A caller that
-    needs only the block, as ``RankOneModel`` does, calls the ``eig`` of
-    ``split``'s block, and H's ``eig`` then reuses that solve.  ``entries``
-    builds the dense H, for comparison.
+    where H does: those keep (x_j, e_j) as eigenpairs, and the block of the
+    m others is what ``eig`` solves.  It solves the secular equation (Bunch,
+    Nielsen & Sorensen 1978) for the eigenvalues and takes the eigenvectors
+    from the Cauchy form with the Löwner-corrected coupling (Gu & Eisenstat
+    1994): O(m^2) time, with no matrix formed but the eigenvectors, in place
+    of a dense ``eigh``.  The decomposition is accepted only if it passes
+    ``check``.  ``eig`` on a matrix with a deflated node raises
+    ``ValueError``: solve ``block(kept())`` instead.  ``entries`` builds the
+    dense H, for comparison.
     Neighbours in x must be 2 ulps apart or more, so that the midpoints the
     solve brackets roots at lie between.
     """
 
-    __slots__ = ("x", "u", "c", "_split")
+    __slots__ = ("x", "u", "c")
 
     def __init__(self, x, u, c: float):
         x = np.array(x, dtype=float)
@@ -215,7 +214,6 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
         x.setflags(write=False)
         u.setflags(write=False)
         self.x, self.u, self.c = x, u, c
-        self._split: tuple[np.ndarray, DiagonalPlusRankOne | None] | None = None
         self._eigvals: np.ndarray | None = None
         self._eigvecs: np.ndarray | None = None
 
@@ -283,7 +281,8 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
         of each kept eigenvector q_k.  Both are at most
         |c| ||u|| max|u_j| over the nodes left out; unless that is within
         1e-10 of the entry scale of H, the tolerance of ``check``, this
-        raises ``EigendecompositionError``.  O(n).
+        raises ``EigendecompositionError``.  O(n).  With every node kept, the
+        block is H itself, returned without a copy.
         """
         kept = np.asarray(kept, dtype=np.intp)
         dropped = np.delete(self.u, kept)
@@ -298,19 +297,9 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
             )
         if kept.size == 0:
             return None
+        if kept.size == self.dim:
+            return self
         return DiagonalPlusRankOne(self.x[kept], self.u[kept], self.c)
-
-    def split(self) -> tuple[np.ndarray, DiagonalPlusRankOne | None]:
-        """``kept()`` and ``block(kept)``, cached: one block object, solved once.
-
-        With no node deflated the block is H itself, returned without a copy.
-        """
-        if self._split is None:
-            kept = self.kept()
-            # caches None, not self, when nothing deflates: self would be a reference cycle
-            self._split = kept, None if kept.size == self.dim else self.block(kept)
-        kept, block = self._split
-        return kept, self if kept.size == self.dim else block
 
     def _scale(self) -> float:
         """Entry scale of H: max(1, max|x + c u∘u|, |c| max u∘u)."""
@@ -336,15 +325,11 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
 
     def _decompose(self) -> tuple[np.ndarray, np.ndarray]:
         x, u, c = self.x, self.u, self.c
-        kept, block = self.split()
-        if kept.size < x.size:
-            # the deflated nodes keep (x_j, e_j), the block on the rest is solved alone
-            w, q = x.copy(), np.eye(x.size)
-            if block is not None:
-                w[kept], q[np.ix_(kept, kept)] = block.eig()
-            order = np.argsort(w, kind="stable")
-            w, q = w[order], q[:, order]
-        elif c > 0.0:
+        deflated = x.size - self.kept().size
+        if deflated:
+            raise ValueError(f"{deflated} of {x.size} nodes deflate: solve block(kept()) and "
+                             f"take (x_j, e_j) for the others")
+        if c > 0.0:
             w, q = _secular_eig(x, np.sqrt(c) * u)
         else:
             # -H = diag(-x) + |c| u u^T; reversing the order keeps -x increasing

@@ -106,9 +106,10 @@ class RankOneModel:
             self.nodes, np.sqrt(self.weights) * self.v(self.nodes), self.c
         )
         # the deflated nodes are eigenpairs (x_j, e_j) of H, on which D_eps
-        # vanishes: ``solve`` solves H on the kept block, after an O(n) check
-        # of the coupling dropped (None when no node is kept, so H = H0)
-        self.kept, self.block = self.rank_one.split()
+        # vanishes: ``solve`` solves H on the kept block alone, after an O(n)
+        # check of the coupling dropped (None when no node is kept, so H = H0)
+        self.kept = self.rank_one.kept()
+        self.block = self.rank_one.block(self.kept)
         self._h: SelfAdjointMatrix | None = None
         self._solved: tuple | None = None
 
@@ -145,7 +146,7 @@ class RankOneModel:
         eigenvectors of H restricted to the nodes ``kept``, solved from the
         secular equation with an O(m^2) check (``DiagonalPlusRankOne``); with
         the deflated nodes' (x_j, e_j) they make up the eigendecomposition of
-        H, which ``rank_one.eig`` returns without solving the block again.
+        H, which is never completed to n x n.
         The block pass's start ``SpectralDifference.start_block(Q)`` depends
         on neither lam, eps nor the profile.  All three are empty when no
         node is kept.

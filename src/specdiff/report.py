@@ -7,6 +7,8 @@ byte-identical output (no timestamps, no environment lookups).
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["check_summary", "render_svg", "render_text"]
 
 WIDTH, HEIGHT = 720, 480
@@ -16,7 +18,10 @@ TABLES = ("fitted_slopes", "fitted_intercepts", "predicted_slopes", "deviations"
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a finite float: ``json.loads`` also reads NaN and Infinity."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_table(value) -> bool:
@@ -30,7 +35,7 @@ def check_summary(summary) -> None:
     "records" list and a "fitted_slopes" table.  Each record is an object
     with a number "log_inv_eps" and a "counts" table; "windows", if present,
     is a list of strings, and every table in ``TABLES`` that is present maps
-    its keys to numbers.
+    its keys to numbers.  A number is finite.
     """
     if not isinstance(summary, dict):
         raise ValueError(f"expected a JSON object, got {type(summary).__name__}")

@@ -300,6 +300,19 @@ class TestSweepCommand:
         assert code == 2
         assert "specdiff: error: cannot write" in err
 
+    def test_output_with_a_trailing_slash_is_found_before_the_sweep(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        # "absent/" writes absent/.csv: its directory, not the one above, must exist
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        cfg = write_config(tmp_path / "cfg.json", output=f"{tmp_path / 'absent'}/")
+        code, _, err = run(capsys, ["sweep", "--config", cfg])
+        assert code == 2
+        assert f"specdiff: error: cannot write the sweep output: no directory " \
+               f"{str(tmp_path / 'absent')!r}" in err
+
     def test_guard_rejection_exits_one(self, capsys, tmp_path):
         # every point below the n=400 resolution floor: the run must refuse
         cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"),
@@ -376,6 +389,26 @@ class TestReportCommand:
             assert code == 2, text
             assert "specdiff: error" in err and "not a sweep summary" in err
             assert out == "" and not svg_path.exists()
+
+    @pytest.mark.parametrize("field", ["log_inv_eps", "count", "fitted_slope"])
+    def test_non_finite_numbers_exit_two(self, capsys, summary_path, tmp_path, field):
+        # json.loads reads NaN and Infinity; a sweep never writes them
+        summary = json.loads(summary_path.read_text())
+        if field == "log_inv_eps":
+            summary["records"][0]["log_inv_eps"] = math.nan
+        elif field == "count":
+            counts = summary["records"][1]["counts"]
+            counts[next(iter(counts))] = math.inf
+        else:
+            slopes = summary["fitted_slopes"]
+            slopes[next(iter(slopes))] = -math.inf
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(summary))
+        svg_path = tmp_path / "nonfinite.svg"
+        code, out, err = run(capsys, ["report", "--input", str(path), "--svg", str(svg_path)])
+        assert (code, out) == (2, "")
+        assert "specdiff: error" in err and "not a sweep summary" in err
+        assert not svg_path.exists()
 
     def test_json_flag_is_refused(self, capsys, summary_path, tmp_path):
         svg_path = tmp_path / "chart.svg"

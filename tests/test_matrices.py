@@ -112,19 +112,42 @@ def dense_reference(x, u, c):
     return a, w, q, max(1.0, float(np.max(np.abs(a))))
 
 
+@pytest.fixture
+def secular_sizes(monkeypatch):
+    """Sizes of the secular solves that the test runs."""
+    sizes = []
+    solve = matrices._secular_eig
+
+    def recording(d, z, reverse=False):
+        sizes.append(d.size)
+        return solve(d, z, reverse)
+
+    monkeypatch.setattr(matrices, "_secular_eig", recording)
+    return sizes
+
+
 class TestDiagonalPlusRankOne:
     @pytest.mark.parametrize("n", [8, 50, 400])
     @pytest.mark.parametrize("c", [0.5, -0.7, 0.0, 50.0])
     @pytest.mark.parametrize("bump", sorted(BUMP_SHAPES))
     def test_matches_dense_eigh(self, n, c, bump):
         x, u = quadrature_coupling(n, BUMP_SHAPES[bump])
-        w, q = DiagonalPlusRankOne(x, u, c).eig()
-        _, w_d, q_d, scale = dense_reference(x, u, c)
-        assert np.max(np.abs(w - w_d)) <= 1e-13 * scale
-        # column signs are arbitrary: compare P = Q∘Q
-        assert np.max(np.abs(q * q - q_d * q_d)) <= 1e-12
-        assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
-        assert not (w.flags.writeable or q.flags.writeable)
+        h = DiagonalPlusRankOne(x, u, c)
+        kept = h.kept()
+        block = h.block(kept)
+        w = np.empty(0)
+        if block is not None:
+            w, q = block.eig()
+            _, w_d, q_d, scale = dense_reference(block.x, block.u, c)
+            assert np.max(np.abs(w - w_d)) <= 1e-13 * scale
+            # column signs are arbitrary: compare P = Q∘Q
+            assert np.max(np.abs(q * q - q_d * q_d)) <= 1e-12
+            assert np.max(np.abs(q.T @ q - np.eye(kept.size))) <= 1e-12
+            assert not (w.flags.writeable or q.flags.writeable)
+        # with the deflated nodes' x_j, the block's eigenvalues are H's
+        a, *_, scale = dense_reference(x, u, c)
+        union = np.sort(np.concatenate((w, np.delete(x, kept))))
+        assert np.max(np.abs(union - np.linalg.eigvalsh(a))) <= 1e-13 * scale
 
     @pytest.mark.parametrize("spacing", [1e-3, 1e-8])
     @pytest.mark.parametrize("c", [0.5, -0.7, 50.0])
@@ -156,11 +179,6 @@ class TestDiagonalPlusRankOne:
         assert np.max(np.abs(w - w_d)) <= 1e-13 * scale
         assert np.max(np.abs(q.T @ q - np.eye(x.size))) <= 2e-14
 
-    def test_zero_coupling_is_the_diagonal(self):
-        x, u = quadrature_coupling(50, BUMP_SHAPES["sech"])
-        w, q = DiagonalPlusRankOne(x, u, 0.0).eig()
-        assert np.array_equal(w, x) and np.array_equal(q, np.eye(50))
-
     def test_entries_and_eigenvalues(self):
         x, u = quadrature_coupling(50, BUMP_SHAPES["sech"])
         h = DiagonalPlusRankOne(x, u, 0.5)
@@ -190,23 +208,27 @@ class TestDiagonalPlusRankOne:
         assert np.max(np.abs(h.eig()[0] - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("c", [0.5, -0.7])
-    def test_kept_block_with_the_deflated_pairs_solves_h(self, c):
+    def test_kept_block_with_the_deflated_pairs_solves_h(self, secular_sizes, c):
         # the gaussian bump deflates half the nodes at n = 400
         x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])
         h = DiagonalPlusRankOne(x, u, c)
         kept = h.kept()
         assert 0 < kept.size < 400
+        with pytest.raises(ValueError, match="solve block"):
+            h.eig()
         block = h.block(kept)
         assert np.array_equal(block.x, x[kept]) and np.array_equal(block.u, u[kept])
         w_k, q_k = block.eig()
-        w, q = h.eig()
-        # the block's eigenpairs fill the kept rows, (x_j, e_j) the others
-        cols = np.flatnonzero(np.any(q[kept] != 0.0, axis=0))
-        assert np.array_equal(w[cols], w_k) and np.array_equal(q[np.ix_(kept, cols)], q_k)
-        assert np.array_equal(np.delete(w, cols), np.delete(x, kept))
-        deflated = np.delete(q, kept, 0)
-        assert not np.any(deflated[:, cols])
-        assert np.array_equal(np.delete(deflated, cols, 1), np.eye(400 - kept.size))
+        assert secular_sizes == [kept.size]
+        # the block's eigenvectors, zero on the deflated rows, and the (x_j, e_j)
+        # solve H up to the coupling the block drops, within check's tolerance
+        q = np.zeros((400, kept.size))
+        q[kept] = q_k
+        residual = x[:, None] * q + c * np.outer(u, u @ q) - q * w_k
+        deflated = np.delete(np.arange(400), kept)
+        scale = h._scale()
+        assert np.max(np.abs(residual)) <= matrices.RECONSTRUCTION_TOL * scale
+        assert np.max(np.abs(c * np.outer(u, u[deflated]))) <= matrices.RECONSTRUCTION_TOL * scale
 
     @pytest.mark.parametrize("c", [0.5, -0.7])
     @pytest.mark.parametrize("strips", [1, 2])
@@ -222,19 +244,16 @@ class TestDiagonalPlusRankOne:
         assert np.array_equal(w, w_wide) and np.array_equal(q, q_wide)
 
     @pytest.mark.parametrize("c", [0.5, -0.7, 0.0])
-    def test_the_secular_solve_sees_only_the_kept_block(self, monkeypatch, c):
+    def test_the_secular_solve_sees_only_the_kept_block(self, secular_sizes, c):
         x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])
-        sizes = []
-        solve = matrices._secular_eig
-
-        def recording(d, z, reverse=False):
-            sizes.append(d.size)
-            return solve(d, z, reverse)
-
-        monkeypatch.setattr(matrices, "_secular_eig", recording)
         h = DiagonalPlusRankOne(x, u, c)
-        h.eig()
-        assert sizes == ([] if c == 0.0 else [h.kept().size])
+        with pytest.raises(ValueError, match="nodes deflate"):
+            h.eig()  # at c = 0 every node deflates
+        block = h.block(h.kept())
+        assert (block is None) == (c == 0.0)
+        if block is not None:
+            block.eig()
+        assert secular_sizes == ([] if c == 0.0 else [h.kept().size])
 
     def test_block_rejects_dropping_a_coupled_node(self):
         x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])
@@ -254,15 +273,17 @@ class TestDiagonalPlusRankOne:
     def test_check_rejects_one_perturbed_column(self, perturb):
         x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])
         h = DiagonalPlusRankOne(x, u, 0.5)
-        w, q = h.eig()
-        h.check(w, q)
+        block = h.block(h.kept())
+        w, q = block.eig()
+        block.check(w, q)
+        k = block.dim // 2
         bad = q.copy()
-        if perturb == "entry":  # breaks the residual of column 200
-            bad[150, 200] += 1e-6
+        if perturb == "entry":  # breaks the residual of column k
+            bad[k - 50, k] += 1e-6
         else:  # still an eigenvector, but no longer of unit length
-            bad[:, 200] *= 1.0 + 1e-6
+            bad[:, k] *= 1.0 + 1e-6
         with pytest.raises(EigendecompositionError):
-            h.check(w, bad)
+            block.check(w, bad)
 
 
 class TestSingularValuesAndNorms:

@@ -351,12 +351,14 @@ class TestKeptBlock:
         monkeypatch.setattr(matrices, "_secular_eig", recording)
         return calls
 
-    def test_h_reuses_the_block_solve(self, secular_calls):
+    def test_h_is_solved_on_its_kept_block_only(self, secular_calls):
+        # H's deflated nodes keep (x_j, e_j): it is never completed to n x n
         model = RankOneModel(n=400)
-        w_k = model.solve()[0]
-        w, q = model.rank_one.eig()
+        assert model.kept.size < 400
+        with pytest.raises(ValueError, match="solve block"):
+            model.rank_one.eig()
+        assert model.solve()[0].size == model.kept.size
         assert secular_calls == [model.kept.size]
-        assert w.size == 400 and np.all(np.isin(w_k, w))
 
     @pytest.mark.parametrize("c", [0.5, 0.0])
     def test_solve_is_one_cached_step(self, secular_calls, c):
@@ -373,8 +375,8 @@ class TestKeptBlock:
         # no node of the kept block deflates: its eig solves it, with no copy made
         model = RankOneModel(n=400)
         model.solve()
-        kept, block = model.block.split()
-        assert block is model.block and np.array_equal(kept, np.arange(model.kept.size))
+        kept = model.block.kept()
+        assert kept.size == model.block.dim and model.block.block(kept) is model.block
         assert secular_calls == [model.kept.size]
 
     @pytest.mark.parametrize("c", [0.5, -0.7])
