@@ -25,6 +25,11 @@ default rank-one model (gaussian bump, L = 8) it times, as medians over
   block pass of ``SpectralDifference.window_eigenvalues`` at the default
   window's threshold 0.4 (two products with Q per block; Tr D^2 is taken
   before the clock starts, as a sweep does);
+- at c = 0.5, lam = 0 and ARCTAN_HALF, over ``D_EPS_REPEATS`` sets of fresh
+  D_eps, one for each of the default sweep's 8 eps (``BATCH_EPS``): the
+  batched pass ``SpectralDifference.fill`` that a sweep makes, its traces
+  (one pass over Q for all 8) and its first block passes (two eps per
+  product with Q, orthonormalized by shifted CholeskyQR3), timed apart;
 - for ``K_eps`` (no rank-one model), over ``HANKEL_REPEATS`` runs: the trace
   pass of ``k_eps_trace_slopes`` over ``HANKEL_EPS`` (the Carleman section
   on ``section_grid``) and the ``kernel_from_symbol`` round trip on
@@ -49,7 +54,14 @@ the dense ``eigvalsh`` of the n x n D_eps from the dense H, once per
 (n, eps): the largest relative trace error, the largest |theta - y| over
 the dense eigenvalues with |y| > 1e-6, matched from the outside in on each
 side, and the counts in (0.4, 1) by both routes; then the block width and
-the certificate remainder Tr D^2 minus the sum of theta^2.  K_eps: the
+the certificate remainder Tr D^2 minus the sum of theta^2.  Batched D_eps:
+the largest orthogonality defect max|V^T V - I| of the 8 first blocks; the
+largest |theta - y| against the dense ``eigvalsh`` of each D on the kept
+block, over the eigenvalues with |y| > 1e-6, matched from the outside in;
+and, against a per-eps reference kept here (the traces by row sums of
+Q∘Q one eps at a time, the first block orthonormalized by Householder QR),
+the largest relative trace difference and the largest |theta| difference
+over those eigenvalues.  K_eps: the
 grid sizes of the section and of the t-grid Nystrom route
 (``discretize_hankel`` of ``k_eps_kernel`` on ``default_grid`` and
 ``eigvalsh``, once), the largest relative difference of their traces over
@@ -80,6 +92,7 @@ COUPLINGS = (0.5, -0.7)
 EPSILONS = (0.1, 0.01, 3e-3)
 REPEATS = 3
 D_EPS_REPEATS = 15  # the traces and block pass cost under 0.05 s each at n = 4000
+BATCH_EPS = (1e-1, 3e-3, 8)  # geomspace arguments, the default sweep's eps grid
 HANKEL_REPEATS = 15  # the K_eps trace pass and the round trip cost under 0.05 s each
 HANKEL_EPS = (1e-2, 1e-12, 21)  # geomspace arguments, as hankel-deep's unjittered grid
 HANKEL_POWERS = (1, 2, 3, 4, 6)
@@ -244,6 +257,86 @@ def spectrum_case(model, dense, eps: float, repeats: int) -> dict:
     }
 
 
+def per_eps_reference(d) -> tuple[list[float], np.ndarray]:
+    """Traces of D, D^2, D^3 and first-block Ritz values of one D_eps, one eps at a time.
+
+    The route a sweep took before its points were batched: row sums of Q∘Q
+    against f and f^2, and the block D Ω orthonormalized by Householder QR.
+    """
+    import numpy as np
+
+    q, f, g = d.q, d.f, d.g
+    omega, s = d.start
+    pf, pf2 = (np.einsum("ij,ij,j->i", q, q, v) for v in (f, f * f))
+    traces = [float(np.sum(f) - np.sum(g)),
+              float(np.sum(f * f) + np.sum(g * g) - 2.0 * (g @ pf)),
+              float(np.sum(f**3) - np.sum(g**3) - 3.0 * (g @ pf2) + 3.0 * ((g * g) @ pf))]
+    v = np.linalg.qr(q @ (f[:, None] * s) - g[:, None] * omega)[0]
+    w = q.T @ v
+    t = w.T @ (f[:, None] * w) - v.T @ (g[:, None] * v)
+    return traces, np.linalg.eigvalsh((t + t.T) / 2.0)
+
+
+def batch_case(model, repeats: int) -> dict:
+    """Timings (medians over ``repeats`` sets of fresh D_eps) and cross-checks of ``fill``.
+
+    The per-eps reference and the dense spectra are taken once, untimed.
+    """
+    import numpy as np
+
+    from specdiff import matrices
+    from specdiff.matrices import SpectralDifference
+    from specdiff.profiles import builtin_profile
+
+    psi = builtin_profile("ARCTAN_HALF")
+    eps_values = np.geomspace(*BATCH_EPS)
+    times = {"traces_s": [], "block_pass_s": []}
+    for _ in range(repeats):
+        points = [model.build_d_eps(psi, float(eps), 0.0) for eps in eps_values]
+        t0 = time.perf_counter()
+        SpectralDifference.fill(points, windows=False)
+        t1 = time.perf_counter()
+        SpectralDifference.fill(points)
+        t2 = time.perf_counter()
+        times["traces_s"].append(t1 - t0)
+        times["block_pass_s"].append(t2 - t1)
+
+    defects, theta_errors, trace_differences, theta_differences, widths = [], [], [], [], []
+    for d in points:
+        omega, s = d.start
+        y = d.q @ (d.f[:, None] * s) - d.g[:, None] * omega
+        v = np.empty_like(y)
+        matrices._orthonormalize(y[None], v[None], omega)
+        defects.append(float(np.max(np.abs(v.T @ v - np.eye(v.shape[1])))))
+        theta = d.window_eigenvalues(0.4)
+        widths.append(int(theta.size))
+        y_dense = d.eigenvalues()
+        top, bottom = int(np.count_nonzero(y_dense > 1e-6)), int(np.count_nonzero(y_dense < -1e-6))
+
+        def outer(values):
+            return np.concatenate((values[values.size - top:], values[:bottom]))
+
+        theta_errors.append(float(np.max(np.abs(outer(theta) - outer(y_dense)), initial=0.0)))
+        traces, theta_qr = per_eps_reference(d)
+        trace_differences += [abs(d.trace_power(k) - t) / float(np.sum(np.abs(y_dense) ** k))
+                              for k, t in zip((1, 2, 3), traces)]
+        theta_differences.append(float(np.max(np.abs(outer(theta) - outer(theta_qr)),
+                                              initial=0.0)))
+    return {
+        "n": model.n,
+        "m": points[0].dim,
+        "eps": list(BATCH_EPS),
+        **{key: statistics.median(values) for key, values in times.items()},
+        "cross_checks": {
+            "orthogonality_defect": max(defects),
+            "max_abs_theta_minus_dense": max(theta_errors),
+            "block_widths": sorted(set(widths)),
+            "max_relative_trace_difference_from_reference": max(trace_differences),
+            "max_abs_theta_minus_reference": max(theta_differences),
+        },
+    }
+
+
 def k_eps_traces_case(repeats: int) -> dict:
     """Timing (median over ``repeats``) and cross-checks of the K_eps trace pass.
 
@@ -345,7 +438,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=str(ROOT / "BENCH_layers.json"))
     args = parser.parse_args(argv)
     np.linalg.eigh(np.diag(np.arange(64.0)))  # LAPACK's first-call set-up stays out of the timings
-    nodes_cases, h_cases, spectrum_cases = [], [], []
+    nodes_cases, h_cases, spectrum_cases, batch_cases = [], [], [], []
     for n in SIZES:
         row = nodes_case(n, REPEATS)
         nodes_cases.append(row)
@@ -366,6 +459,11 @@ def main(argv=None) -> int:
                     print(f"D_eps n={n:5d} m={row['m']:5d} eps={eps:<6g}  "
                           f"traces {row['traces_s']:.4f} s  "
                           f"block pass {1e3 * row['block_pass_s']:.2f} ms", file=sys.stderr)
+                row = batch_case(model, D_EPS_REPEATS)
+                batch_cases.append(row)
+                print(f"batch n={n:5d} m={row['m']:5d} {BATCH_EPS[2]} eps  "
+                      f"traces {1e3 * row['traces_s']:.2f} ms  "
+                      f"block passes {1e3 * row['block_pass_s']:.2f} ms", file=sys.stderr)
             del model, dense
     traces = k_eps_traces_case(HANKEL_REPEATS)
     print(f"K_eps traces {traces['eps'][2]} eps  section {1e3 * traces['section_s']:.1f} ms  "
@@ -388,6 +486,7 @@ def main(argv=None) -> int:
         "gauss_legendre_nodes": nodes_cases,
         "h_eigensolve": h_cases,
         "d_eps_spectrum": spectrum_cases,
+        "d_eps_batch": batch_cases,
         "k_eps_traces": traces,
         "kernel_from_symbol": roundtrip,
         "import": imports,

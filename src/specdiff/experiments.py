@@ -5,9 +5,10 @@ projection difference D_eps over a geometric eps grid, and records window
 counts and trace powers per eps.  D_eps stays factored (``SpectralDifference``)
 on the m nodes of H's kept block, where it lives: traces of powers up to 3
 are O(m^2) sums against the squared entries of H's eigenvectors Q, taken
-row by row, so a sweep holds no m x m array but Q; the counts and the
-higher powers read the Ritz values of one certified block pass, which
-holds every eigenvalue beyond the smallest window edge.  Fitted slopes
+for every eps in one pass over Q in strips of rows, so a sweep holds no
+m x m array but Q; the counts and the higher powers read the Ritz values
+of one certified block pass, which holds every eigenvalue beyond the
+smallest window edge.  Fitted slopes
 against |log eps| are compared with the predictions coming from the
 scattering data: window masses of the limiting density for counts, Delta_m
 moments for traces.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .density import BandSet, band_count_slope, delta_m
 from .hankel import sequence_limit
-from .matrices import check_trace_powers
+from .matrices import SpectralDifference, check_trace_powers
 from .models import RankOneModel, negative_control
 from .profiles import CutoffProfile, builtin_profile
 
@@ -448,8 +449,12 @@ def run_sweep(config: SweepConfig, profile: str | None = None) -> SweepResult:
 
     A sweep reads four things from the model that ``config.model`` builds:
     ``local_level_spacing`` and ``scattering_point`` at lam, ``solve`` (once,
-    shared by every eps), and ``build_d_eps``, which reads ``solve`` and the
-    kept nodes.
+    shared by every eps), and ``build_d_eps``, once per eps, which reads
+    ``solve`` and the kept nodes.  The D_eps of all eps share Q, so
+    ``SpectralDifference.fill`` takes their low traces in one pass over Q
+    and their first block passes a chunk of eps per product with Q; the
+    records then read those caches, and a block that its certificate widens
+    is solved for its own eps alone.
     """
     prof = builtin_profile(config.profiles[0] if profile is None else profile)
 
@@ -473,14 +478,15 @@ def run_sweep(config: SweepConfig, profile: str | None = None) -> SweepResult:
     # the one H eigensolve and the block pass's (Ω, Q^T Ω), shared by every eps
     model.solve()
 
+    points = [model.build_d_eps(prof, float(eps), config.lam) for eps in eps_grid]
+    # the low traces and the first block pass of every eps, in one pass over Q
+    SpectralDifference.fill(points, config.trace_powers, windows=bool(windows))
     records = []
-    for eps, flag in zip(eps_grid, flags):
-        eps = float(eps)
-        d = model.build_d_eps(prof, eps, config.lam)
+    for eps, flag, d in zip(eps_grid, flags, points):
         traces = {m: d.trace_power(m) for m in config.trace_powers}
         w = d.window_eigenvalues(b) if windows else np.empty(0)
         records.append(SweepRecord(
-            epsilon=eps,
+            epsilon=float(eps),
             log_inv_eps=float(np.log(1.0 / eps)),
             counts={key: count_window(w, win) for key, win in windows},
             traces=traces,

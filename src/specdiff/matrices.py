@@ -12,11 +12,15 @@ solved from the secular equation in O(m^2).
 ``SpectralDifference`` keeps a difference
 ``Q diag(f) Q^T - diag(g)`` factored: its low traces cost O(n^2), its
 numerical spectrum comes from one certified block Rayleigh-Ritz pass, and
-the dense matrix is built only on demand, as a test oracle.  The
+the dense matrix is built only on demand, as a test oracle.  Many
+differences on one Q (a sweep's eps) take their traces in one pass over Q
+and their block passes a chunk at a time, each chunk one product with Q
+and one with Q^T, orthonormalized by shifted CholeskyQR3.  The
 eigenvector matrix Q is the one m x m array that these make: the secular
-solve and its check run in strips of ``STRIP_WIDTH`` rows or columns
-through work arrays of that width, and the traces read Q row by row.  The
-free functions accept either a wrapper or a bare array.
+solve, its check and the traces run in strips of ``STRIP_WIDTH`` rows or
+columns through work arrays of that width, and a block pass's chunk holds
+at most ``STRIP_WIDTH`` columns.  The free functions accept either a
+wrapper or a bare array.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ RECONSTRUCTION_TOL = 1e-10
 BLOCK_START = 32  # columns of the first block pass, doubled until certified
 SECULAR_MAX_ITER = 40  # dlaed4 allows 30; a converging root needs about 5
 STRIP_WIDTH = 64  # rows or columns per strip of an O(m^2) pass: none makes an m x m temporary
+# relative size of the kick that makes a block pass's D Ω full rank: it keeps the block's
+# condition number near 1e10, inside what shifted CholeskyQR3 orthonormalizes to O(eps)
+BASIS_KICK = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
@@ -347,14 +354,15 @@ class SpectralDifference:
 
     ``q`` is an orthogonal matrix, held, not copied.  Because
     Q^T G^k Q = (Q^T G Q)^k, the traces of D, D^2 and D^3 are sums against
-    the squared overlaps Q∘Q, taken row by row from Q with no n x n
-    temporary, and cost O(n^2).  The numerical rank of
-    D is small, so one block pass (a randomized range finder, then
-    Rayleigh-Ritz; Halko, Martinsson & Tropp 2011) finds its whole numerical
-    spectrum, certified by Tr D^2: ``window_eigenvalues`` and the higher
-    powers of ``trace_power`` read it.  The pass starts from ``start`` =
-    (Ω, Q^T Ω) of ``start_block``, which depends on Q alone, so a caller that
-    builds many D on one Q draws it once and passes it to each.
+    the squared overlaps Q∘Q, and cost O(n^2).  The numerical rank of D is
+    small, so one block pass (a randomized range finder, then Rayleigh-Ritz;
+    Halko, Martinsson & Tropp 2011) finds its whole numerical spectrum,
+    certified by Tr D^2: ``window_eigenvalues`` and the higher powers of
+    ``trace_power`` read it.  The pass starts from ``start`` = (Ω, Q^T Ω) of
+    ``start_block``, which depends on Q alone, so a caller that builds many D
+    on one Q draws it once and passes it to each.  ``fill`` takes the low
+    traces and the first block pass of many such D in one pass over Q; a
+    lone D takes it as a list of one.
     ``dense``, ``entries`` and ``eigenvalues`` build the dense D, validated
     as a ``SelfAdjointMatrix``, on first use: the oracle in tests.
     """
@@ -380,6 +388,39 @@ class SpectralDifference:
         omega = np.random.default_rng(0).standard_normal((q.shape[0], min(columns, q.shape[0])))
         return omega, q.T @ omega
 
+    @staticmethod
+    def fill(points: list[SpectralDifference], powers: tuple[int, ...] = (),
+             windows: bool = True) -> None:
+        """Take the traces of D, D^2, D^3 of each D and the first block pass their reads need.
+
+        The block pass runs when ``windows`` eigenvalues are to be read or
+        ``powers`` holds a power that ``trace_power`` takes from the Ritz
+        values.  Every D in ``points`` must hold the same Q and equal
+        starts.  With P = Q∘Q, the traces of all E of them need P f_j and
+        P f_j^2: one
+        pass over Q in strips of ``STRIP_WIDTH`` rows (``_low_traces``).
+        The block passes go a chunk of D at a time, at most ``STRIP_WIDTH``
+        columns of Ω per chunk: one product with Q builds every
+        D_j Ω = Q (f_j∘S) - g_j∘Ω of the chunk, S = Q^T Ω, and one product
+        with Q^T gives every Q^T V_j (``_ritz_chunk``).  A D whose caches are
+        full is left as it is.
+        """
+        q, start = points[0].q, points[0].start
+        if not all(d.q is q and all(a is b or np.array_equal(a, b) for a, b in zip(d.start, start))
+                   for d in points):
+            raise ValueError("the points must hold one Q and equal starts")
+        todo = [d for d in points if d._traces is None]
+        if todo:
+            for d, traces in zip(todo, _low_traces(q, todo)):
+                d._traces = traces
+        blocks = windows or any(_from_ritz(m) for m in powers)
+        todo = [d for d in points if d._ritz is None] if blocks else []
+        per_chunk = max(1, STRIP_WIDTH // max(1, start[0].shape[1]))
+        for first in range(0, len(todo), per_chunk):
+            chunk = todo[first: first + per_chunk]
+            for d, theta in zip(chunk, _ritz_chunk(q, chunk, *start)):
+                d._ritz = theta
+
     @property
     def dim(self) -> int:
         return self.f.size
@@ -401,27 +442,20 @@ class SpectralDifference:
         return self.dense().eigenvalues()
 
     def trace_power(self, m: int) -> float:
-        """Tr D^m: from f, g and Q∘Q for m <= 3, from the Ritz values above.
+        """Tr D^m: from ``fill`` for m <= 3, from the Ritz values above.
 
         For m >= 4 the sum of theta^m misses at most R^(m/2), R = Tr D^2 minus
         the sum of theta^2; the block widens until that is within 1e-12 of the
         sum of |theta|^m.
         """
         check_trace_powers((m,))
-        if m > 3:
+        if _from_ritz(m):
             theta = self._ritz_values(
                 lambda theta, r: max(r, 0.0) ** (m / 2) <= 1e-12 * np.sum(np.abs(theta) ** m)
             )
             return float(np.sum(theta ** float(m)))
         if self._traces is None:
-            f, g, q = self.f, self.g, self.q
-            # (Q∘Q) f and (Q∘Q) f^2, each row summed in one pass over Q: no n x n temporary
-            pf, pf2 = (np.einsum("ij,ij,j->i", q, q, v) for v in (f, f * f))
-            self._traces = (
-                float(np.sum(f) - np.sum(g)),
-                float(np.sum(f * f) + np.sum(g * g) - 2.0 * (g @ pf)),
-                float(np.sum(f**3) - np.sum(g**3) - 3.0 * (g @ pf2) + 3.0 * ((g * g) @ pf)),
-            )
+            self.fill([self], windows=False)
         return self._traces[m - 1]
 
     def window_eigenvalues(self, b: float) -> np.ndarray:
@@ -452,29 +486,120 @@ class SpectralDifference:
     def _ritz_values(self, accept) -> np.ndarray:
         """Eigenvalues theta of V^T D V, V an orthonormal basis of D Ω, cached.
 
-        D Ω = Q (f∘S) - g∘Ω with S = Q^T Ω, and with W = Q^T V the
-        Rayleigh-Ritz matrix is W^T (f∘W) - V^T (g∘V): two products with Q
-        per block.  Ω has l columns: l starts at ``BLOCK_START``, from
-        ``start``, and doubles, each time from a fresh Ω, until
+        Ω has l columns: l starts at ``BLOCK_START``, from ``start`` through
+        ``fill``, and doubles, each time from a fresh Ω, until
         ``accept(theta, R)``, or until l = n, where Rayleigh-Ritz spans the
         whole space and is exact.
         """
+        if self._ritz is None:
+            self.fill([self])
         theta, n = self._ritz, self.dim
-        f, g = self.f[:, None], self.g[:, None]
-        while theta is None or (
-            theta.size < n and not accept(theta, self.trace_power(2) - float(theta @ theta))
-        ):
-            omega, s = self.start if theta is None else self.start_block(self.q, 2 * theta.size)
-            v = np.linalg.qr(self.q @ (f * s) - g * omega)[0]
-            w = self.q.T @ v
-            t = w.T @ (f * w) - v.T @ (g * v)
-            theta = np.linalg.eigvalsh((t + t.T) / 2.0)
-            theta.setflags(write=False)
+        while theta.size < n and not accept(theta, self.trace_power(2) - float(theta @ theta)):
+            theta = _ritz_chunk(self.q, [self], *self.start_block(self.q, 2 * theta.size))[0]
         self._ritz = theta
         return theta
 
     def __repr__(self) -> str:
         return f"SpectralDifference(dim={self.dim})"
+
+
+def _from_ritz(m: int) -> bool:
+    """Whether ``trace_power`` takes Tr D^m from the Ritz values, not from ``fill``'s traces."""
+    return m > 3
+
+
+def _low_traces(q: np.ndarray, points: list[SpectralDifference]) -> list[tuple[float, ...]]:
+    """(Tr D, Tr D^2, Tr D^3) of each D in ``points``, all on Q.
+
+    With P = Q∘Q, Tr D^2 and Tr D^3 need P f and P f^2: a strip of
+    ``STRIP_WIDTH`` rows of P at a time, each row against the 2E rows f_j,
+    f_j^2 of every D, through one work array of that width.
+    """
+    f = np.stack([d.f for d in points])
+    rows_f = np.concatenate((f, f * f))
+    pf = np.empty((q.shape[0], rows_f.shape[0]))
+    work = np.empty((min(STRIP_WIDTH, q.shape[0]), q.shape[0]))
+    for rows in _strips(q.shape[0]):
+        square = np.multiply(q[rows], q[rows], out=work[: rows.stop - rows.start])
+        # one matrix-vector product per row of the strip, not one matrix product per strip:
+        # a row's sums then do not depend on the strip's width
+        np.matmul(rows_f, square[:, :, None], out=pf[rows, :, None])
+    traces = []
+    for j, d in enumerate(points):
+        f, g, pf1, pf2 = d.f, d.g, pf[:, j], pf[:, len(points) + j]
+        traces.append((
+            float(np.sum(f) - np.sum(g)),
+            float(np.sum(f * f) + np.sum(g * g) - 2.0 * (g @ pf1)),
+            float(np.sum(f**3) - np.sum(g**3) - 3.0 * (g @ pf2) + 3.0 * ((g * g) @ pf1)),
+        ))
+    return traces
+
+
+def _ritz_chunk(q: np.ndarray, points: list[SpectralDifference], omega: np.ndarray,
+                s: np.ndarray) -> list[np.ndarray]:
+    """Ascending Ritz values of each D in ``points`` on the range of D Ω, S = Q^T Ω.
+
+    With V_j an orthonormal basis of D_j Ω (``_orthonormalize``) and
+    W_j = Q^T V_j, the Rayleigh-Ritz matrix is W_j^T (f_j∘W_j) - V_j^T (g_j∘V_j).
+    The chunk makes one product with Q and one with Q^T, of l columns per D,
+    into two work arrays that every other step reuses; seen as (k, n, l)
+    arrays, k = len(points), each step is one call for the whole chunk.
+    """
+    n, l = omega.shape
+    if l == 0:
+        return [np.empty(0) for _ in points]
+    f = np.stack([d.f for d in points])[:, :, None]
+    g = np.stack([d.g for d in points])[:, :, None]
+    v = np.empty((n, len(points) * l))
+    v_blocks = v.reshape(n, len(points), l).transpose(1, 0, 2)
+    np.multiply(f, s, out=v_blocks)
+    y = q @ v
+    y_blocks = y.reshape(n, len(points), l).transpose(1, 0, 2)
+    y_blocks -= np.multiply(g, omega, out=v_blocks)
+    _orthonormalize(y_blocks, v_blocks, omega)
+    diagonal = v_blocks.swapaxes(1, 2) @ np.multiply(g, v_blocks, out=y_blocks)
+    np.matmul(q.T, v, out=y)  # y_blocks now holds W
+    t = y_blocks.swapaxes(1, 2) @ np.multiply(f, y_blocks, out=v_blocks) - diagonal
+    theta = np.linalg.eigvalsh((t + t.swapaxes(1, 2)) / 2.0)
+    theta.setflags(write=False)
+    return list(theta)
+
+
+def _orthonormalize(y: np.ndarray, v: np.ndarray, omega: np.ndarray) -> None:
+    """Write to each v[j] an orthonormal basis of y[j] plus a kick, by shifted CholeskyQR3.
+
+    D Ω may be rank deficient (D has few large eigenvalues, or is 0), which
+    Cholesky cannot take.  The kick ``BASIS_KICK`` rms(y_j)/sqrt(n) Ω[::-1]
+    (rms(y_j) the root mean square column norm, 1 if y_j = 0) bounds the
+    columns' condition number by about 1 / ``BASIS_KICK``.  One Cholesky
+    pass with the shift 11 (n l + l (l + 1)) eps ||y_j||_F^2, then two plain
+    ones, orthonormalize such a block to O(eps) (Fukaya, Kannan,
+    Nakatsukasa, Yamamoto & Yanagisawa 2020); the passes go back and forth
+    between y and v, so y is overwritten.  Rayleigh-Ritz and the Tr D^2
+    certificate need only an orthonormal basis, so the kick costs no
+    accuracy.  Every basis must pass max|V^T V - I| <= 1e-13, or
+    ``EigendecompositionError`` is raised.
+    """
+    n, l = y.shape[1:]
+    square = np.einsum("kij,kij->k", y, y)
+    rms = np.sqrt(square / l, out=np.ones_like(square), where=square > 0.0)
+    y += np.multiply((BASIS_KICK / np.sqrt(n)) * rms[:, None, None], omega[::-1], out=v)
+    try:
+        for shift, a, b in ((11.0 * (n * l + l * (l + 1)) * _EPS, y, v), (0.0, v, y),
+                            (0.0, y, v)):
+            gram = a.swapaxes(1, 2) @ a
+            if shift:
+                gram += (shift * np.trace(gram, axis1=1, axis2=2))[:, None, None] * np.eye(l)
+            # b = a R^-1, with R^T R = gram
+            np.matmul(a, np.linalg.inv(np.linalg.cholesky(gram)).swapaxes(1, 2), out=b)
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionError(f"block of {l} columns is not of full rank: {exc}") from exc
+    defect = float(np.max(np.abs(v.swapaxes(1, 2) @ v - np.eye(l))))
+    if not defect <= 1e-13:  # NaN fails too
+        raise EigendecompositionError(
+            f"block orthogonality defect {defect:.3e} exceeds 1e-13",
+            residual=defect,
+        )
 
 
 def _strips(size: int) -> list[slice]:
@@ -552,9 +677,9 @@ def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     width = np.append(np.diff(d), rho)
     half = width / 2.0
     mid = d + half
-    # the work arrays of every strip of columns: delta, terms, |terms| and the left poles
+    # the work arrays of every strip of columns: delta, terms, |terms|; the pole masks
     work = np.empty((3, m, min(STRIP_WIDTH, m)))
-    left_work = np.empty((m, min(STRIP_WIDTH, m)), dtype=bool)
+    masks = np.empty((2, m, min(STRIP_WIDTH, m)), dtype=bool)
     f_mid = np.empty(m)
     for cols in _strips(m):
         delta = np.subtract.outer(d, mid[cols], out=work[0, :, : cols.stop - cols.start])
@@ -585,16 +710,21 @@ def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         for cols in _strips(active.size):
             span = cols.stop - cols.start
             delta, terms, magnitude = work[:, :, :span]
-            left = left_work[:, :span]
             np.subtract.outer(d, d[o[cols]], out=delta)
             delta -= t[cols]
             np.divide(z2[:, None], delta, out=terms)
             f[cols] = 1.0 + np.sum(terms, axis=0)
             bound[cols] = 8.0 * (np.sum(np.abs(terms, out=magnitude), axis=0) + 1.0)
             terms /= delta
-            np.less_equal(k[:, None], ka[cols], out=left)
-            dpsi[cols] = np.sum(terms, axis=0, where=left)
-            dphi[cols] = np.sum(terms, axis=0, where=np.logical_not(left, out=left))
+            # ka ascends over the strip: poles j <= a_first are left of all its roots, and
+            # poles j > a_last of none, so each masked sum skips the rows its mask clears
+            a_first, a_last = ka[cols.start], ka[cols.stop - 1]
+            left_mask = np.less_equal(k[: a_last + 1, None], ka[cols],
+                                      out=masks[0, : a_last + 1, :span])
+            right_mask = np.greater(k[a_first + 1:, None], ka[cols],
+                                    out=masks[1, a_first + 1:, :span])
+            dpsi[cols] = np.sum(terms[: a_last + 1], axis=0, where=left_mask)
+            dphi[cols] = np.sum(terms[a_first + 1:], axis=0, where=right_mask)
             j = np.arange(span)
             da[cols], db[cols] = delta[ka[cols], j], delta[ka[cols] + 1, j]
         df = dpsi + dphi

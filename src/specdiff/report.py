@@ -90,7 +90,10 @@ def render_svg(summary: dict) -> str:
     """Counts against |log eps| per window, with fitted and predicted lines.
 
     Guard-flagged points render as open circles; the fitted line is solid and
-    the predicted-slope line (through the fitted intercept) is dashed.
+    the predicted-slope line (through the fitted intercept) is dashed.  Finite
+    numbers can still overflow the scales (a span of log_inv_eps or a slope
+    near the largest float): a coordinate that is not finite raises
+    ``ValueError``.
     """
     records = summary.get("records", [])
     windows = summary.get("windows", [])
@@ -108,11 +111,16 @@ def render_svg(summary: dict) -> str:
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
+    def finite(coordinate: float) -> float:
+        if not math.isfinite(coordinate):
+            raise ValueError("the summary's numbers do not fit a finite chart scale")
+        return coordinate
+
     def px(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return finite(MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w)
 
     def py(y: float) -> float:
-        return MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return finite(MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

@@ -72,6 +72,21 @@ def test_spectrum_case_times_the_package_and_cross_checks_it(bench, eps):
     assert abs(checks["remainder"]) <= 1e-12
 
 
+def test_batch_case_times_the_package_and_cross_checks_it(bench):
+    model = RankOneModel(n=200)
+    row = bench.batch_case(model, 1)
+    assert (row["n"], row["m"], row["eps"]) == (200, model.kept.size, list(bench.BATCH_EPS))
+    assert row["traces_s"] > 0.0 and row["block_pass_s"] > 0.0
+    assert_batch_checks(row["cross_checks"])
+
+
+def assert_batch_checks(checks):
+    assert checks["orthogonality_defect"] <= 1e-13
+    assert checks["max_abs_theta_minus_dense"] <= 1e-13
+    assert checks["max_relative_trace_difference_from_reference"] <= 1e-11
+    assert checks["max_abs_theta_minus_reference"] <= 1e-13
+
+
 def key_tree(value):
     """The nested keys of a JSON value, None for a leaf."""
     return {key: key_tree(item) for key, item in value.items()} if isinstance(value, dict) else None
@@ -92,6 +107,10 @@ def test_committed_file_matches_the_script(bench, monkeypatch, tmp_path):
         itertools.product(bench.SIZES, bench.EPSILONS))
     assert all(row["cross_checks"]["count_block_pass"] == row["cross_checks"]["count_dense"]
                for row in rows)
+    assert [row["n"] for row in committed["d_eps_batch"]] == list(bench.SIZES)
+    for row in committed["d_eps_batch"]:
+        assert row["eps"] == list(bench.BATCH_EPS)
+        assert_batch_checks(row["cross_checks"])
     assert committed["import"]["processes"] == bench.IMPORT_PROCESSES
     # the script at n = 200 must write what the committed file holds, key for key
     monkeypatch.setattr(bench, "SIZES", (200,))
@@ -100,7 +119,7 @@ def test_committed_file_matches_the_script(bench, monkeypatch, tmp_path):
     small = json.loads((tmp_path / "layers.json").read_text())
     assert set(committed) == set(small)
     assert key_tree(committed["machine"]) == key_tree(small["machine"])
-    for section in ("gauss_legendre_nodes", "h_eigensolve", "d_eps_spectrum"):
+    for section in ("gauss_legendre_nodes", "h_eigensolve", "d_eps_spectrum", "d_eps_batch"):
         assert all(key_tree(row) == key_tree(small[section][0]) for row in committed[section])
     for section in ("k_eps_traces", "kernel_from_symbol", "import"):
         assert key_tree(committed[section]) == key_tree(small[section])

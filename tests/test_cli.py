@@ -410,6 +410,24 @@ class TestReportCommand:
         assert "specdiff: error" in err and "not a sweep summary" in err
         assert not svg_path.exists()
 
+    @pytest.mark.parametrize("field", ["log_inv_eps", "fitted_slope"])
+    def test_overflowing_scales_exit_two(self, capsys, summary_path, tmp_path, field):
+        # every number is finite, but max - min of log_inv_eps, or slope * x, is not: the
+        # chart would get nan or inf coordinates
+        summary = json.loads(summary_path.read_text())
+        if field == "log_inv_eps":
+            summary["records"][0]["log_inv_eps"] = 1e308
+            summary["records"][-1]["log_inv_eps"] = -1e308
+        else:
+            summary["fitted_slopes"]["count (0.4,1)"] = 1e308
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(summary))
+        svg_path = tmp_path / "wide.svg"
+        code, out, err = run(capsys, ["report", "--input", str(path), "--svg", str(svg_path)])
+        assert (code, out) == (2, "")
+        assert "specdiff: error" in err and "finite chart scale" in err
+        assert not svg_path.exists()
+
     def test_json_flag_is_refused(self, capsys, summary_path, tmp_path):
         svg_path = tmp_path / "chart.svg"
         code, out, err = run(capsys, ["--json", "report", "--input", str(summary_path),

@@ -411,6 +411,31 @@ class TestStructuredSweep:
                 exact = float(np.sum(w ** float(m)))
                 assert abs(r.traces[m] - exact) <= 1e-11 * float(np.sum(np.abs(w) ** m))
 
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    @pytest.mark.parametrize("c", [0.5, -0.7])
+    @pytest.mark.parametrize("name", ["ARCTAN_HALF", "TANH_HALF", "MOLLIFIED_STEP"])
+    def test_batched_points_match_the_dense_spectrum(self, name, c, lam):
+        # 13 eps: the block passes take two at a time, so the last chunk holds one
+        cfg = small_config(model=ModelSpec(n=400, c=c), lam=lam, eps_count=13,
+                           windows=self.WINDOWS)
+        res = run_sweep(cfg, profile=name)
+        bands = BandSet(res.band_edges)
+        for r, w in zip(res.records, self.dense_spectra(cfg, name), strict=True):
+            for win in self.WINDOWS:
+                key = f"({win[0]:g},{win[1]:g})"
+                assert r.counts[key] == count_window(w, win)
+                assert abs(r.unfolded[key] - unfolded_count(w, win, bands)) <= 1e-11
+            for m, value in r.traces.items():
+                exact = float(np.sum(w ** float(m)))
+                assert abs(value - exact) <= 1e-11 * max(1.0, abs(exact))
+
+    def test_sweeps_make_no_householder_qr(self, monkeypatch):
+        def qr(*args, **kwargs):
+            raise AssertionError("the sweep called numpy.linalg.qr")
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        run_sweep(small_config(windows=self.WINDOWS, trace_powers=(1, 2, 3, 4)))
+
     def test_fourth_power_comes_from_the_block_pass(self):
         cfg = small_config(trace_powers=(4,), windows=self.WINDOWS)
         res = run_sweep(cfg)

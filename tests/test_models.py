@@ -10,7 +10,7 @@ from scipy import integrate
 from specdiff import matrices
 from specdiff.density import BandSet
 from specdiff.experiments import count_window, unfolded_count
-from specdiff.matrices import BLOCK_START, SpectralDifference
+from specdiff.matrices import BLOCK_START, EigendecompositionError, SpectralDifference
 from specdiff.models import (
     BUMPS,
     ExceptionalPointError,
@@ -279,6 +279,26 @@ class TestStructuredDifference:
         d = SpectralDifference(q, f, np.zeros(8), SpectralDifference.start_block(q))
         assert np.allclose(d.window_eigenvalues(0.4), f, rtol=0.0, atol=1e-15)
         assert d._dense is None
+
+    def test_a_zero_difference_has_zero_ritz_values(self):
+        # D Ω = 0: the block pass's kick alone spans the block, and V^T D V = 0
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((50, 50)))[0]
+        d = SpectralDifference(q, np.zeros(50), np.zeros(50), SpectralDifference.start_block(q))
+        assert np.array_equal(d.window_eigenvalues(0.4), np.zeros(BLOCK_START))
+
+    def test_a_rank_deficient_block_without_its_kick_raises(self, monkeypatch):
+        monkeypatch.setattr(matrices, "BASIS_KICK", 0.0)
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((50, 50)))[0]
+        d = SpectralDifference(q, np.zeros(50), np.zeros(50), SpectralDifference.start_block(q))
+        with pytest.raises(EigendecompositionError, match="not of full rank"):
+            d.window_eigenvalues(0.4)
+
+    def test_fill_takes_points_on_one_q(self, model):
+        psi = builtin_profile("ARCTAN_HALF")
+        other = RankOneModel(n=400, c=-0.7)
+        points = [model.build_d_eps(psi, 0.1, 0.0), other.build_d_eps(psi, 0.1, 0.0)]
+        with pytest.raises(ValueError, match="one Q"):
+            SpectralDifference.fill(points)
 
     def test_validation(self):
         q = np.eye(3)
