@@ -16,15 +16,15 @@ default rank-one model (gaussian bump, L = 8) it times, as medians over
   split), the split into the kept block alone (``kept`` and ``block``, with
   its O(n) dropped-coupling bound), the block's ``eig`` (the secular solve
   of the m x m kept block plus its O(m^2) check), the check alone, and the
-  rest of ``RankOneModel.solve`` once that solve is cached: the block
-  pass's start (Ω, Q^T Ω); and, on one more fresh model, the tracemalloc
-  peak of the block's ``eig``;
+  block pass's start (Ω, Q^T Ω) of ``SpectralDifference.start_block``, which
+  ``SpectralDifference.fill`` draws once per call that runs a block pass;
+  and, on one more fresh model, the tracemalloc peak of the block's ``eig``;
 - at c = 0.5, lam = 0 and ARCTAN_HALF, for each eps in ``EPSILONS``, over
   ``D_EPS_REPEATS`` fresh D_eps on the kept block (one run in several can
   take ten times the others): the traces of D, D^2 and D^3 from Q, and the
   block pass of ``SpectralDifference.window_eigenvalues`` at the default
-  window's threshold 0.4 (two products with Q per block; Tr D^2 is taken
-  before the clock starts, as a sweep does);
+  window's threshold 0.4 (its start, Q^T Ω included, and two products with
+  Q per block; Tr D^2 is taken before the clock starts, as a sweep does);
 - at c = 0.5, lam = 0 and ARCTAN_HALF, over ``D_EPS_REPEATS`` sets of fresh
   D_eps, one for each of the default sweep's 8 eps (``BATCH_EPS``): the
   batched pass ``SpectralDifference.fill`` that a sweep makes, its traces
@@ -158,6 +158,7 @@ def h_case(model, dense, repeats: int) -> dict:
     """
     import numpy as np
 
+    from specdiff.matrices import SpectralDifference
     from specdiff.models import RankOneModel
 
     n, c = model.n, model.c
@@ -173,7 +174,7 @@ def h_case(model, dense, repeats: int) -> dict:
         t3 = time.perf_counter()
         fresh.block.check(w, q)
         t4 = time.perf_counter()
-        fresh.solve()  # the eigensolve is cached: the start block alone
+        SpectralDifference.start_block(q)
         t5 = time.perf_counter()
         for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
             times[key].append(dt)
@@ -266,7 +267,7 @@ def per_eps_reference(d) -> tuple[list[float], np.ndarray]:
     import numpy as np
 
     q, f, g = d.q, d.f, d.g
-    omega, s = d.start
+    omega, s = d.start_block(q)
     pf, pf2 = (np.einsum("ij,ij,j->i", q, q, v) for v in (f, f * f))
     traces = [float(np.sum(f) - np.sum(g)),
               float(np.sum(f * f) + np.sum(g * g) - 2.0 * (g @ pf)),
@@ -302,8 +303,8 @@ def batch_case(model, repeats: int) -> dict:
         times["block_pass_s"].append(t2 - t1)
 
     defects, theta_errors, trace_differences, theta_differences, widths = [], [], [], [], []
+    omega, s = SpectralDifference.start_block(points[0].q)
     for d in points:
-        omega, s = d.start
         y = d.q @ (d.f[:, None] * s) - d.g[:, None] * omega
         v = np.empty_like(y)
         matrices._orthonormalize(y[None], v[None], omega)

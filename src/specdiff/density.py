@@ -75,7 +75,7 @@ def mu(bands: BandSet, y: float) -> float:
     y = float(y)
     if y == 0.0:
         raise ValueError("mu is singular at y = 0")
-    if abs(y) >= 1.0:
+    if not abs(y) < 1.0:
         raise ValueError(f"mu is defined on |y| < 1, got y = {y!r}")
     ay = abs(y)
     total = 0.0

@@ -185,6 +185,8 @@ def slope_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < 3:
         raise ValueError(f"slope fit needs at least 3 points, got {x.size}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("slope fit needs finite x and y")
     if float(np.ptp(x)) <= 0:
         raise ValueError("slope fit needs distinct abscissas")
     slope, intercept = np.polyfit(x, y, 1)
@@ -447,10 +449,10 @@ def run_sweep(config: SweepConfig, profile: str | None = None) -> SweepResult:
     eps grid and the floor, so a grid with fewer than 3 clean points is
     refused with ``ResolutionGuardError`` before H is solved.
 
-    A sweep reads four things from the model that ``config.model`` builds:
-    ``local_level_spacing`` and ``scattering_point`` at lam, ``solve`` (once,
-    shared by every eps), and ``build_d_eps``, once per eps, which reads
-    ``solve`` and the kept nodes.  The D_eps of all eps share Q, so
+    A sweep reads three things from the model that ``config.model`` builds:
+    ``local_level_spacing`` and ``scattering_point`` at lam, and
+    ``build_d_eps``, once per eps, which reads the kept nodes and the one
+    cached ``solve`` of H.  The D_eps of all eps share Q, so
     ``SpectralDifference.fill`` takes their low traces in one pass over Q
     and their first block passes a chunk of eps per product with Q; the
     records then read those caches, and a block that its certificate widens
@@ -475,8 +477,6 @@ def run_sweep(config: SweepConfig, profile: str | None = None) -> SweepResult:
     # every window edge is at least b from 0, so the eigenvalues beyond b and
     # their brackets settle every count and unfolded count
     b = min((_window_gap(win) for win in config.windows), default=math.inf)
-    # the one H eigensolve and the block pass's (Ω, Q^T Ω), shared by every eps
-    model.solve()
 
     points = [model.build_d_eps(prof, float(eps), config.lam) for eps in eps_grid]
     # the low traces and the first block pass of every eps, in one pass over Q

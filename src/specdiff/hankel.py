@@ -234,8 +234,8 @@ def kernel_from_symbol(omega, t_values) -> np.ndarray:
     array elementwise.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    if np.any(t_values <= 0):
-        raise ValueError("kernel recovery needs t > 0")
+    if not np.all((t_values > 0) & np.isfinite(t_values)):
+        raise ValueError("kernel recovery needs finite t > 0")
     _check_symbol(omega)
     (y_cos, c_cos), (y_sin, c_sin) = _fourier_rule(-0.5, np.cos), _fourier_rule(0.0, np.sin)
     y = np.concatenate((y_cos, y_sin, -y_sin))

@@ -14,8 +14,9 @@ solved from the secular equation in O(m^2).
 numerical spectrum comes from one certified block Rayleigh-Ritz pass, and
 the dense matrix is built only on demand, as a test oracle.  Many
 differences on one Q (a sweep's eps) take their traces in one pass over Q
-and their block passes a chunk at a time, each chunk one product with Q
-and one with Q^T, orthonormalized by shifted CholeskyQR3.  The
+and their block passes a chunk at a time, from the one start (Ω, Q^T Ω)
+that ``SpectralDifference.fill`` draws for them, each chunk one product
+with Q and one with Q^T, orthonormalized by shifted CholeskyQR3.  The
 eigenvector matrix Q is the one m x m array that these make: the secular
 solve, its check and the traces run in strips of ``STRIP_WIDTH`` rows or
 columns through work arrays of that width, and a block pass's chunk holds
@@ -358,18 +359,17 @@ class SpectralDifference:
     small, so one block pass (a randomized range finder, then Rayleigh-Ritz;
     Halko, Martinsson & Tropp 2011) finds its whole numerical spectrum,
     certified by Tr D^2: ``window_eigenvalues`` and the higher powers of
-    ``trace_power`` read it.  The pass starts from ``start`` = (Ω, Q^T Ω) of
-    ``start_block``, which depends on Q alone, so a caller that builds many D
-    on one Q draws it once and passes it to each.  ``fill`` takes the low
-    traces and the first block pass of many such D in one pass over Q; a
-    lone D takes it as a list of one.
+    ``trace_power`` read it.  ``fill`` takes the low traces and the first
+    block pass of many D on one Q in one pass over Q, from one start
+    (Ω, Q^T Ω) of ``start_block``, which depends on Q alone; a lone D takes
+    it as a list of one.
     ``dense``, ``entries`` and ``eigenvalues`` build the dense D, validated
     as a ``SelfAdjointMatrix``, on first use: the oracle in tests.
     """
 
-    __slots__ = ("q", "f", "g", "start", "_traces", "_ritz", "_dense")
+    __slots__ = ("q", "f", "g", "_traces", "_ritz", "_dense")
 
-    def __init__(self, q: np.ndarray, f, g, start: tuple[np.ndarray, np.ndarray]):
+    def __init__(self, q: np.ndarray, f, g):
         f = np.asarray(f, dtype=float)
         g = np.asarray(g, dtype=float)
         n = q.shape[0]
@@ -377,7 +377,7 @@ class SpectralDifference:
             raise ValueError(f"shapes do not match: q {q.shape}, f {f.shape}, g {g.shape}")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
             raise ValueError("diagonal entries must be finite")
-        self.q, self.f, self.g, self.start = q, f, g, start
+        self.q, self.f, self.g = q, f, g
         self._traces: tuple[float, float, float] | None = None
         self._ritz: np.ndarray | None = None
         self._dense: SelfAdjointMatrix | None = None
@@ -393,28 +393,29 @@ class SpectralDifference:
              windows: bool = True) -> None:
         """Take the traces of D, D^2, D^3 of each D and the first block pass their reads need.
 
-        The block pass runs when ``windows`` eigenvalues are to be read or
-        ``powers`` holds a power that ``trace_power`` takes from the Ritz
-        values.  Every D in ``points`` must hold the same Q and equal
-        starts.  With P = Q∘Q, the traces of all E of them need P f_j and
-        P f_j^2: one
-        pass over Q in strips of ``STRIP_WIDTH`` rows (``_low_traces``).
-        The block passes go a chunk of D at a time, at most ``STRIP_WIDTH``
-        columns of Ω per chunk: one product with Q builds every
-        D_j Ω = Q (f_j∘S) - g_j∘Ω of the chunk, S = Q^T Ω, and one product
-        with Q^T gives every Q^T V_j (``_ritz_chunk``).  A D whose caches are
-        full is left as it is.
+        Every D in ``points`` must hold the same Q.  The block pass runs when
+        ``windows`` eigenvalues are to be read or ``powers`` holds a power
+        that ``trace_power`` takes from the Ritz values; it starts from one
+        (Ω, Q^T Ω) of ``start_block``, drawn here.  With P = Q∘Q, the traces
+        of all E of them need P f_j and P f_j^2: one pass over Q in strips of
+        ``STRIP_WIDTH`` rows (``_low_traces``).  The block passes go a chunk
+        of D at a time, at most ``STRIP_WIDTH`` columns of Ω per chunk: one
+        product with Q builds every D_j Ω = Q (f_j∘S) - g_j∘Ω of the chunk,
+        S = Q^T Ω, and one product with Q^T gives every Q^T V_j
+        (``_ritz_chunk``).  A D whose caches are full is left as it is.
         """
-        q, start = points[0].q, points[0].start
-        if not all(d.q is q and all(a is b or np.array_equal(a, b) for a, b in zip(d.start, start))
-                   for d in points):
-            raise ValueError("the points must hold one Q and equal starts")
+        q = points[0].q
+        if not all(d.q is q for d in points):
+            raise ValueError("the points must hold one Q")
         todo = [d for d in points if d._traces is None]
         if todo:
             for d, traces in zip(todo, _low_traces(q, todo)):
                 d._traces = traces
         blocks = windows or any(_from_ritz(m) for m in powers)
         todo = [d for d in points if d._ritz is None] if blocks else []
+        if not todo:
+            return
+        start = SpectralDifference.start_block(q)
         per_chunk = max(1, STRIP_WIDTH // max(1, start[0].shape[1]))
         for first in range(0, len(todo), per_chunk):
             chunk = todo[first: first + per_chunk]
@@ -486,8 +487,8 @@ class SpectralDifference:
     def _ritz_values(self, accept) -> np.ndarray:
         """Eigenvalues theta of V^T D V, V an orthonormal basis of D Ω, cached.
 
-        Ω has l columns: l starts at ``BLOCK_START``, from ``start`` through
-        ``fill``, and doubles, each time from a fresh Ω, until
+        Ω has l columns: l starts at ``BLOCK_START``, through ``fill``, and
+        doubles, each time from a fresh Ω, until
         ``accept(theta, R)``, or until l = n, where Rayleigh-Ritz spans the
         whole space and is exact.
         """

@@ -48,6 +48,7 @@ QUADRATURE_TOL = 1e-8  # largest error the node rule may make in the integral of
 PANEL_TOL = 1e-11  # largest change of a panel rule's sum when its panels are halved
 PANEL_WIDTH = 1.0  # widest panel of t_plus's composite rule; the v^2 reference takes 1/4
 _PANEL_RULE = gauss_legendre(20)
+_NO_BLOCK = (np.empty(0), np.empty((0, 0)))  # ``solve`` of a model with no node kept
 
 BUMPS = {
     "gaussian": lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
@@ -111,7 +112,6 @@ class RankOneModel:
         self.kept = self.rank_one.kept()
         self.block = self.rank_one.block(self.kept)
         self._h: SelfAdjointMatrix | None = None
-        self._solved: tuple | None = None
 
     def _check_quadrature(self) -> None:
         # the grid must integrate v^2 exactly, or the discrete model is not
@@ -139,22 +139,18 @@ class RankOneModel:
             self._h = SelfAdjointMatrix(self.rank_one.entries)
         return self._h
 
-    def solve(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """(w, Q, (Ω, Q^T Ω)) of H on its kept block, cached: what every D_eps shares.
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, Q) of H on its kept block, cached: what every D_eps shares.
 
         w and Q are the ascending eigenvalues and the m x m orthonormal
         eigenvectors of H restricted to the nodes ``kept``, solved from the
         secular equation with an O(m^2) check (``DiagonalPlusRankOne``); with
         the deflated nodes' (x_j, e_j) they make up the eigendecomposition of
-        H, which is never completed to n x n.
-        The block pass's start ``SpectralDifference.start_block(Q)`` depends
-        on neither lam, eps nor the profile.  All three are empty when no
-        node is kept.
+        H, which is never completed to n x n.  The cache is the block's own
+        ``eig``; both are empty when no node is kept.  Every call returns
+        the same two arrays.
         """
-        if self._solved is None:
-            w, q = (np.empty(0), np.empty((0, 0))) if self.block is None else self.block.eig()
-            self._solved = w, q, SpectralDifference.start_block(q)
-        return self._solved
+        return _NO_BLOCK if self.block is None else self.block.eig()
 
     def _check_energy(self, lam: float) -> float:
         lam = float(lam)
@@ -219,22 +215,21 @@ class RankOneModel:
         """The smoothed projection difference psi_eps(H - lam) - psi_eps(H0 - lam).
 
         H0 is diagonal here, so only H goes through an eigendecomposition
-        (``solve``, cached on the model and shared by every eps, with the
-        block pass's start).  D vanishes on the deflated nodes,
-        so the result is D on the kept block, kept factored: D = Q diag(f)
-        Q^T - diag(g), f = psi((w - lam)/eps) on the block's eigenvalues and
-        g = psi((x - lam)/eps) on the kept nodes.  It has the nonzero
-        spectrum and the traces of the n x n D_eps, costs O(m) per eps, and
-        builds its dense (m x m) matrix only when asked for.  Any eps in
+        (``solve``, cached and shared by every eps).  D vanishes on the
+        deflated nodes, so the result is D on the kept block, kept factored:
+        D = Q diag(f) Q^T - diag(g), f = psi((w - lam)/eps) on the block's
+        eigenvalues and g = psi((x - lam)/eps) on the kept nodes.  It has the
+        nonzero spectrum and the traces of the n x n D_eps, costs O(m) per
+        eps, and builds its dense (m x m) matrix only when asked for.  Any eps in
         (0, 1) is built; whether the grid resolves it (``kappa`` times
         ``local_level_spacing``) is the sweep's decision, not the build's.
         """
         lam = self._check_energy(lam)
         if not (0 < eps < 1):
             raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-        w, q, start = self.solve()
+        w, q = self.solve()
         return SpectralDifference(
-            q, profile((w - lam) / eps), profile((self.nodes[self.kept] - lam) / eps), start
+            q, profile((w - lam) / eps), profile((self.nodes[self.kept] - lam) / eps)
         )
 
 

@@ -64,7 +64,7 @@ class TestMu:
 
     def test_domain_errors(self):
         b = BandSet([0.5])
-        for y in (0.0, 1.0, -1.0, 1.5):
+        for y in (0.0, 1.0, -1.0, 1.5, math.nan):  # nan gave 0.0
             with pytest.raises(ValueError):
                 mu(b, y)
 

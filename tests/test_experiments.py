@@ -117,6 +117,16 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             slope_fit([1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]])
 
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0]),
+    ], ids=["nan_x", "inf_y"])
+    def test_values_that_are_not_finite(self, capfd, x, y):
+        # a nan x passed the spread check and failed in LAPACK, an inf y gave a nan slope
+        with pytest.raises(ValueError, match="finite"):
+            slope_fit(x, y)
+        assert capfd.readouterr().err == ""
+
 
 class TestPredictedWindowSlope:
     def test_positive_window(self):
@@ -460,12 +470,8 @@ class TestStructuredSweep:
         cfg = small_config(model=ModelSpec(n=400, c=c), windows=self.WINDOWS)
         fast = run_sweep(cfg)
         # the n x n route: every node kept, H solved by the dense eigh
-        def dense_solve(model):
-            w, q = model.h.eig()
-            return w, q, SpectralDifference.start_block(q)
-
         monkeypatch.setattr(DiagonalPlusRankOne, "kept", lambda h: np.arange(h.dim))
-        monkeypatch.setattr(RankOneModel, "solve", dense_solve)
+        monkeypatch.setattr(RankOneModel, "solve", lambda model: model.h.eig())
         dense = run_sweep(cfg)
         for a, b in zip(fast.records, dense.records, strict=True):
             assert (a.counts, a.guard_flag) == (b.counts, b.guard_flag)
@@ -478,48 +484,53 @@ class TestStructuredSweep:
         shapes = set()
         init = SpectralDifference.__init__
 
-        def recording(self, q, f, g, start):
-            shapes.add((q.shape, np.shape(f), np.shape(g), tuple(a.shape for a in start)))
-            init(self, q, f, g, start)
+        def recording(self, q, f, g):
+            shapes.add((q.shape, np.shape(f), np.shape(g)))
+            init(self, q, f, g)
 
         monkeypatch.setattr(SpectralDifference, "__init__", recording)
         cfg = small_config(trace_powers=(1, 2, 3, 4))
         run_sweep(cfg)
         m = cfg.model.build().kept.size
         assert 0 < m < cfg.model.n  # the gaussian bump deflates about half the nodes
-        assert shapes == {((m, m), (m,), (m,), ((m, BLOCK_START), (m, BLOCK_START)))}
+        assert shapes == {((m, m), (m,), (m,))}
 
-    def test_one_start_block_per_sweep(self, monkeypatch):
-        starts, drawn = [], []
-        init, draw = SpectralDifference.__init__, SpectralDifference.start_block
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """(Q's shape, columns) of every start of a block pass that the test draws."""
+        drawn = []
+        draw = SpectralDifference.start_block
 
-        def recording_init(self, q, f, g, start):
-            starts.append(start)
-            init(self, q, f, g, start)
-
-        def recording_draw(q, columns=BLOCK_START):
-            drawn.append(columns)
+        def recording(q, columns=BLOCK_START):
+            drawn.append((q.shape, columns))
             return draw(q, columns)
 
-        monkeypatch.setattr(SpectralDifference, "__init__", recording_init)
-        monkeypatch.setattr(SpectralDifference, "start_block", staticmethod(recording_draw))
+        monkeypatch.setattr(SpectralDifference, "start_block", staticmethod(recording))
+        return drawn
+
+    def test_one_start_block_per_sweep(self, drawn):
         cfg = small_config(trace_powers=(1, 2, 3, 4), windows=self.WINDOWS)
         run_sweep(cfg)
-        assert drawn == [BLOCK_START]  # no block widens in this sweep
-        assert len(starts) == cfg.eps_count
-        assert all(s[0] is starts[0][0] and s[1] is starts[0][1] for s in starts)
+        m = cfg.model.build().kept.size
+        assert drawn == [((m, m), BLOCK_START)]  # no block widens in this sweep
+
+    def test_a_sweep_without_block_passes_draws_no_start(self, drawn):
+        # no window and no power above 3: the traces alone, from one pass over Q
+        run_sweep(small_config(windows=(), trace_powers=(1, 2, 3)))
+        assert drawn == []
 
     def test_the_sweep_holds_no_block_array_but_q(self):
         # Q, the m x STRIP_WIDTH work arrays of its solve, and the block pass's few columns
         cfg = default_config(model=ModelSpec(n=1500))
         m = cfg.model.build().kept.size
+        np.random.default_rng(0)  # the first use of numpy.random imports it: not the sweep's
         tracemalloc.start()
         try:
             run_sweep(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * 8 * m * m
+        assert peak <= 1.5 * 8 * m * m
 
     def test_the_sweep_builds_no_dense_h(self, monkeypatch):
         def dense_h(model):

@@ -146,6 +146,13 @@ class TestKernelFromSymbol:
         with pytest.raises(ValueError):
             kernel_from_symbol(omega, [0.0])
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_t_that_is_not_finite(self, t):
+        # nan gave nan and inf gave -0.0, with no error
+        omega = lambda x: zeta_eps(x, 0.5) - zeta(x)
+        with pytest.raises(ValueError, match="finite t > 0"):
+            kernel_from_symbol(omega, [1.0, t])
+
     def test_imaginary_residual_check_fires(self, monkeypatch):
         monkeypatch.setattr(hankel, "IMAG_TOL", 1e-20)
         omega = lambda x: zeta_eps(x, 0.5) - zeta(x)

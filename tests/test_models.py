@@ -244,7 +244,7 @@ class TestStructuredDifference:
         outer = np.concatenate([[0.9], np.linspace(0.3, 0.24, 24)])
         f = np.concatenate([outer, -outer, np.zeros(150)])
         q = np.eye(200)
-        d = SpectralDifference(q, f, np.zeros(200), SpectralDifference.start_block(q))
+        d = SpectralDifference(q, f, np.zeros(200))
         w = d.window_eigenvalues(0.5)
         assert w.size == 2 * BLOCK_START
         beyond = w[np.abs(w) > 1e-8]
@@ -252,12 +252,13 @@ class TestStructuredDifference:
         assert d._dense is None
 
     def test_a_doubled_block_draws_its_own_start(self, monkeypatch):
-        # the same 50 outer eigenvalues in a random orthogonal basis: the
-        # block of 64 is drawn afresh, with its own Q^T Omega, not from ``start``
+        # the same 50 outer eigenvalues in a random orthogonal basis: a lone D
+        # draws its first block of 32, and the block of 64 is drawn afresh,
+        # with its own Q^T Omega
         outer = np.concatenate([[0.9], np.linspace(0.3, 0.24, 24)])
         f = np.concatenate([outer, -outer, np.zeros(150)])
         q = np.linalg.qr(np.random.default_rng(7).standard_normal((200, 200)))[0]
-        d = SpectralDifference(q, f, np.zeros(200), SpectralDifference.start_block(q))
+        d = SpectralDifference(q, f, np.zeros(200))
         drawn = []
         draw = SpectralDifference.start_block
 
@@ -267,7 +268,7 @@ class TestStructuredDifference:
 
         monkeypatch.setattr(SpectralDifference, "start_block", staticmethod(recording))
         w = d.window_eigenvalues(0.5)
-        assert drawn == [2 * BLOCK_START] and w.size == 2 * BLOCK_START
+        assert drawn == [BLOCK_START, 2 * BLOCK_START] and w.size == 2 * BLOCK_START
         beyond = w[np.abs(w) > 1e-8]
         assert np.allclose(beyond, np.sort(np.concatenate([outer, -outer])), rtol=0.0, atol=1e-14)
         assert d._dense is None
@@ -276,20 +277,20 @@ class TestStructuredDifference:
         # a block of min(32, n) = n columns spans the whole space: Rayleigh-Ritz is exact
         f = np.linspace(-0.9, 0.9, 8)
         q = np.eye(8)
-        d = SpectralDifference(q, f, np.zeros(8), SpectralDifference.start_block(q))
+        d = SpectralDifference(q, f, np.zeros(8))
         assert np.allclose(d.window_eigenvalues(0.4), f, rtol=0.0, atol=1e-15)
         assert d._dense is None
 
     def test_a_zero_difference_has_zero_ritz_values(self):
         # D Ω = 0: the block pass's kick alone spans the block, and V^T D V = 0
         q = np.linalg.qr(np.random.default_rng(3).standard_normal((50, 50)))[0]
-        d = SpectralDifference(q, np.zeros(50), np.zeros(50), SpectralDifference.start_block(q))
+        d = SpectralDifference(q, np.zeros(50), np.zeros(50))
         assert np.array_equal(d.window_eigenvalues(0.4), np.zeros(BLOCK_START))
 
     def test_a_rank_deficient_block_without_its_kick_raises(self, monkeypatch):
         monkeypatch.setattr(matrices, "BASIS_KICK", 0.0)
         q = np.linalg.qr(np.random.default_rng(3).standard_normal((50, 50)))[0]
-        d = SpectralDifference(q, np.zeros(50), np.zeros(50), SpectralDifference.start_block(q))
+        d = SpectralDifference(q, np.zeros(50), np.zeros(50))
         with pytest.raises(EigendecompositionError, match="not of full rank"):
             d.window_eigenvalues(0.4)
 
@@ -302,12 +303,11 @@ class TestStructuredDifference:
 
     def test_validation(self):
         q = np.eye(3)
-        start = SpectralDifference.start_block(q)
         with pytest.raises(ValueError, match="shapes"):
-            SpectralDifference(q, np.zeros(2), np.zeros(3), start)
+            SpectralDifference(q, np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError, match="finite"):
-            SpectralDifference(q, np.array([0.0, np.nan, 0.0]), np.zeros(3), start)
-        d = SpectralDifference(q, np.zeros(3), np.zeros(3), start)
+            SpectralDifference(q, np.array([0.0, np.nan, 0.0]), np.zeros(3))
+        d = SpectralDifference(q, np.zeros(3), np.zeros(3))
         for m in (0, True, 1.0):
             with pytest.raises(ValueError):
                 d.trace_power(m)
@@ -382,14 +382,14 @@ class TestKeptBlock:
 
     @pytest.mark.parametrize("c", [0.5, 0.0])
     def test_solve_is_one_cached_step(self, secular_calls, c):
+        # fill compares Q by identity: every call returns the same two arrays
         model = RankOneModel(n=400, c=c)
-        solved = model.solve()
-        assert model.solve() is solved
-        w, q, (omega, start) = solved
+        w, q = model.solve()
+        w_again, q_again = model.solve()
+        assert w_again is w and q_again is q
         m = model.kept.size
         assert secular_calls == ([m] if m else [])
         assert (w.shape, q.shape) == ((m,), (m, m))
-        assert omega.shape == (m, min(BLOCK_START, m)) and np.array_equal(start, q.T @ omega)
 
     def test_the_block_is_its_own_split(self, secular_calls):
         # no node of the kept block deflates: its eig solves it, with no copy made
