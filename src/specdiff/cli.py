@@ -15,6 +15,7 @@ or input, or an output file that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -61,6 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--svg", default=None,
                           help="SVG output path (default: summary path with .svg)")
     return parser
+
+
+_parser = functools.cache(build_parser)  # main's parser, built once per process on first use
 
 
 def _fail(message: str, code: int) -> int:
@@ -198,7 +202,7 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "density": _cmd_density,
         "hankel": _cmd_hankel,

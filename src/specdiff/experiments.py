@@ -276,6 +276,9 @@ class SweepConfig:
             raise ConfigError(f"profiles must be distinct, got {list(self.profiles)!r}")
         object.__setattr__(self, "trace_powers", powers)
         windows = tuple(_validate_window(w) for w in _list(self.windows, "windows"))
+        keys = [_window_key(w) for w in windows]
+        if len(set(keys)) != len(keys):  # one key names one count, one fit and one CSV column
+            raise ConfigError(f"windows must be distinct to 6 digits, got {keys!r}")
         object.__setattr__(self, "windows", windows)
         if not (self.windows or self.trace_powers):
             raise ConfigError("nothing to record: no windows and no trace powers")

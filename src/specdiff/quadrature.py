@@ -201,7 +201,10 @@ def gauss_legendre_reference(n: int, steps: int = 2) -> tuple[np.ndarray, np.nda
 
 def uniform_panels(lo: float, hi: float, width: float) -> np.ndarray:
     """Edges of the fewest equal panels of (lo, hi), lo < hi, no wider than ``width``."""
-    return np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
+    count = (hi - lo) / width
+    if not math.isfinite(count):
+        raise ValueError(f"cannot cut ({lo!r}, {hi!r}) into panels of width {width!r}")
+    return np.linspace(lo, hi, math.ceil(count) + 1)
 
 
 def panel_rule(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ side effects are exercised exactly as a shell user would see them.  Sweep
 invocations use a small model (n=400) to keep the suite fast.
 """
 
+import argparse
 import json
 import math
 
@@ -165,6 +166,15 @@ class TestHankelCommand:
             assert code == 2, argv
             assert "specdiff: error" in err
 
+    # NumPy warns of the overflow that the error then reports
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_eps_whose_log_overflows_exits_two(self, capsys):
+        code, out, err = run(capsys, ["hankel", "--eps-start", "1e-320",
+                                      "--eps-stop", "5e-324", "--count", "3"])
+        assert (code, out) == (2, "")
+        assert "specdiff: error: cannot cut" in err
+        assert "Traceback" not in err
+
     def test_rejects_repeated_powers(self, capsys):
         code, out, err = run(capsys, ["hankel", "--powers", "2,2"])
         assert (code, out) == (2, "")
@@ -287,6 +297,24 @@ class TestSweepCommand:
         code, _, err = run(capsys, ["sweep", "--config", cfg])
         assert code == 2
         assert f"specdiff: error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_repeated_windows_exit_two_before_any_sweep(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"),
+                           windows=[[0.4, 1.0], [0.4000001, 1.0]])
+        code, out, err = run(capsys, ["sweep", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert "specdiff: error: windows must be distinct" in err
+        assert list(tmp_path.glob("sw*")) == []
+
+    # NumPy warns of the overflow that the error then reports
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_model_too_wide_for_its_panels_exits_two(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"),
+                           model={"L": 1e308, "n": 400})
+        code, out, err = run(capsys, ["sweep", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert "specdiff: error: cannot cut" in err
         assert "Traceback" not in err
 
     def test_missing_output_directory_is_found_before_the_sweep(self, capsys, tmp_path,
@@ -472,3 +500,16 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_main_builds_one_parser_per_process(self, capsys, monkeypatch):
+        progs, init = [], argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(2):
+            assert main(["density", "--edges", "0.8", "--moment", "2"]) == 0
+        assert progs.count("specdiff") == 1  # the subcommands' parsers have longer progs

@@ -294,6 +294,16 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="profiles must be distinct"):
             SweepConfig.from_dict({"profiles": list(profiles)})
 
+    @pytest.mark.parametrize("windows", [
+        [[0.4, 1.0], [0.4, 1.0]],
+        [[0.4, 1.0], [0.4000001, 1.0]],  # one key, "(0.4,1)", to 6 digits
+    ])
+    def test_repeated_windows_rejected(self, windows):
+        with pytest.raises(ConfigError, match="windows must be distinct"):
+            SweepConfig(windows=tuple(tuple(w) for w in windows))
+        with pytest.raises(ConfigError, match="windows must be distinct"):
+            SweepConfig.from_dict({"windows": windows})
+
     def test_legacy_workers_and_seed_are_ignored(self):
         assert SweepConfig.from_dict({"workers": 4, "seed": 7}) == SweepConfig()
 

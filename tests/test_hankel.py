@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from specdiff.hankel import (
     QuadratureGrid,
@@ -24,7 +25,7 @@ from specdiff.hankel import (
     sequence_limit,
 )
 from specdiff import hankel
-from specdiff.profiles import zeta, zeta_eps
+from specdiff.profiles import builtin_profile, zeta, zeta_eps
 from specdiff.quadrature import gauss_legendre, panel_rule, uniform_panels
 
 
@@ -153,11 +154,68 @@ class TestKernelFromSymbol:
         with pytest.raises(ValueError, match="finite t > 0"):
             kernel_from_symbol(omega, [1.0, t])
 
-    def test_imaginary_residual_check_fires(self, monkeypatch):
-        monkeypatch.setattr(hankel, "IMAG_TOL", 1e-20)
-        omega = lambda x: zeta_eps(x, 0.5) - zeta(x)
+    def test_imaginary_residual_check_fires(self):
+        # an even bump far from the check points of _check_symbol: its
+        # imaginary residual at t = 1 is 7.5e-8, above the default IMAG_TOL
+        bump = lambda x: 1e-6 * np.exp(-4.0 * (np.abs(x) - 5.0) ** 2)
+        omega = lambda x: zeta_eps(x, 0.5) - zeta(x) + bump(x)
         with pytest.raises(ValueError, match="imaginary residual"):
             kernel_from_symbol(omega, [1.0])
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-10])
+    def test_arctan_symbol_at_small_eps(self, eps):
+        # the symbol varies on the scale eps, far below any fixed difference step
+        t = np.geomspace(1e-2, 1e4, 30)
+        omega = lambda x: zeta_eps(x, eps) - zeta(x)
+        assert np.max(np.abs(kernel_from_symbol(omega, t) - k_eps_kernel(t, eps))) < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_tanh_symbol_against_closed_form(self, eps):
+        # omega = 2 (psi(x / eps) - psi(x)) has k(t) = (eps csch(pi eps t / 2) - csch(pi t / 2)) / 2;
+        # csch(a) = -2 e^{-a} / expm1(-2a), since np.sinh overflows at large t
+        psi = builtin_profile("TANH_HALF")
+        csch = lambda a: -2.0 * np.exp(-a) / np.expm1(-2.0 * a)
+        t = np.geomspace(1e-2, 1e4, 30)
+        exact = 0.5 * (eps * csch(np.pi * eps * t / 2.0) - csch(np.pi * t / 2.0))
+        recovered = kernel_from_symbol(lambda x: 2.0 * (psi(x / eps) - psi(x)), t)
+        assert np.max(np.abs(recovered - exact)) < 1e-12
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1])
+    def test_mollified_symbol_against_quad(self, eps):
+        # by parts, with psi' = -b / (2 B) on (-1, 1), b the bump exp(-1/(1 - s^2))
+        # and B its mass on (0, 1): k(t) = (int_0^1 b(s) (cos(eps t s) - cos(t s)) ds) / (pi t B)
+        bump = lambda s: math.exp(-1.0 / (1.0 - s * s)) if abs(s) < 1.0 else 0.0
+        mass = quad(bump, 0.0, 1.0, epsabs=1e-14)[0]
+
+        def exact(t):
+            near = quad(bump, 0.0, 1.0, weight="cos", wvar=eps * t, epsabs=1e-14)[0]
+            far = quad(bump, 0.0, 1.0, weight="cos", wvar=t, epsabs=1e-14)[0]
+            return (near - far) / (math.pi * t * mass)
+
+        psi = builtin_profile("MOLLIFIED_STEP")
+        t = np.linspace(0.1, 10.0, 40)
+        recovered = kernel_from_symbol(lambda x: 2.0 * (psi(x / eps) - psi(x)), t)
+        assert np.max(np.abs(recovered - [exact(v) for v in t])) < 2e-5
+
+    def test_halving_the_step_moves_kernels_below_1e_13(self, monkeypatch):
+        t = np.geomspace(1e-2, 1e4, 30)
+        symbols = [lambda x, e=eps: zeta_eps(x, e) - zeta(x) for eps in (0.5, 1e-2, 1e-6)]
+        coarse = [kernel_from_symbol(omega, t) for omega in symbols]
+        monkeypatch.setattr(hankel, "DE_STEP", hankel.DE_STEP / 2.0)
+        monkeypatch.setattr(hankel, "_SINE_RULE", hankel._fourier_rule(0.0, np.sin))
+        monkeypatch.setattr(hankel, "_COSINE_RULE", hankel._fourier_rule(-0.5, np.cos))
+        for omega, k in zip(symbols, coarse):
+            assert np.max(np.abs(kernel_from_symbol(omega, t) - k)) <= 1e-13
+
+    def test_one_call_of_the_symbol_per_t_at_961_points(self):
+        sizes = []
+
+        def omega(x):
+            sizes.append(np.size(x))
+            return zeta_eps(x, 0.5) - zeta(x)
+
+        kernel_from_symbol(omega, [0.5, 2.0])
+        assert sizes[-2:] == [961, 961]
 
     def test_no_runtime_warnings(self):
         omega = lambda x: zeta_eps(x, 0.1) - zeta(x)

@@ -1,5 +1,7 @@
 """The Gauss-Legendre rule: Bogaert's asymptotic formulas against an extended-precision oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import special
@@ -13,6 +15,7 @@ from specdiff.quadrature import (
     gauss_legendre_reference,
     panel_integral,
     panel_rule,
+    uniform_panels,
 )
 
 ASYMPTOTIC_SIZES = [101, 200, 800, 1500, 4000]
@@ -91,6 +94,12 @@ def test_hankel_reads_the_grids_from_here():
 
 
 class TestPanelRules:
+    def test_uniform_panels_refuse_a_span_that_is_not_finite(self):
+        # a ValueError, not math.ceil's OverflowError: the CLI turns it into exit 2
+        for lo, hi in ((0.0, math.inf), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="cannot cut"):
+                uniform_panels(lo, hi, 4.0)
+
     def test_panel_rule_is_exact_for_piecewise_polynomials(self):
         edges = np.array([-1.0, -0.25, 0.5, 2.0])
         x, w = panel_rule(edges, gauss_legendre(3))
