@@ -14,10 +14,12 @@ default rank-one model (gaussian bump, L = 8) it times, as medians over
 - for each c in ``COUPLINGS``, on fresh models: the build of a
   ``RankOneModel`` (the rule, the check of the integral of v^2, u and the
   split), the split into the kept block alone (``kept`` and ``block``, with
-  its O(n) dropped-coupling bound), the block's ``eig`` (the secular solve
-  of the m x m kept block plus its O(m^2) check), the check alone, and the
-  block pass's start (Ω, Q^T Ω) of ``SpectralDifference.start_block``, which
-  ``SpectralDifference.fill`` draws once per call that runs a block pass;
+  its O(n) dropped-coupling bound), the secular root iteration
+  ``matrices._secular_roots`` of the kept block alone, the block's ``eig``
+  (the secular solve of the m x m kept block plus its O(m^2) check), the
+  check alone, and the block pass's start (Ω, Q^T Ω) of
+  ``SpectralDifference.start_block``, which ``SpectralDifference.fill``
+  draws once per call that runs a block pass;
   and, on one more fresh model, the tracemalloc peak of the block's ``eig``;
 - at c = 0.5, lam = 0 and ARCTAN_HALF, for each eps in ``EPSILONS``, over
   ``D_EPS_REPEATS`` fresh D_eps on the kept block (one run in several can
@@ -149,6 +151,16 @@ def nodes_case(n: int, repeats: int) -> dict:
     }
 
 
+def secular_input(block) -> tuple[np.ndarray, np.ndarray]:
+    """The (d, z) of diag(d) + z z^T that ``block.eig`` hands the secular solve."""
+    import numpy as np
+
+    x, u, c = block.x, block.u, block.c
+    if c > 0.0:
+        return x, np.sqrt(c) * u
+    return -x[::-1], np.sqrt(-c) * u[::-1]
+
+
 def h_case(model, dense, repeats: int) -> dict:
     """H assembly and eigensolve timings (medians over ``repeats`` fresh models) of one (n, c).
 
@@ -158,26 +170,28 @@ def h_case(model, dense, repeats: int) -> dict:
     """
     import numpy as np
 
-    from specdiff.matrices import SpectralDifference
+    from specdiff.matrices import SpectralDifference, _secular_roots
     from specdiff.models import RankOneModel
 
     n, c = model.n, model.c
-    times = {key: [] for key in ("build_s", "split_s", "solve_and_check_s", "check_s",
-                                 "start_s")}
+    times = {key: [] for key in ("build_s", "split_s", "roots_s", "solve_and_check_s",
+                                 "check_s", "start_s")}
     for _ in range(repeats):
         t0 = time.perf_counter()
         fresh = RankOneModel(n=n, c=c)
         t1 = time.perf_counter()
         fresh.rank_one.block(fresh.rank_one.kept())
         t2 = time.perf_counter()
-        w, q = fresh.block.eig()
+        _secular_roots(*secular_input(fresh.block))
         t3 = time.perf_counter()
-        fresh.block.check(w, q)
+        w, q = fresh.block.eig()
         t4 = time.perf_counter()
-        SpectralDifference.start_block(q)
+        fresh.block.check(w, q)
         t5 = time.perf_counter()
-        for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
-            times[key].append(dt)
+        SpectralDifference.start_block(q)
+        t6 = time.perf_counter()
+        for key, dt in zip(times, np.diff([t0, t1, t2, t3, t4, t5, t6])):
+            times[key].append(float(dt))
 
     traced = RankOneModel(n=n, c=c)  # the peak is traced apart from the timings
     tracemalloc.start()
@@ -451,7 +465,8 @@ def main(argv=None) -> int:
             row = h_case(model, dense, REPEATS)
             h_cases.append(row)
             print(f"H     n={n:5d} c={c:+.2f} m={row['m']:5d}  build {row['build_s']:.3f} s  "
-                  f"solve and check {row['solve_and_check_s']:.3f} s  eig peak "
+                  f"roots {row['roots_s']:.3f} s  solve and check "
+                  f"{row['solve_and_check_s']:.3f} s  eig peak "
                   f"{row['eig_peak_bytes'] / 2**20:.1f} MiB", file=sys.stderr)
             if c == 0.5:
                 for eps in EPSILONS:

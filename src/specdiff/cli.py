@@ -153,10 +153,9 @@ def _cmd_sweep(args) -> int:
             stem = prefix if len(config.profiles) == 1 else f"{prefix}-{name}"
             try:
                 result.write_csv(f"{stem}.csv")
-                result.write_summary(f"{stem}.json")
+                payloads.append(result.write_summary(f"{stem}.json"))
             except OSError as exc:
                 return _fail(f"cannot write the sweep output: {exc}", 2)
-            payloads.append(result.summary_dict())
             if not args.json:
                 for key, dev in result.deviations.items():
                     verdict = "ok" if dev <= config.tolerance else "FAIL"

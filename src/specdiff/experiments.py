@@ -414,10 +414,13 @@ class SweepResult:
             ],
         }
 
-    def write_summary(self, path) -> None:
+    def write_summary(self, path) -> dict:
+        """Write ``summary_dict`` to ``path`` as JSON, and return the dict written."""
+        summary = self.summary_dict()
         with open(path, "w") as fh:
-            json.dump(self.summary_dict(), fh, indent=2)
+            json.dump(summary, fh, indent=2)
             fh.write("\n")
+        return summary
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -332,13 +332,13 @@ def k_eps_trace_slopes(m_list, eps_values) -> TraceSlopeResult:
     if eps_values.size < 3:
         raise ValueError("need at least 3 eps values to fit a slope")
     m_list = check_trace_powers(m_list)
+    grids = [section_grid(eps) for eps in eps_values]  # refuses a bad eps before 1/eps is taken
 
     log_inv = np.log(1.0 / eps_values)
     traces = {m: np.empty_like(eps_values) for m in m_list}
     oracle_dev = np.empty_like(eps_values)
     sizes = np.empty(eps_values.size, dtype=int)
-    for i, eps in enumerate(eps_values):
-        grid = section_grid(eps)
+    for i, (eps, grid) in enumerate(zip(eps_values, grids)):
         sizes[i] = grid.size
         w = discretize_hankel(_carleman, grid).eigenvalues()
         exact2 = k_eps_trace_exact(eps, 2)

@@ -20,7 +20,10 @@ with Q and one with Q^T, orthonormalized by shifted CholeskyQR3.  The
 eigenvector matrix Q is the one m x m array that these make: the secular
 solve, its check and the traces run in strips of ``STRIP_WIDTH`` rows or
 columns through work arrays of that width, and a block pass's chunk holds
-at most ``STRIP_WIDTH`` columns.  The free functions accept either a
+at most ``STRIP_WIDTH`` columns.  The strip ops of the solve and its check
+run on contiguous arrays with no rounding changed (``_secular_roots``):
+(w, Q) are bitwise those of NumPy's outer methods, broadcast columns and
+masked sums, at any strip width.  The free functions accept either a
 wrapper or a bare array.
 """
 
@@ -260,7 +263,14 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
                 residual=residual,
             )
         v = np.random.default_rng(0).standard_normal((self.dim, 2))
-        defect = float(np.max(np.abs(q.T @ (q @ v) - v)) / np.max(np.abs(v)))
+        qv, back = np.empty_like(v), np.empty_like(v)
+        # Q V and Q^T (Q V) a strip of Q at a time: OpenBLAS takes these small products
+        # in about half the time of one product with the whole of Q
+        for rows in _strips(self.dim):
+            np.matmul(q[rows], v, out=qv[rows])
+        for cols in _strips(self.dim):
+            np.matmul(q[:, cols].T, qv, out=back[cols])
+        defect = float(np.max(np.abs(back - v)) / np.max(np.abs(v)))
         if not defect <= RECONSTRUCTION_TOL:
             raise EigendecompositionError(
                 f"eigenvector orthogonality defect {defect:.3e} exceeds "
@@ -318,16 +328,21 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
         """Largest column residual |x∘q_k + c u (u^T q_k) - w_k q_k|, NaN if any is.
 
         Taken in strips of ``STRIP_WIDTH`` rows through two
-        ``STRIP_WIDTH`` x n work arrays, so no n x n temporary is built.
+        ``STRIP_WIDTH`` x n work arrays, so no n x n temporary is built; the
+        outer difference x_i - w_k and the outer product (c u_i)(u^T q_k) are
+        products of inner dimension 2 (``_difference_factors``,
+        ``_product_factors``).
         """
         cu, uq = self.c * self.u, self.u @ q
+        x_left, w_right = _difference_factors(self.x, w)
+        cu_left, uq_right = _product_factors(cu, uq)
         work = np.empty((2, min(STRIP_WIDTH, self.dim), self.dim))
         largest = []
         for rows in _strips(self.dim):
             r, coupling = work[:, : rows.stop - rows.start]
-            np.subtract.outer(self.x[rows], w, out=r)
+            np.matmul(x_left[rows], w_right, out=r)
             r *= q[rows]
-            r += np.multiply.outer(cu[rows], uq, out=coupling)
+            r += np.matmul(cu_left[rows], uq_right, out=coupling)
             largest.append(np.max(np.abs(r, out=r)))
         return float(np.max(largest))
 
@@ -616,6 +631,41 @@ def _strips(size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [size])]
 
 
+def _difference_factors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[a, 1] and [1; -b]: their product has the entries a_i - b_k.
+
+    The products a_i 1 and 1 (-b_k) are exact, so each entry is a_i - b_k
+    rounded once, as ``np.subtract.outer(a, b)`` rounds it, except that an
+    exact zero comes out +0 where (-0) - (+0) gives -0.  A product of inner
+    dimension 2 runs at BLAS speed on a strip of ``STRIP_WIDTH`` columns,
+    where the outer method calls its loop once per row.  No difference the
+    solve forms is an exact zero of that kind: d is strictly increasing, so
+    d_i - d_j and d_i - mid_k vanish only as d_j - d_j = +0, and the
+    residual takes absolute values.
+    """
+    return np.stack((a, np.ones_like(a)), axis=1), np.stack((np.ones_like(b), -b))
+
+
+def _product_factors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[a, 0] and [b; 0]: their product has the entries a_i b_k.
+
+    Each entry is a_i b_k rounded once, plus the exact 0 0: ``np.multiply.outer``
+    bit for bit but for the sign of a zero, as in ``_difference_factors``.
+    OpenBLAS takes a product of inner dimension 1 at a quarter of the speed.
+    """
+    return np.stack((a, np.zeros_like(a)), axis=1), np.stack((b, np.zeros_like(b)))
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=0)`` bit for bit: each column summed down its rows, in order.
+
+    With two columns or more, both add one row at a time into the sums, and
+    ``einsum`` does so at two thirds of the cost; one column ``np.sum`` sums
+    pairwise, so it keeps ``np.sum``.
+    """
+    return np.einsum("ij->j", a) if a.shape[1] > 1 else np.sum(a, axis=0)
+
+
 def _secular_eig(d: np.ndarray, z: np.ndarray,
                  reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of diag(d) + z z^T, d strictly increasing, no node deflated.
@@ -630,17 +680,22 @@ def _secular_eig(d: np.ndarray, z: np.ndarray,
     origin, tau = _secular_roots(d, z)
     m = d.size
     q = np.empty((m, m))
-    vectors = q[::-1, ::-1] if reverse else q
+    flip = slice(None, None, -1) if reverse else slice(None)
     # delta[i, k] = d_i - w_k, formed from the pole nearest w_k without cancellation,
-    # in the array that becomes the eigenvectors
-    delta = np.subtract.outer(d, d[origin], out=vectors)
+    # in the array that becomes the eigenvectors: a strip of Q's rows at a time, in Q's own
+    # order, as small products like every other of the solve
+    q_left, pole_right = _difference_factors(d[flip], d[origin][flip])
+    for rows in _strips(m):
+        np.matmul(q_left[rows], pole_right, out=q[rows])
+    delta = vectors = q[flip, flip]
     delta -= tau
     # Löwner: the coupling for which the computed w_k are exact eigenvalues,
     # z_i^2 = prod_k (w_k - d_i) / prod_{k != i} (d_k - d_i), a strip of rows at a time
     work = np.empty((min(STRIP_WIDTH, m), m))
+    d_left, d_right = _difference_factors(d, d)
     zhat = np.empty(m)
     for rows in _strips(m):
-        ratio = np.subtract.outer(d[rows], d, out=work[: rows.stop - rows.start])
+        ratio = np.matmul(d_left[rows], d_right, out=work[: rows.stop - rows.start])
         np.fill_diagonal(ratio[:, rows], -1.0)
         zhat[rows] = np.prod(np.divide(delta[rows], ratio, out=ratio), axis=1)
     zhat = np.copysign(np.sqrt(zhat), z)
@@ -649,7 +704,7 @@ def _secular_eig(d: np.ndarray, z: np.ndarray,
     for cols in _strips(m):
         block = vectors[:, cols]
         square = np.multiply(block, block, out=work[:, : block.shape[1]])
-        norms[cols] = np.sqrt(np.sum(square, axis=0))
+        norms[cols] = np.sqrt(_column_sums(square))
     vectors /= norms
     return d[origin] + tau, q
 
@@ -665,6 +720,17 @@ def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     two-pole rational ("middle way") step, kept inside a shrinking bracket,
     until LAPACK's ``dlaed4`` test |f| <= eps (8 (sum_j |z_j^2/delta_j| + 1)
     + |tau| f') holds; all unconverged roots advance together.
+
+    Each pass, the midpoint pass and every step, takes the roots a strip of
+    ``STRIP_WIDTH`` columns at a time, every pole j a row of m x width work
+    arrays, and sums down the columns, row after row (``_column_sums``), so
+    no root's arithmetic depends on the strip it falls in.  The strip
+    kernels run on contiguous arrays and change no rounding: d_j - d_origin
+    is a product of inner dimension 2 (``_difference_factors``), z^2 / delta
+    divides a tile of z^2 made once per solve, not a broadcast column, and
+    f' splits into psi' (poles j <= a_k) and phi' by plain sums, each with
+    the other's terms set to +0; those lie in a band of rows between the
+    strip's first and last a_k, the only rows masked.
     """
     m = d.size
     z2 = z * z
@@ -678,13 +744,18 @@ def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     width = np.append(np.diff(d), rho)
     half = width / 2.0
     mid = d + half
-    # the work arrays of every strip of columns: delta, terms, |terms|; the pole masks
-    work = np.empty((3, m, min(STRIP_WIDTH, m)))
-    masks = np.empty((2, m, min(STRIP_WIDTH, m)), dtype=bool)
+    strip = min(STRIP_WIDTH, m)
+    # the work arrays of every strip of columns: delta, terms, |terms|; the pole masks of
+    # a band; z^2 tiled across a strip, so that dividing it by delta reads no broadcast column
+    work = np.empty((3, m, strip))
+    masks = np.empty((2, m, strip), dtype=bool)
+    z2_tile = np.repeat(z2[:, None], strip, axis=1)
+    d_left, mid_right = _difference_factors(d, mid)
     f_mid = np.empty(m)
     for cols in _strips(m):
-        delta = np.subtract.outer(d, mid[cols], out=work[0, :, : cols.stop - cols.start])
-        f_mid[cols] = 1.0 + np.sum(np.divide(z2[:, None], delta, out=delta), axis=0)
+        delta = np.matmul(d_left, mid_right[:, cols], out=work[0, :, : cols.stop - cols.start])
+        span = delta.shape[1]
+        f_mid[cols] = 1.0 + _column_sums(np.divide(z2_tile[:, :span], delta, out=delta))
     last = k == m - 1
     right = (f_mid < 0.0) & ~last  # root in the right half: origin at d_(k+1)
     up = (f_mid < 0.0) & last
@@ -707,27 +778,34 @@ def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     active = k
     for _ in range(SECULAR_MAX_ITER):
         o, t, ka = origin[active], tau[active], a[active]
-        f, bound, dpsi, dphi, da, db = np.empty((6, active.size))
+        f, bound, dpsi, dphi = np.empty((4, active.size))
+        # the deltas at the model's two poles, as the strips form them
+        da, db = (d[ka] - d[o]) - t, (d[ka + 1] - d[o]) - t
+        pole_right = _difference_factors(d, d[o])[1]
         for cols in _strips(active.size):
             span = cols.stop - cols.start
             delta, terms, magnitude = work[:, :, :span]
-            np.subtract.outer(d, d[o[cols]], out=delta)
+            np.matmul(d_left, pole_right[:, cols], out=delta)
             delta -= t[cols]
-            np.divide(z2[:, None], delta, out=terms)
-            f[cols] = 1.0 + np.sum(terms, axis=0)
-            bound[cols] = 8.0 * (np.sum(np.abs(terms, out=magnitude), axis=0) + 1.0)
+            np.divide(z2_tile[:, :span], delta, out=terms)
+            f[cols] = 1.0 + _column_sums(terms)
+            bound[cols] = 8.0 * (_column_sums(np.abs(terms, out=magnitude)) + 1.0)
             terms /= delta
             # ka ascends over the strip: poles j <= a_first are left of all its roots, and
-            # poles j > a_last of none, so each masked sum skips the rows its mask clears
+            # poles j > a_last of none; the band of rows between holds both kinds.  Each of
+            # psi' and phi' is a plain sum down its rows, with the other's band entries set
+            # to +0, which adds nothing: the sums of the masked terms, row after row
             a_first, a_last = ka[cols.start], ka[cols.stop - 1]
-            left_mask = np.less_equal(k[: a_last + 1, None], ka[cols],
-                                      out=masks[0, : a_last + 1, :span])
-            right_mask = np.greater(k[a_first + 1:, None], ka[cols],
-                                    out=masks[1, a_first + 1:, :span])
-            dpsi[cols] = np.sum(terms[: a_last + 1], axis=0, where=left_mask)
-            dphi[cols] = np.sum(terms[a_first + 1:], axis=0, where=right_mask)
-            j = np.arange(span)
-            da[cols], db[cols] = delta[ka[cols], j], delta[ka[cols] + 1, j]
+            band, size = slice(a_first + 1, a_last + 1), a_last - a_first
+            left_mask = np.less_equal(k[band, None], ka[cols], out=masks[0, :size, :span])
+            right_mask = np.logical_not(left_mask, out=masks[1, :size, :span])
+            saved = magnitude[:size]  # |terms| is summed: its rows are free
+            saved[...] = terms[band]
+            np.copyto(terms[band], 0.0, where=right_mask)
+            dpsi[cols] = _column_sums(terms[: a_last + 1])
+            np.copyto(terms[band], saved, where=right_mask)
+            np.copyto(terms[band], 0.0, where=left_mask)
+            dphi[cols] = _column_sums(terms[a_first + 1:])
         df = dpsi + dphi
         converged = np.abs(f) <= _EPS * (bound + np.abs(t) * df)
         if np.all(converged):

@@ -116,11 +116,12 @@ class RankOneModel:
     def _check_quadrature(self) -> None:
         # the grid must integrate v^2 exactly, or the discrete model is not
         # the continuum model it claims to be; the reference is a composite
-        # rule, independent of the node rule and checked by halving its panels
+        # rule, independent of the node rule and checked by halving its panels; its
+        # panels are cut first, which refuses an L too wide for them before v is evaluated
+        edges = uniform_panels(-self.L, self.L, PANEL_WIDTH / 4.0)
         discrete = float(np.dot(self.weights, self.v(self.nodes) ** 2))
         exact = panel_integral(
-            lambda x: np.asarray(self.v(x), dtype=float) ** 2,
-            uniform_panels(-self.L, self.L, PANEL_WIDTH / 4.0), _PANEL_RULE, PANEL_TOL, 1,
+            lambda x: np.asarray(self.v(x), dtype=float) ** 2, edges, _PANEL_RULE, PANEL_TOL, 1,
         )
         if abs(discrete - exact) > QUADRATURE_TOL:
             raise ValueError(

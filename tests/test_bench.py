@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specdiff import matrices
 from specdiff.models import RankOneModel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,14 +47,19 @@ def test_h_case_times_the_package_and_cross_checks_it(bench, c):
     row = bench.h_case(model, np.linalg.eigh(model.h.entries), 1)
     assert (row["n"], row["c"]) == (200, c)
     assert 0 < row["m"] < 200  # the gaussian bump deflates about half the nodes
-    assert all(row[key] > 0.0 for key in ("build_s", "split_s", "solve_and_check_s", "check_s",
-                                          "start_s", "eig_peak_bytes"))
+    assert all(row[key] > 0.0 for key in ("build_s", "split_s", "roots_s", "solve_and_check_s",
+                                          "check_s", "start_s", "eig_peak_bytes"))
     checks = row["cross_checks"]
     scale = checks["entry_scale"]
     assert checks["max_abs_w_minus_dense"] <= 1e-13 * scale
     assert checks["max_abs_p_minus_dense"] <= 1e-12
     assert checks["max_column_residual"] <= 1e-13 * scale
     assert checks["orthogonality_defect"] <= 1e-12
+    # roots_s times the root iteration of the solve that eig makes
+    d, z = bench.secular_input(model.block)
+    origin, tau = matrices._secular_roots(d, z)
+    roots = d[origin] + tau
+    assert np.array_equal(roots if c > 0 else -roots[::-1], model.block.eig()[0])
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.01])

@@ -15,6 +15,7 @@ import pytest
 from specdiff import cli
 from specdiff.cli import main
 from specdiff.density import BandSet, band_count_slope, delta_m
+from specdiff.experiments import SweepResult
 from specdiff.hankel import k_eps_trace_exact
 
 
@@ -166,8 +167,8 @@ class TestHankelCommand:
             assert code == 2, argv
             assert "specdiff: error" in err
 
-    # NumPy warns of the overflow that the error then reports
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # the error names the input before NumPy could warn of an overflow
+    @pytest.mark.filterwarnings("error")
     def test_eps_whose_log_overflows_exits_two(self, capsys):
         code, out, err = run(capsys, ["hankel", "--eps-start", "1e-320",
                                       "--eps-stop", "5e-324", "--count", "3"])
@@ -241,6 +242,19 @@ class TestSweepCommand:
             summary = json.loads((tmp_path / f"sw-{name}.json").read_text())
             assert summary["profile"] == name
 
+    def test_each_summary_is_built_once_and_printed_as_written(self, capsys, tmp_path,
+                                                                monkeypatch):
+        built = []
+        summary_dict = SweepResult.summary_dict
+        monkeypatch.setattr(SweepResult, "summary_dict",
+                            lambda self: built.append(self.profile) or summary_dict(self))
+        profiles = ["ARCTAN_HALF", "TANH_HALF"]
+        cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"), profiles=profiles)
+        code, out, _ = run(capsys, ["--json", "sweep", "--config", cfg])
+        assert code == 0 and built == profiles
+        assert json.loads(out) == [json.loads((tmp_path / f"sw-{name}.json").read_text())
+                                   for name in profiles]
+
     def test_repeated_profiles_exit_two_before_any_sweep(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"),
                            profiles=["ARCTAN_HALF", "arctan_half", "ARCTAN_HALF"])
@@ -307,8 +321,8 @@ class TestSweepCommand:
         assert "specdiff: error: windows must be distinct" in err
         assert list(tmp_path.glob("sw*")) == []
 
-    # NumPy warns of the overflow that the error then reports
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # the error names the input before NumPy could warn of an overflow
+    @pytest.mark.filterwarnings("error")
     def test_model_too_wide_for_its_panels_exits_two(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"),
                            model={"L": 1e308, "n": 400})

@@ -243,6 +243,19 @@ class TestDiagonalPlusRankOne:
         w_wide, q_wide = DiagonalPlusRankOne(x, u, c).eig()
         assert np.array_equal(w, w_wide) and np.array_equal(q, q_wide)
 
+    @pytest.mark.parametrize("c", [0.5, -0.7, 2.0])
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_narrow_strips_change_no_arithmetic(self, monkeypatch, width, c):
+        # psi' and phi' are plain sums with the other's band of terms set to +0: a strip of
+        # two or three roots has a band of a row or two, one strip as wide as the block a band
+        # of every row; the masked sums, and (w, Q), must not move by a bit
+        x, u = quadrature_coupling(400, BUMP_SHAPES["sech"])
+        monkeypatch.setattr(matrices, "STRIP_WIDTH", width)
+        w, q = DiagonalPlusRankOne(x, u, c).eig()
+        monkeypatch.setattr(matrices, "STRIP_WIDTH", x.size + 1)
+        w_wide, q_wide = DiagonalPlusRankOne(x, u, c).eig()
+        assert np.array_equal(w, w_wide) and np.array_equal(q, q_wide)
+
     @pytest.mark.parametrize("c", [0.5, -0.7, 0.0])
     def test_the_secular_solve_sees_only_the_kept_block(self, secular_sizes, c):
         x, u = quadrature_coupling(400, BUMP_SHAPES["gaussian"])
@@ -284,6 +297,60 @@ class TestDiagonalPlusRankOne:
             bad[:, k] *= 1.0 + 1e-6
         with pytest.raises(EigendecompositionError):
             block.check(w, bad)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# equal entries, both zeros, subnormals, the normal extremes, magnitudes of 1e+-300, ulp steps
+ADVERSARIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e-300,
+                        1e300, -1e300, 1.7976931348623157e308, -1.0, 1.0, 1.0,
+                        1.0 + 2.0**-52, 3.0, -3.0])
+
+
+class TestStripKernels:
+    @pytest.mark.parametrize("rows", [1, 2, 65, 708])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 64])
+    def test_column_sums_add_as_np_sum(self, rows, cols):
+        # down each column, row after row; one column np.sum sums pairwise, and so must this
+        rng = np.random.default_rng(rows * cols)
+        work = rng.standard_normal((rows + 1, 64)) * 10.0 ** rng.integers(-12, 12, (rows + 1, 64))
+        for strip in (work[:rows, :cols], work[1:, :cols]):  # strips of a wider work array
+            assert np.array_equal(bits(matrices._column_sums(strip)), bits(np.sum(strip, axis=0)))
+
+    @pytest.mark.parametrize("form, outer", [(matrices._difference_factors, np.subtract.outer),
+                                             (matrices._product_factors, np.multiply.outer)])
+    @pytest.mark.parametrize("rows, cols", [(16, 16), (700, 64), (64, 700)])
+    def test_products_round_as_the_outer_methods(self, form, outer, rows, cols):
+        # a strip's shape runs BLAS's own kernels; every entry must be rounded once, as the
+        # outer method rounds it, but for the sign of a zero: the product gives +0 for -0
+        rng = np.random.default_rng(rows)
+
+        def draw(size):
+            a = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+            a[: ADVERSARIAL.size] = ADVERSARIAL
+            return rng.permutation(a)
+
+        a, b = draw(rows), draw(cols)
+        with np.errstate(over="ignore"):
+            expected = outer(a, b)
+            product = np.matmul(*form(a, b))
+        negative_zero = bits(expected) == bits(-0.0)
+        assert np.any(negative_zero) and np.any(np.isinf(expected))
+        assert np.array_equal(bits(product[~negative_zero]), bits(expected[~negative_zero]))
+        assert np.all(bits(product[negative_zero]) == bits(0.0))
+
+    def test_strictly_increasing_differences_hold_no_negative_zero(self):
+        # the solve's differences: d_i - d_j and d_i - mid_k, d strictly increasing
+        d = np.unique(ADVERSARIAL)
+        mid = d[:-1] + np.diff(d) / 2.0
+        for b in (d, mid):
+            with np.errstate(over="ignore"):
+                expected = np.subtract.outer(d, b)
+                product = np.matmul(*matrices._difference_factors(d, b))
+            assert not np.any(bits(expected) == bits(-0.0))
+            assert np.array_equal(bits(product), bits(expected))
 
 
 class TestSingularValuesAndNorms:

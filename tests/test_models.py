@@ -207,6 +207,20 @@ class TestStructuredDifference:
         )
         assert d._dense is None
 
+    @pytest.mark.parametrize("name", ["ARCTAN_HALF", "TANH_HALF", "MOLLIFIED_STEP"])
+    def test_the_first_block_resolves_the_outermost_eigenvalues(self, name):
+        # the certificate bounds which eigenvalues are missing, not how accurate the Ritz
+        # values are: at eps = 3e-4 the first block of BLOCK_START columns is certified, and
+        # its four outermost Ritz values per side match the dense spectrum to rounding (at
+        # most 2e-15 over 13 eps down to 3e-4 at n = 800 and 1500, where a block of 16 was
+        # off by up to 1e-7 and one of 8 by up to 1e-2)
+        d = RankOneModel(n=800).build_d_eps(builtin_profile(name), 3e-4, 0.0)
+        theta = d.window_eigenvalues(0.4)
+        assert theta.size == BLOCK_START
+        y = d.eigenvalues()
+        assert np.max(np.abs(theta[-4:] - y[-4:])) <= 1e-14
+        assert np.max(np.abs(theta[:4] - y[:4])) <= 1e-14
+
     def test_high_power_uses_the_dense_spectrum(self, model):
         # the dense spectrum is the oracle; Tr D^m for m >= 4 comes from the Ritz values
         d = model.build_d_eps(builtin_profile("TANH_HALF"), 0.05, 0.0)
@@ -413,7 +427,7 @@ class TestKeptBlock:
         assert q.shape == (m, m) and q.flags.c_contiguous
         assert peak <= 1.5 * 8 * m * m
 
-    @pytest.mark.parametrize("c", [0.5, -0.7])
+    @pytest.mark.parametrize("c", [0.5, -0.7, 2.0])
     @pytest.mark.parametrize("n", [800, 1500])
     def test_strips_change_no_arithmetic(self, monkeypatch, n, c):
         # a strip wider than the block makes every pass whole: (w, Q) and the
