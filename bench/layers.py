@@ -34,8 +34,9 @@ default rank-one model (gaussian bump, L = 8) it times, as medians over
   product with Q, orthonormalized by shifted CholeskyQR3), timed apart;
 - for ``K_eps`` (no rank-one model), over ``HANKEL_REPEATS`` runs: the trace
   pass of ``k_eps_trace_slopes`` over ``HANKEL_EPS`` (the Carleman section
-  on ``section_grid``) and the ``kernel_from_symbol`` round trip on
-  ``ROUNDTRIP_T`` for each eps in ``ROUNDTRIP_EPS``;
+  on ``section_grid``, its traces from matrix products) and the
+  ``kernel_from_symbol`` round trip on ``ROUNDTRIP_T`` for each eps in
+  ``ROUNDTRIP_EPS``;
 - the set-up cost of every ``specdiff`` command: a fresh
   ``python -c "import specdiff.cli"`` (what the console script loads) beside
   a fresh ``python -c "import numpy"``, medians over ``IMPORT_PROCESSES``
@@ -67,7 +68,9 @@ over those eigenvalues.  K_eps: the
 grid sizes of the section and of the t-grid Nystrom route
 (``discretize_hankel`` of ``k_eps_kernel`` on ``default_grid`` and
 ``eigvalsh``, once), the largest relative difference of their traces over
-``HANKEL_POWERS``, the largest relative error of the m = 1, 2 traces from
+``HANKEL_POWERS``, the largest relative difference of the section traces,
+which come from matrix products, from the sums of powers of the section's
+``eigvalsh``, the largest relative error of the m = 1, 2 traces from
 their closed forms, and the round trip's sup error against
 ``k_eps_kernel``.  Import: the number of SciPy modules a fresh
 ``import specdiff.cli`` loads, 0.  The machine block records the core
@@ -355,12 +358,13 @@ def batch_case(model, repeats: int) -> dict:
 def k_eps_traces_case(repeats: int) -> dict:
     """Timing (median over ``repeats``) and cross-checks of the K_eps trace pass.
 
-    The t-grid Nystrom traces it is checked against are taken once, untimed.
+    The eigenvalues of each section matrix and the t-grid Nystrom traces it
+    is checked against are taken once, untimed.
     """
     import numpy as np
 
     from specdiff.hankel import (default_grid, discretize_hankel, k_eps_kernel,
-                                 k_eps_trace_exact, k_eps_trace_slopes)
+                                 k_eps_trace_exact, k_eps_trace_slopes, section_grid)
 
     eps_values = np.geomspace(*HANKEL_EPS)
     times = []
@@ -369,15 +373,22 @@ def k_eps_traces_case(repeats: int) -> dict:
         res = k_eps_trace_slopes(HANKEL_POWERS, eps_values)
         times.append(time.perf_counter() - t0)
     nystrom_grid_sizes, nystrom = [], {m: [] for m in HANKEL_POWERS}
+    eigenvalue_route = {m: [] for m in HANKEL_POWERS}
     for eps in res.eps:
+        carleman = discretize_hankel(lambda s: 1.0 / (np.pi * s), section_grid(eps))
+        w = np.linalg.eigvalsh(carleman.entries)
+        for m in HANKEL_POWERS:
+            eigenvalue_route[m].append(float(np.sum(w ** float(m))))
         grid = default_grid(eps)
         nystrom_grid_sizes.append(grid.size)
         w = np.linalg.eigvalsh(discretize_hankel(partial(k_eps_kernel, eps=eps), grid).entries)
         for m in HANKEL_POWERS:
             nystrom[m].append(float(np.sum(w ** float(m))))
 
-    difference = max(float(np.max(np.abs(res.traces[m] / np.array(nystrom[m]) - 1)))
-                     for m in HANKEL_POWERS)
+    def largest_relative_difference(reference):
+        return max(float(np.max(np.abs(res.traces[m] / np.array(reference[m]) - 1)))
+                   for m in HANKEL_POWERS)
+
     closed_form = max(abs(res.traces[m][i] / k_eps_trace_exact(eps, m) - 1)
                       for m in (1, 2) for i, eps in enumerate(res.eps))
     return {
@@ -387,7 +398,9 @@ def k_eps_traces_case(repeats: int) -> dict:
         "section_sizes": [int(res.grid_sizes.min()), int(res.grid_sizes.max())],
         "nystrom_grid_sizes": [min(nystrom_grid_sizes), max(nystrom_grid_sizes)],
         "cross_checks": {
-            "max_relative_trace_difference": difference,
+            "max_relative_difference_from_eigenvalues": largest_relative_difference(
+                eigenvalue_route),
+            "max_relative_trace_difference": largest_relative_difference(nystrom),
             "max_relative_closed_form_error": closed_form,
         },
     }
@@ -483,8 +496,10 @@ def main(argv=None) -> int:
             del model, dense
     traces = k_eps_traces_case(HANKEL_REPEATS)
     print(f"K_eps traces {traces['eps'][2]} eps  section {1e3 * traces['section_s']:.1f} ms  "
-          f"worst difference from Nystrom "
-          f"{traces['cross_checks']['max_relative_trace_difference']:.1e}", file=sys.stderr)
+          f"worst difference from eigenvalues "
+          f"{traces['cross_checks']['max_relative_difference_from_eigenvalues']:.1e}, "
+          f"from Nystrom {traces['cross_checks']['max_relative_trace_difference']:.1e}",
+          file=sys.stderr)
     roundtrip = roundtrip_case(HANKEL_REPEATS)
     print(f"kernel_from_symbol  {1e3 * roundtrip['round_trip_s']:.1f} ms  sup error "
           f"{roundtrip['cross_checks']['max_abs_error']:.1e}", file=sys.stderr)

@@ -19,7 +19,8 @@ so it has the nonzero spectrum of L L^T / pi, the Carleman section with
 kernel 1/(pi (x + y)) on L^2(eps, 1).  In sigma = -log x that operator is a
 convolution on (0, |log eps|) with the analytic kernel
 1/(2 pi cosh((sigma - sigma')/2)) (a Kac-Murdock-Szego setting), so
-``section_grid`` is uniform in sigma, with about 4 |log eps| nodes.
+``section_grid`` is uniform in sigma, with about 4 |log eps| nodes, and the
+traces come from products of the section matrix, with no eigensolve.
 The t-grids (``default_grid``) stay for the t-space checks: the closed-form
 traces, the Laplace factorization and its positivity.
 
@@ -35,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import sech_moment
-from .matrices import RectMatrix, SelfAdjointMatrix, check_trace_powers
-# imported by name: default_grid and default_laplace_grid call geometric_panel_grid
-# through this module, so a wrapper set on hankel.geometric_panel_grid sees those calls
+from .matrices import RectMatrix, SelfAdjointMatrix, check_trace_powers, trace_powers
+# the grid builders are re-exported; the default grids lay the module's own rules
 from .quadrature import (
     QuadratureGrid,
     gauss_legendre,
@@ -72,28 +72,33 @@ PANELS_PER_DECADE = 2.0
 SECTION_PANEL_WIDTH = 4.0  # panel width of section_grid in sigma = -log x
 SECTION_PANEL_POINTS = 16
 IMAG_TOL = 1e-8  # largest imaginary residual kernel_from_symbol accepts
+SYMBOL_BLOCK = 64  # t values per call of the symbol in kernel_from_symbol
 DE_STEP = 0.025  # step h of the double-exponential Fourier rule, M = pi / h
 DE_CUTOFF = 4.0  # |u| beyond which its terms vanish in double precision
+
+
+_PANEL_RULE = gauss_legendre(PANEL_POINTS)  # the rule on each panel of the default grids
 
 
 def default_grid(eps: float) -> QuadratureGrid:
     """Default t-grid for discretizing K_eps.
 
     The kernel transitions at t ~ 1 and t ~ 1/eps and decays exponentially
-    beyond, so the grid spans 1e-6*eps up to 50/eps on geometric panels; the
-    panel count grows with |log eps|.
+    beyond, so the grid spans 1e-6*eps up to 50/eps on geometric panels, the
+    grid ``geometric_panel_grid(lo, hi, panels, PANEL_POINTS)`` builds but on
+    the rule built at import; the panel count grows with |log eps|.
     """
     _validate_eps(eps)
     lo, hi = 1e-6 * eps, 50.0 / eps
     panels = int(math.ceil(math.log10(hi / lo) * PANELS_PER_DECADE))
-    return geometric_panel_grid(lo, hi, panels, PANEL_POINTS)
+    return QuadratureGrid(*panel_rule(np.geomspace(lo, hi, panels + 1), _PANEL_RULE))
 
 
 def default_laplace_grid(eps: float) -> QuadratureGrid:
     """Default x-grid on (eps, 1) for the Laplace-transform factor."""
     _validate_eps(eps)
     panels = max(2, int(math.ceil(math.log10(1.0 / eps) * PANELS_PER_DECADE)))
-    return geometric_panel_grid(eps, 1.0, panels, PANEL_POINTS)
+    return QuadratureGrid(*panel_rule(np.geomspace(eps, 1.0, panels + 1), _PANEL_RULE))
 
 
 _SECTION_RULE = gauss_legendre(SECTION_PANEL_POINTS)
@@ -122,17 +127,20 @@ def _validate_eps(eps: float) -> float:
 def k_eps_kernel(t, eps: float):
     """The kernel profile k_eps(t) = (e^{-eps t} - e^{-t}) / (pi t) for t >= 0.
 
-    Evaluated through expm1 so the small-t cancellation is exact; below 1e-12
-    the limit value (1 - eps)/pi is substituted.
+    Evaluated through expm1 so the small-t cancellation is exact; below
+    ``SMALL_T`` the limit value (1 - eps)/pi is substituted, and when no
+    argument is that small the substitution is skipped.
     """
     _validate_eps(eps)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("kernel argument must be nonnegative")
     tiny = t < SMALL_T
-    safe = np.where(tiny, 1.0, t)
-    vals = (np.expm1(-eps * safe) - np.expm1(-safe)) / (np.pi * safe)
-    out = np.where(tiny, (1.0 - eps) / np.pi, vals)
+    substitute = bool(np.any(tiny))
+    safe = np.where(tiny, 1.0, t) if substitute else t
+    out = (np.expm1(-eps * safe) - np.expm1(-safe)) / (np.pi * safe)
+    if substitute:
+        out = np.where(tiny, (1.0 - eps) / np.pi, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -217,10 +225,12 @@ def kernel_from_symbol(omega, t_values) -> np.ndarray:
     slowly decaying sine integral that Ooura and Mori's double-exponential
     rule for Fourier integrals (J. Comput. Appl. Math. 38, 1991) is made for,
     with no derivative of the symbol.  With step ``DE_STEP`` its nodes are
-    fixed and scaled by 1/t, so each t takes one vectorized call of the
-    symbol, at 961 points.  The imaginary part, the cosine integral of
+    fixed and scaled by 1/t, 961 of them per t, so a block of up to
+    ``SYMBOL_BLOCK`` t values takes one vectorized call of the symbol, on a
+    block x 961 array.  The imaginary part, the cosine integral of
     omega(x) + omega(-x) over (0, inf) divided by 2 pi, must stay below
-    ``IMAG_TOL``.  ``omega`` must map a NumPy array elementwise.
+    ``IMAG_TOL``; the first t where it does not is named.  ``omega`` must
+    map a NumPy array elementwise.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if not np.all((t_values > 0) & np.isfinite(t_values)):
@@ -229,16 +239,18 @@ def kernel_from_symbol(omega, t_values) -> np.ndarray:
     (y_sin, c_sin), (y_cos, c_cos) = _SINE_RULE, _COSINE_RULE
     y = np.concatenate((y_sin, y_cos, -y_cos))
     out = np.empty_like(t_values)
-    for i, t in enumerate(t_values):
-        sine, plus, minus = np.split(np.asarray(omega(y / t), dtype=float),
-                                     [y_sin.size, y_sin.size + y_cos.size])
-        imag = abs(float(c_cos @ (plus + minus))) / (2.0 * np.pi * t)
-        if imag > IMAG_TOL:
+    for start in range(0, t_values.size, SYMBOL_BLOCK):
+        t = t_values[start:start + SYMBOL_BLOCK]
+        sine, plus, minus = np.split(np.asarray(omega(y / t[:, None]), dtype=float),
+                                     [y_sin.size, y_sin.size + y_cos.size], axis=1)
+        imag = np.abs((plus + minus) @ c_cos) / (2.0 * np.pi * t)
+        if np.any(imag > IMAG_TOL):
+            first = int(np.argmax(imag > IMAG_TOL))
             raise ValueError(
-                f"imaginary residual {imag:.3e} at t={t} exceeds {IMAG_TOL:.0e}; "
-                "symbol is not odd enough"
+                f"imaginary residual {imag[first]:.3e} at t={t[first]} exceeds "
+                f"{IMAG_TOL:.0e}; symbol is not odd enough"
             )
-        out[i] = -float(c_sin @ sine) / (np.pi * t)
+        out[start:start + SYMBOL_BLOCK] = -(sine @ c_sin) / (np.pi * t)
     return out
 
 
@@ -318,9 +330,11 @@ def k_eps_trace_slopes(m_list, eps_values) -> TraceSlopeResult:
     The powers are distinct positive ints (``check_trace_powers``).  The
     traces are those of the Carleman section 1/(pi (x + y)) on (eps, 1), which
     has the nonzero spectrum of K_eps (see ``laplace_section``), discretized
-    on ``section_grid(eps)``.  Each power gets two slope estimates: the
-    least-squares ``fitted`` and the limit estimate ``extrapolated`` (see
-    ``limit_slope``).
+    on ``section_grid(eps)``.  They are taken from products of that matrix
+    (``matrices.trace_powers``), with no eigensolve: its entries are
+    positive, so every product sum is a sum of positive terms.  Each power
+    gets two slope estimates: the least-squares ``fitted`` and the limit
+    estimate ``extrapolated`` (see ``limit_slope``).
 
     The m = 2 trace is compared with its closed form at every eps; a relative
     deviation beyond ``ORACLE_RTOL`` marks the grid as under-resolved
@@ -340,11 +354,11 @@ def k_eps_trace_slopes(m_list, eps_values) -> TraceSlopeResult:
     sizes = np.empty(eps_values.size, dtype=int)
     for i, (eps, grid) in enumerate(zip(eps_values, grids)):
         sizes[i] = grid.size
-        w = discretize_hankel(_carleman, grid).eigenvalues()
+        section = trace_powers(discretize_hankel(_carleman, grid), set(m_list) | {2})
         exact2 = k_eps_trace_exact(eps, 2)
-        oracle_dev[i] = abs(float(np.sum(w * w)) - exact2) / exact2
+        oracle_dev[i] = abs(section[2] - exact2) / exact2
         for m in m_list:
-            traces[m][i] = float(np.sum(w ** float(m)))
+            traces[m][i] = section[m]
 
     fitted = {m: float(np.polyfit(log_inv, traces[m], 1)[0]) for m in m_list}
     extrapolated = {m: limit_slope(log_inv, traces[m]) for m in m_list}

@@ -1,4 +1,4 @@
-"""Symmetric matrices with cached spectra, plus Schatten-norm helpers.
+"""Symmetric matrices with cached spectra, plus trace and Schatten-norm helpers.
 
 Everything at this layer is plain double-precision linear algebra.  The
 wrapper types exist to keep symmetry validation and eigendecomposition
@@ -24,7 +24,8 @@ at most ``STRIP_WIDTH`` columns.  The strip ops of the solve and its check
 run on contiguous arrays with no rounding changed (``_secular_roots``):
 (w, Q) are bitwise those of NumPy's outer methods, broadcast columns and
 masked sums, at any strip width.  The free functions accept either a
-wrapper or a bare array.
+wrapper or a bare array; ``trace_powers`` takes the traces of a dense
+matrix's powers from products of it, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "sho_assemble",
     "singular_values",
     "trace_power",
+    "trace_powers",
 ]
 
 SYMMETRY_RTOL = 1e-12
@@ -871,12 +873,36 @@ def sho_assemble(x) -> SelfAdjointMatrix:
 
 
 def trace_power(a, m: int) -> float:
-    """Trace of A^m through the eigenvalues, sum of w_i^m.
+    """Trace of A^m from matrix products, with no eigensolve: ``trace_powers`` for one m."""
+    return trace_powers(a, (m,))[m]
 
-    A bare array is validated as a ``SelfAdjointMatrix`` first.
+
+def trace_powers(a, powers) -> dict[int, float]:
+    """Traces of A^m for each m in ``powers``, from matrix products: no eigensolve.
+
+    Tr A is the sum of the diagonal and, for m >= 2, Tr A^m is the entry sum
+    of A^p ∘ A^q with p = floor(m/2) and q = ceil(m/2), since the powers of
+    a symmetric A are symmetric.  The powers are built by repeated squaring,
+    A^k = A^(k//2) A^(k - k//2), each once for all of ``powers``: Tr A^2
+    takes no product, Tr A^3 and Tr A^4 one, Tr A^6 two.  A bare array is
+    validated as a ``SelfAdjointMatrix`` first.
     """
-    check_trace_powers((m,))
+    powers = check_trace_powers(powers)
     if not isinstance(a, SelfAdjointMatrix):
         a = SelfAdjointMatrix(_entries_of(a))
-    w = a.eigenvalues()
-    return float(np.sum(w ** float(m)))
+    built = {1: a.entries}
+    return {m: float(built[1].trace()) if m == 1
+            else float(np.vdot(_power(built, m // 2), _power(built, m - m // 2)))
+            for m in powers}
+
+
+def _power(built: dict[int, np.ndarray], k: int) -> np.ndarray:
+    """A^k, kept in ``built`` (which holds A^1 and the powers built so far).
+
+    A module function, not a closure: a closure that calls itself is a
+    reference cycle, which would keep every power alive until the cyclic
+    garbage collector runs.
+    """
+    if k not in built:
+        built[k] = _power(built, k // 2) @ _power(built, k - k // 2)
+    return built[k]

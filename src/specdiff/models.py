@@ -118,7 +118,10 @@ class RankOneModel:
         # the continuum model it claims to be; the reference is a composite
         # rule, independent of the node rule and checked by halving its panels; its
         # panels are cut first, which refuses an L too wide for them before v is evaluated
-        edges = uniform_panels(-self.L, self.L, PANEL_WIDTH / 4.0)
+        try:
+            edges = uniform_panels(-self.L, self.L, PANEL_WIDTH / 4.0)
+        except ValueError as exc:
+            raise ValueError(f"{exc}; L = {self.L!r} is too wide") from None
         discrete = float(np.dot(self.weights, self.v(self.nodes) ** 2))
         exact = panel_integral(
             lambda x: np.asarray(self.v(x), dtype=float) ** 2, edges, _PANEL_RULE, PANEL_TOL, 1,

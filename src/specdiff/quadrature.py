@@ -30,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "ASYMPTOTIC_MIN_N",
+    "MAX_PANELS",
     "QuadratureGrid",
     "gauss_legendre",
     "gauss_legendre_grid",
@@ -43,6 +44,10 @@ __all__ = [
 # Below this size the asymptotic series lose digits; Bogaert tabulates the
 # range, and NumPy's leggauss is exact to rounding there.
 ASYMPTOTIC_MIN_N = 101
+
+# The most panels ``uniform_panels`` cuts: a 20-point rule on them holds 2e7
+# nodes, 160 MB; more could not be allocated alongside the rest of a run.
+MAX_PANELS = 10**6
 
 # j_k, the k-th zero of J0, for k <= 20 (McMahon's expansion above), and
 # J1(j_k)^2 for k <= 21 (an asymptotic series above; the 21st is J1 at
@@ -200,10 +205,15 @@ def gauss_legendre_reference(n: int, steps: int = 2) -> tuple[np.ndarray, np.nda
 
 
 def uniform_panels(lo: float, hi: float, width: float) -> np.ndarray:
-    """Edges of the fewest equal panels of (lo, hi), lo < hi, no wider than ``width``."""
+    """Edges of the fewest equal panels of (lo, hi), lo < hi, no wider than ``width``.
+
+    A span that is not finite, or that takes more than ``MAX_PANELS`` panels,
+    is refused with a ``ValueError``.
+    """
     count = (hi - lo) / width
-    if not math.isfinite(count):
-        raise ValueError(f"cannot cut ({lo!r}, {hi!r}) into panels of width {width!r}")
+    if not count <= MAX_PANELS:
+        raise ValueError(f"cannot cut ({lo!r}, {hi!r}) into panels of width {width!r}: "
+                         f"that takes {count:.3g} panels, more than {MAX_PANELS:.0e}")
     return np.linspace(lo, hi, math.ceil(count) + 1)
 
 

@@ -134,6 +134,7 @@ def test_committed_file_matches_the_script(bench, monkeypatch, tmp_path):
         assert (traces["eps"], traces["powers"]) == (list(bench.HANKEL_EPS),
                                                      list(bench.HANKEL_POWERS))
         assert traces["section_sizes"] == [32, 112]
+        assert traces["cross_checks"]["max_relative_difference_from_eigenvalues"] <= 1e-14
         assert traces["cross_checks"]["max_relative_trace_difference"] <= 1e-7
         assert traces["cross_checks"]["max_relative_closed_form_error"] <= 1e-13
         roundtrip = run["kernel_from_symbol"]

@@ -25,6 +25,7 @@ from specdiff.hankel import (
     sequence_limit,
 )
 from specdiff import hankel
+from specdiff.matrices import SelfAdjointMatrix
 from specdiff.profiles import builtin_profile, zeta, zeta_eps
 from specdiff.quadrature import gauss_legendre, panel_rule, uniform_panels
 
@@ -52,6 +53,27 @@ class TestGrids:
         g = default_grid(1e-3)
         assert g.nodes[0] < 1e-3 and g.nodes[-1] > 1e3
 
+    def test_default_grids_lay_one_module_rule(self, monkeypatch):
+        # bitwise the geometric_panel_grid they used to call, with no new 12-point rule
+        def panels(lo, hi):
+            return int(math.ceil(math.log10(hi / lo) * hankel.PANELS_PER_DECADE))
+
+        cases = [(eps, geometric_panel_grid(1e-6 * eps, 50.0 / eps,
+                                            panels(1e-6 * eps, 50.0 / eps), 12),
+                  geometric_panel_grid(eps, 1.0, max(2, panels(eps, 1.0)), 12))
+                 for eps in (0.5, 1e-2, 1e-7)]
+
+        def no_rule(n):
+            raise AssertionError("a default grid computed its own rule")
+
+        monkeypatch.setattr(hankel, "gauss_legendre", no_rule)
+        monkeypatch.setattr(hankel, "geometric_panel_grid", no_rule)
+        for eps, t_grid, x_grid in cases:
+            for got, expected in ((default_grid(eps), t_grid),
+                                  (default_laplace_grid(eps), x_grid)):
+                assert np.array_equal(got.nodes, expected.nodes)
+                assert np.array_equal(got.weights, expected.weights)
+
     def test_section_grid_is_uniform_in_log_x(self):
         for eps, size in ((1e-2, 32), (1e-12, 112)):
             g = section_grid(eps)
@@ -77,6 +99,21 @@ class TestKernel:
         for eps in (0.0, 1.0, 2.0):
             with pytest.raises(ValueError):
                 k_eps_kernel(1.0, eps)
+
+    def test_skipping_the_small_t_substitution_changes_no_bit(self):
+        # the substitution runs on every argument, as it did before it could be skipped
+        def substituted(t, eps):
+            tiny = t < hankel.SMALL_T
+            safe = np.where(tiny, 1.0, t)
+            vals = (np.expm1(-eps * safe) - np.expm1(-safe)) / (np.pi * safe)
+            return np.where(tiny, (1.0 - eps) / np.pi, vals)
+
+        wide = np.geomspace(1e-11, 1e4, 501)
+        grid = default_grid(1e-3).nodes
+        for t in (wide, np.concatenate(([0.0, 1e-13], wide)), grid[:, None] + grid[None, :]):
+            for eps in (0.5, 1e-3, 1e-12):
+                assert np.array_equal(k_eps_kernel(t, eps), substituted(t, eps))
+        assert k_eps_kernel(0.7, 1e-2) == float(substituted(np.array(0.7), 1e-2))
 
     def test_positive_and_decaying(self):
         t = np.geomspace(1e-6, 1e3, 200)
@@ -207,15 +244,44 @@ class TestKernelFromSymbol:
         for omega, k in zip(symbols, coarse):
             assert np.max(np.abs(kernel_from_symbol(omega, t) - k)) <= 1e-13
 
-    def test_one_call_of_the_symbol_per_t_at_961_points(self):
-        sizes = []
+    @pytest.mark.parametrize("count", [2, 64, 65, 130])
+    def test_one_call_of_the_symbol_per_block_of_t(self, count):
+        # 961 points per t, at most SYMBOL_BLOCK = 64 t per call
+        shapes = []
 
         def omega(x):
-            sizes.append(np.size(x))
+            shapes.append(np.shape(x))
             return zeta_eps(x, 0.5) - zeta(x)
 
-        kernel_from_symbol(omega, [0.5, 2.0])
-        assert sizes[-2:] == [961, 961]
+        kernel_from_symbol(omega, np.linspace(0.1, 10.0, count))
+        calls = shapes[-math.ceil(count / 64):]  # _check_symbol's scalar calls come first
+        assert all(shape[1:] == (961,) and shape[0] <= 64 for shape in calls)
+        assert sum(shape[0] for shape in calls) == count
+        assert max(np.prod(shape) for shape in shapes) <= 64 * 961
+
+    def test_blocks_agree_with_a_loop_over_t(self):
+        # 130 t span three blocks; the reference takes one t at a time
+        def per_t(omega, t_values):
+            (y_sin, c_sin), (y_cos, c_cos) = hankel._SINE_RULE, hankel._COSINE_RULE
+            out = []
+            for t in t_values:
+                values = np.asarray(omega(np.concatenate((y_sin, y_cos, -y_cos)) / t))
+                out.append(-float(c_sin @ values[:y_sin.size]) / (np.pi * t))
+            return np.array(out)
+
+        t = np.geomspace(1e-2, 1e4, 130)
+        for eps in (0.5, 1e-6):
+            omega = lambda x, e=eps: zeta_eps(x, e) - zeta(x)
+            assert np.max(np.abs(kernel_from_symbol(omega, t) - per_t(omega, t))) <= 1e-14
+
+    def test_imaginary_residual_names_the_first_t_that_fails(self):
+        # the even bump's residual is below IMAG_TOL for t in [8, 12] and 1.8e-7
+        # at t = 2: the 71st t fails, in the second block
+        bump = lambda x: 1e-6 * np.exp(-4.0 * (np.abs(x) - 5.0) ** 2)
+        omega = lambda x: zeta_eps(x, 0.5) - zeta(x) + bump(x)
+        t = np.concatenate((np.linspace(8.0, 12.0, 70), [2.0, 0.5]))
+        with pytest.raises(ValueError, match=r"residual 1\.845e-07 at t=2\.0 exceeds"):
+            kernel_from_symbol(omega, t)
 
     def test_no_runtime_warnings(self):
         omega = lambda x: zeta_eps(x, 0.1) - zeta(x)
@@ -279,6 +345,25 @@ class TestTraceSlopes:
             w = discretize_hankel(partial(k_eps_kernel, eps=eps), default_grid(eps)).eigenvalues()
             for m in powers:
                 assert res.traces[m][i] == pytest.approx(float(np.sum(w ** float(m))), rel=1e-7)
+
+    def test_traces_come_from_products_with_no_eigensolve(self, monkeypatch):
+        # hankel-deep's grid: 21 eps from 1e-2 to 1e-12; the eigenvalue route is the reference
+        eps_values = np.geomspace(1e-2, 1e-12, 21)
+        powers = list(range(1, 8))
+        spectra = [
+            np.linalg.eigvalsh(discretize_hankel(hankel._carleman, section_grid(eps)).entries)
+            for eps in sorted(eps_values, reverse=True)
+        ]
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("k_eps_trace_slopes ran an eigensolve")
+
+        monkeypatch.setattr(SelfAdjointMatrix, "eigenvalues", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        res = k_eps_trace_slopes(powers, eps_values)
+        for m in powers:
+            reference = [float(np.sum(w ** float(m))) for w in spectra]
+            np.testing.assert_allclose(res.traces[m], reference, rtol=1e-14, atol=0.0)
 
     def test_section_traces_match_closed_forms(self):
         res = k_eps_trace_slopes([1, 2], np.geomspace(1e-2, 1e-12, 11))

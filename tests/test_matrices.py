@@ -1,5 +1,7 @@
 """Matrix layer: wrappers, eigendecompositions, Schatten norms, SHO blocks."""
 
+import gc
+
 import numpy as np
 import pytest
 from scipy import special
@@ -14,6 +16,7 @@ from specdiff.matrices import (
     sho_assemble,
     singular_values,
     trace_power,
+    trace_powers,
 )
 
 
@@ -420,6 +423,36 @@ class TestTracePower:
         for m in (0, -1, 1.5, "2", True, 1.0):
             with pytest.raises(ValueError):
                 trace_power(a, m)
+
+    def test_products_agree_with_the_eigenvalues_and_run_no_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        a = random_symmetric(rng, 40)
+        w = np.linalg.eigvalsh(a.entries)
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("trace_powers ran an eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        traces = trace_powers(a, (7, 1, 2, 3, 4, 5, 6))
+        assert list(traces) == [7, 1, 2, 3, 4, 5, 6]
+        for m, value in traces.items():
+            assert value == pytest.approx(float(np.sum(w ** float(m))),
+                                          rel=1e-12, abs=1e-12 * float(np.sum(np.abs(w) ** m)))
+            assert trace_power(a, m) == value
+        assert trace_powers(a, ()) == {}
+
+    def test_powers_are_freed_when_the_call_returns(self):
+        # a self-calling closure kept them in a reference cycle: 27 MB more peak
+        # memory over a benchmark run, until the cyclic collector ran
+        a = random_symmetric(np.random.default_rng(13), 30)
+        gc.collect()
+        gc.disable()
+        try:
+            trace_powers(a, (2, 3, 4, 6, 7))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_bare_arrays(self):
         # a bare array is validated as a symmetric matrix, as the wrappers are

@@ -10,6 +10,7 @@ from specdiff import hankel, quadrature
 from specdiff.models import RankOneModel
 from specdiff.quadrature import (
     ASYMPTOTIC_MIN_N,
+    MAX_PANELS,
     gauss_legendre,
     gauss_legendre_grid,
     gauss_legendre_reference,
@@ -99,6 +100,13 @@ class TestPanelRules:
         for lo, hi in ((0.0, math.inf), (-1e308, 1e308)):
             with pytest.raises(ValueError, match="cannot cut"):
                 uniform_panels(lo, hi, 4.0)
+
+    def test_uniform_panels_refuse_more_than_max_panels(self):
+        # np.linspace raised NumPy's "Maximum allowed size exceeded" at 8e200 panels
+        assert uniform_panels(0.0, 4.0 * MAX_PANELS, 4.0).size == MAX_PANELS + 1
+        for hi in (4.0 * MAX_PANELS * (1.0 + 1e-12), 1e200):
+            with pytest.raises(ValueError, match="cannot cut .* more than 1e\\+06"):
+                uniform_panels(0.0, hi, 4.0)
 
     def test_panel_rule_is_exact_for_piecewise_polynomials(self):
         edges = np.array([-1.0, -0.25, 0.5, 2.0])
