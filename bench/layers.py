@@ -34,8 +34,11 @@ default rank-one model (gaussian bump, L = 8) it times, as medians over
   product with Q, orthonormalized by shifted CholeskyQR3), timed apart;
 - for ``K_eps`` (no rank-one model), over ``HANKEL_REPEATS`` runs: the trace
   pass of ``k_eps_trace_slopes`` over ``HANKEL_EPS`` (the Carleman section
-  on ``section_grid``, its traces from matrix products) and the
-  ``kernel_from_symbol`` round trip on ``ROUNDTRIP_T`` for each eps in
+  on ``section_grid``, its traces from matrix products), the Laplace step
+  of ``hankel-deep`` for each eps in ``NYSTROM_EPS`` (``default_grid``, the
+  Nystrom matrix ``discretize_hankel`` of ``k_eps_kernel``, its
+  ``eigenvalues``, ``default_laplace_grid`` and ``laplace_section``), and
+  the ``kernel_from_symbol`` round trip on ``ROUNDTRIP_T`` for each eps in
   ``ROUNDTRIP_EPS``;
 - the set-up cost of every ``specdiff`` command: a fresh
   ``python -c "import specdiff.cli"`` (what the console script loads) beside
@@ -72,9 +75,12 @@ grid sizes of the section and of the t-grid Nystrom route
 which come from matrix products, from the sums of powers of the section's
 ``eigvalsh``, the largest relative error of the m = 1, 2 traces from
 their closed forms, and the round trip's sup error against
-``k_eps_kernel``.  Import: the number of SciPy modules a fresh
-``import specdiff.cli`` loads, 0.  The machine block records the core
-count, the BLAS NumPy was built with and the BLAS thread setting.
+``k_eps_kernel``.  Laplace step: the t-grid sizes, the largest relative
+error of the Nystrom Tr K and Tr K^2 from their closed forms, the largest
+reconstruction error max|K - L^T L / pi| and the smallest eigenvalue of K.
+Import: the number of SciPy modules a fresh ``import specdiff.cli`` loads,
+0.  The machine block records the core count, the BLAS NumPy was built with
+and the BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -101,6 +107,7 @@ BATCH_EPS = (1e-1, 3e-3, 8)  # geomspace arguments, the default sweep's eps grid
 HANKEL_REPEATS = 15  # the K_eps trace pass and the round trip cost under 0.05 s each
 HANKEL_EPS = (1e-2, 1e-12, 21)  # geomspace arguments, as hankel-deep's unjittered grid
 HANKEL_POWERS = (1, 2, 3, 4, 6)
+NYSTROM_EPS = (1e-2, 1e-3)  # hankel-deep's Laplace step
 ROUNDTRIP_T = (0.1, 10.0, 40)  # linspace arguments
 ROUNDTRIP_EPS = (0.5, 0.1)
 IMPORT_PROCESSES = 15  # fresh interpreters per import timing
@@ -406,6 +413,55 @@ def k_eps_traces_case(repeats: int) -> dict:
     }
 
 
+def k_eps_nystrom_case(repeats: int) -> dict:
+    """Timings (medians over ``repeats``) and cross-checks of the t-grid Laplace step.
+
+    Each timing is summed over ``NYSTROM_EPS``; the cross-checks are taken
+    once, untimed, on the last run's matrices and eigenvalues.
+    """
+    import numpy as np
+
+    from specdiff.hankel import (default_grid, default_laplace_grid, discretize_hankel,
+                                 k_eps_kernel, k_eps_trace_exact, laplace_section)
+
+    times = {key: [] for key in ("grid_s", "discretize_s", "eigenvalues_s", "laplace_section_s")}
+    for _ in range(repeats):
+        spent = dict.fromkeys(times, 0.0)
+        steps = []
+        for eps in NYSTROM_EPS:
+            t0 = time.perf_counter()
+            grid = default_grid(eps)
+            t1 = time.perf_counter()
+            k = discretize_hankel(partial(k_eps_kernel, eps=eps), grid)
+            t2 = time.perf_counter()
+            w = k.eigenvalues()
+            t3 = time.perf_counter()
+            section = laplace_section(eps, grid, default_laplace_grid(eps))
+            t4 = time.perf_counter()
+            for key, dt in zip(spent, np.diff([t0, t1, t2, t3, t4])):
+                spent[key] += float(dt)
+            steps.append((eps, k, w, section))
+        for key, dt in spent.items():
+            times[key].append(dt)
+    totals = [sum(run) for run in zip(*times.values())]
+    closed_form = max(abs(float(np.sum(w ** float(m))) / k_eps_trace_exact(eps, m) - 1)
+                      for eps, _, w, _ in steps for m in (1, 2))
+    reconstruction = max(
+        float(np.max(np.abs(k.entries - section.entries.T @ section.entries / np.pi)))
+        for _, k, _, section in steps)
+    return {
+        "eps": list(NYSTROM_EPS),
+        "grid_sizes": [w.size for _, _, w, _ in steps],
+        "laplace_step_s": statistics.median(totals),
+        **{key: statistics.median(values) for key, values in times.items()},
+        "cross_checks": {
+            "max_relative_closed_form_error": closed_form,
+            "max_reconstruction_error": reconstruction,
+            "min_eigenvalue": min(float(w[0]) for _, _, w, _ in steps),
+        },
+    }
+
+
 def roundtrip_case(repeats: int) -> dict:
     """Timings (medians over ``repeats``) and sup error of the kernel_from_symbol round trip."""
     import numpy as np
@@ -500,6 +556,11 @@ def main(argv=None) -> int:
           f"{traces['cross_checks']['max_relative_difference_from_eigenvalues']:.1e}, "
           f"from Nystrom {traces['cross_checks']['max_relative_trace_difference']:.1e}",
           file=sys.stderr)
+    nystrom = k_eps_nystrom_case(HANKEL_REPEATS)
+    print(f"K_eps Laplace step eps={list(NYSTROM_EPS)} nodes={nystrom['grid_sizes']}  "
+          f"{1e3 * nystrom['laplace_step_s']:.1f} ms (eigenvalues "
+          f"{1e3 * nystrom['eigenvalues_s']:.1f} ms)  closed-form error "
+          f"{nystrom['cross_checks']['max_relative_closed_form_error']:.1e}", file=sys.stderr)
     roundtrip = roundtrip_case(HANKEL_REPEATS)
     print(f"kernel_from_symbol  {1e3 * roundtrip['round_trip_s']:.1f} ms  sup error "
           f"{roundtrip['cross_checks']['max_abs_error']:.1e}", file=sys.stderr)
@@ -519,6 +580,7 @@ def main(argv=None) -> int:
         "d_eps_spectrum": spectrum_cases,
         "d_eps_batch": batch_cases,
         "k_eps_traces": traces,
+        "k_eps_nystrom": nystrom,
         "kernel_from_symbol": roundtrip,
         "import": imports,
     }

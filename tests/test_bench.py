@@ -93,6 +93,23 @@ def assert_batch_checks(checks):
     assert checks["max_abs_theta_minus_reference"] <= 1e-13
 
 
+def test_k_eps_nystrom_case_times_the_laplace_step_and_cross_checks_it(bench):
+    row = bench.k_eps_nystrom_case(1)
+    assert_nystrom_row(row, bench)
+    assert row["laplace_step_s"] == pytest.approx(
+        sum(row[key] for key in ("grid_s", "discretize_s", "eigenvalues_s", "laplace_section_s")))
+
+
+def assert_nystrom_row(row, bench):
+    assert row["eps"] == list(bench.NYSTROM_EPS) and row["grid_sizes"] == [108, 132]
+    assert all(row[key] > 0.0 for key in ("laplace_step_s", "grid_s", "discretize_s",
+                                          "eigenvalues_s", "laplace_section_s"))
+    checks = row["cross_checks"]
+    assert checks["max_relative_closed_form_error"] <= 1e-12
+    assert checks["max_reconstruction_error"] <= 1e-13
+    assert checks["min_eigenvalue"] >= -1e-14
+
+
 def key_tree(value):
     """The nested keys of a JSON value, None for a leaf."""
     return {key: key_tree(item) for key, item in value.items()} if isinstance(value, dict) else None
@@ -127,16 +144,18 @@ def test_committed_file_matches_the_script(bench, monkeypatch, tmp_path):
     assert key_tree(committed["machine"]) == key_tree(small["machine"])
     for section in ("gauss_legendre_nodes", "h_eigensolve", "d_eps_spectrum", "d_eps_batch"):
         assert all(key_tree(row) == key_tree(small[section][0]) for row in committed[section])
-    for section in ("k_eps_traces", "kernel_from_symbol", "import"):
+    for section in ("k_eps_traces", "k_eps_nystrom", "kernel_from_symbol", "import"):
         assert key_tree(committed[section]) == key_tree(small[section])
     for run in (committed, small):
         traces = run["k_eps_traces"]
         assert (traces["eps"], traces["powers"]) == (list(bench.HANKEL_EPS),
                                                      list(bench.HANKEL_POWERS))
         assert traces["section_sizes"] == [32, 112]
+        assert traces["nystrom_grid_sizes"] == [108, 348]
         assert traces["cross_checks"]["max_relative_difference_from_eigenvalues"] <= 1e-14
-        assert traces["cross_checks"]["max_relative_trace_difference"] <= 1e-7
+        assert traces["cross_checks"]["max_relative_trace_difference"] <= 1e-12
         assert traces["cross_checks"]["max_relative_closed_form_error"] <= 1e-13
+        assert_nystrom_row(run["k_eps_nystrom"], bench)
         roundtrip = run["kernel_from_symbol"]
         assert (roundtrip["t"], roundtrip["eps"]) == (list(bench.ROUNDTRIP_T),
                                                       list(bench.ROUNDTRIP_EPS))

@@ -25,7 +25,7 @@ from specdiff.hankel import (
     sequence_limit,
 )
 from specdiff import hankel
-from specdiff.matrices import SelfAdjointMatrix
+from specdiff.matrices import SelfAdjointMatrix, trace_powers
 from specdiff.profiles import builtin_profile, zeta, zeta_eps
 from specdiff.quadrature import gauss_legendre, panel_rule, uniform_panels
 
@@ -50,16 +50,25 @@ class TestGrids:
             geometric_panel_grid(0.0, 1.0, 4, 4)
 
     def test_default_grid_spans_kernel_support(self):
+        # one 12-point panel on [0, 1], where the kernel is entire, then the tail to 50/eps
         g = default_grid(1e-3)
-        assert g.nodes[0] < 1e-3 and g.nodes[-1] > 1e3
+        head = slice(0, hankel.PANEL_POINTS)
+        assert 0.0 < g.nodes[0] and g.nodes[head][-1] < 1.0 < g.nodes[hankel.PANEL_POINTS]
+        assert abs(np.sum(g.weights[head]) - 1.0) <= 1e-15
+        assert g.nodes[-1] > 1e3
 
     def test_default_grids_lay_one_module_rule(self, monkeypatch):
-        # bitwise the geometric_panel_grid they used to call, with no new 12-point rule
+        # the t-grid is panel_rule on [0, 1] and the geometric panels of (1, 50/eps);
+        # the x-grid is bitwise the geometric_panel_grid it used to call; no new 12-point rule
         def panels(lo, hi):
             return int(math.ceil(math.log10(hi / lo) * hankel.PANELS_PER_DECADE))
 
-        cases = [(eps, geometric_panel_grid(1e-6 * eps, 50.0 / eps,
-                                            panels(1e-6 * eps, 50.0 / eps), 12),
+        def t_grid(eps):
+            hi = 50.0 / eps
+            edges = np.concatenate(([0.0], np.geomspace(1.0, hi, panels(1.0, hi) + 1)))
+            return QuadratureGrid(*panel_rule(edges, gauss_legendre(12)))
+
+        cases = [(eps, t_grid(eps),
                   geometric_panel_grid(eps, 1.0, max(2, panels(eps, 1.0)), 12))
                  for eps in (0.5, 1e-2, 1e-7)]
 
@@ -122,6 +131,11 @@ class TestKernel:
         assert vals[-1] < 1e-6
 
 
+@pytest.fixture(scope="module")
+def section_traces():
+    return k_eps_trace_slopes([3, 4, 6], [1e-1, 1e-3, 1e-6, 1e-10, 1e-12])
+
+
 class TestExactTraces:
     def test_closed_forms(self):
         assert k_eps_trace_exact(1e-3, 1) == pytest.approx(math.log(1e3) / (2 * math.pi))
@@ -129,12 +143,19 @@ class TestExactTraces:
         expected = (2 * math.log1p(eps) - math.log(4 * eps)) / math.pi**2
         assert k_eps_trace_exact(eps, 2) == pytest.approx(expected, rel=1e-14)
 
-    def test_discretization_reproduces_them(self):
-        for eps in (1e-1, 1e-3):
-            grid = default_grid(eps)
-            w = discretize_hankel(partial(k_eps_kernel, eps=eps), grid).eigenvalues()
-            assert float(np.sum(w)) == pytest.approx(k_eps_trace_exact(eps, 1), rel=1e-6)
-            assert float(np.sum(w**2)) == pytest.approx(k_eps_trace_exact(eps, 2), rel=1e-6)
+    @pytest.mark.parametrize("eps", [0.9, 0.5, 1e-1, 1e-3, 1e-6, 1e-10, 1e-12])
+    def test_discretization_reproduces_them(self, eps, section_traces):
+        # the t-grid Nystrom traces against the closed forms (m = 1, 2) and the
+        # section's (m = 3, 4, 6), and its smallest eigenvalue
+        k = discretize_hankel(partial(k_eps_kernel, eps=eps), default_grid(eps))
+        traces = trace_powers(k, (1, 2, 3, 4, 6))
+        for m in (1, 2):
+            assert traces[m] == pytest.approx(k_eps_trace_exact(eps, m), rel=1e-12, abs=0.0)
+        if eps in section_traces.eps:
+            i = int(np.flatnonzero(section_traces.eps == eps)[0])
+            for m in (3, 4, 6):
+                assert traces[m] == pytest.approx(section_traces.traces[m][i], rel=1e-11, abs=0.0)
+        assert float(k.eigenvalues()[0]) >= -1e-10
 
     def test_unknown_power_rejected(self):
         for m in (3, True, 1.0):
@@ -337,14 +358,11 @@ class TestTraceSlopes:
         np.testing.assert_allclose(res.traces[1], exact, rtol=1e-14)
         assert not res.resolution_ok
 
-    def test_section_traces_match_nystrom_traces(self):
-        powers = [1, 2, 3, 4, 6]
-        eps_values = [1e-2, 1e-3, 1e-4]
-        res = k_eps_trace_slopes(powers, eps_values)
-        for i, eps in enumerate(res.eps):
-            w = discretize_hankel(partial(k_eps_kernel, eps=eps), default_grid(eps)).eigenvalues()
-            for m in powers:
-                assert res.traces[m][i] == pytest.approx(float(np.sum(w ** float(m))), rel=1e-7)
+    def test_one_fit_for_all_powers_matches_a_fit_per_power(self):
+        res = k_eps_trace_slopes([1, 2, 3, 4, 6], np.geomspace(1e-2, 1e-12, 21))
+        for m, slope in res.fitted.items():
+            alone = float(np.polyfit(res.log_inv_eps, res.traces[m], 1)[0])
+            assert slope == pytest.approx(alone, rel=1e-14, abs=0.0)
 
     def test_traces_come_from_products_with_no_eigensolve(self, monkeypatch):
         # hankel-deep's grid: 21 eps from 1e-2 to 1e-12; the eigenvalue route is the reference
