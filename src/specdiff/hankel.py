@@ -134,19 +134,16 @@ def k_eps_kernel(t, eps: float):
     """The kernel profile k_eps(t) = (e^{-eps t} - e^{-t}) / (pi t) for t >= 0.
 
     Evaluated through expm1 so the small-t cancellation is exact; below
-    ``SMALL_T`` the limit value (1 - eps)/pi is substituted, and when no
-    argument is that small the substitution is skipped.
+    ``SMALL_T`` the limit value (1 - eps)/pi is substituted.
     """
     _validate_eps(eps)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("kernel argument must be nonnegative")
     tiny = t < SMALL_T
-    substitute = bool(np.any(tiny))
-    safe = np.where(tiny, 1.0, t) if substitute else t
-    out = (np.expm1(-eps * safe) - np.expm1(-safe)) / (np.pi * safe)
-    if substitute:
-        out = np.where(tiny, (1.0 - eps) / np.pi, out)
+    safe = np.where(tiny, 1.0, t)
+    out = np.where(tiny, (1.0 - eps) / np.pi,
+                   (np.expm1(-eps * safe) - np.expm1(-safe)) / (np.pi * safe))
     return float(out) if out.ndim == 0 else out
 
 

@@ -24,7 +24,8 @@ at most ``STRIP_WIDTH`` columns.  The strip ops of the solve and its check
 run on contiguous arrays with no rounding changed (``_secular_roots``):
 (w, Q) are bitwise those of NumPy's outer methods, broadcast columns and
 masked sums, at any strip width.  The free functions accept either a
-wrapper or a bare array; ``trace_powers`` takes the traces of a dense
+wrapper or a bare array, validated as a ``RectMatrix``: ``singular_values``
+is one SVD of the entries, and ``trace_powers`` takes the traces of a dense
 matrix's powers from products of it, with no eigensolve.
 """
 
@@ -42,7 +43,6 @@ __all__ = [
     "schatten_norm",
     "sho_assemble",
     "singular_values",
-    "trace_power",
     "trace_powers",
 ]
 
@@ -58,14 +58,7 @@ _EPS = float(np.finfo(float).eps)
 
 
 class EigendecompositionError(RuntimeError):
-    """Eigendecomposition failed or did not reproduce its matrix.
-
-    ``residual`` carries the sup-norm reconstruction defect when available.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """Eigendecomposition failed or did not reproduce its matrix."""
 
 
 def check_trace_powers(powers) -> tuple[int, ...]:
@@ -80,14 +73,10 @@ def check_trace_powers(powers) -> tuple[int, ...]:
 
 
 def _entries_of(x) -> np.ndarray:
-    if isinstance(x, (SelfAdjointMatrix, RectMatrix)):
-        return x.entries
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
+    """The entries of a wrapper; a bare array is validated as a ``RectMatrix``."""
+    if not isinstance(x, (SelfAdjointMatrix, RectMatrix)):
+        x = RectMatrix(x)
+    return x.entries
 
 
 class RectMatrix:
@@ -169,8 +158,7 @@ class SelfAdjointMatrix:
         if residual > RECONSTRUCTION_TOL * scale:
             raise EigendecompositionError(
                 f"eigendecomposition reconstruction residual {residual:.3e} "
-                f"exceeds {RECONSTRUCTION_TOL:.0e}",
-                residual=residual,
+                f"exceeds {RECONSTRUCTION_TOL:.0e}"
             )
         return w, q
 
@@ -261,8 +249,7 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
         if not residual <= RECONSTRUCTION_TOL * scale:  # NaN fails too
             raise EigendecompositionError(
                 f"eigenvector residual {residual:.3e} exceeds "
-                f"{RECONSTRUCTION_TOL:.0e} * {scale:.3e}",
-                residual=residual,
+                f"{RECONSTRUCTION_TOL:.0e} * {scale:.3e}"
             )
         v = np.random.default_rng(0).standard_normal((self.dim, 2))
         qv, back = np.empty_like(v), np.empty_like(v)
@@ -276,8 +263,7 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
         if not defect <= RECONSTRUCTION_TOL:
             raise EigendecompositionError(
                 f"eigenvector orthogonality defect {defect:.3e} exceeds "
-                f"{RECONSTRUCTION_TOL:.0e}",
-                residual=defect,
+                f"{RECONSTRUCTION_TOL:.0e}"
             )
 
     def kept(self) -> np.ndarray:
@@ -312,8 +298,7 @@ class DiagonalPlusRankOne(SelfAdjointMatrix):
         if not coupling <= RECONSTRUCTION_TOL * scale:
             raise EigendecompositionError(
                 f"coupling dropped with {dropped.size} deflated nodes {coupling:.3e} "
-                f"exceeds {RECONSTRUCTION_TOL:.0e} * {scale:.3e}",
-                residual=coupling,
+                f"exceeds {RECONSTRUCTION_TOL:.0e} * {scale:.3e}"
             )
         if kept.size == 0:
             return None
@@ -614,10 +599,7 @@ def _orthonormalize(y: np.ndarray, v: np.ndarray, omega: np.ndarray) -> None:
         raise EigendecompositionError(f"block of {l} columns is not of full rank: {exc}") from exc
     defect = float(np.max(np.abs(v.swapaxes(1, 2) @ v - np.eye(l))))
     if not defect <= 1e-13:  # NaN fails too
-        raise EigendecompositionError(
-            f"block orthogonality defect {defect:.3e} exceeds 1e-13",
-            residual=defect,
-        )
+        raise EigendecompositionError(f"block orthogonality defect {defect:.3e} exceeds 1e-13")
 
 
 def _strips(size: int) -> list[slice]:
@@ -835,9 +817,7 @@ def _secular_roots(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def singular_values(x) -> np.ndarray:
-    """Singular values in descending order."""
-    if isinstance(x, SelfAdjointMatrix):
-        return np.sort(np.abs(x.eigenvalues()))[::-1]
+    """Singular values in descending order, from one SVD of the entries."""
     return np.linalg.svd(_entries_of(x), compute_uv=False)
 
 
@@ -870,11 +850,6 @@ def sho_assemble(x) -> SelfAdjointMatrix:
     block[:c, c:] = a.T
     block[c:, :c] = a
     return SelfAdjointMatrix(block)
-
-
-def trace_power(a, m: int) -> float:
-    """Trace of A^m from matrix products, with no eigensolve: ``trace_powers`` for one m."""
-    return trace_powers(a, (m,))[m]
 
 
 def trace_powers(a, powers) -> dict[int, float]:

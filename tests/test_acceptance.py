@@ -64,7 +64,7 @@ from specdiff.matrices import (
     schatten_norm,
     sho_assemble,
     singular_values,
-    trace_power,
+    trace_powers,
 )
 from specdiff.models import RankOneModel
 from specdiff.profiles import builtin_profile, zeta, zeta_eps
@@ -117,7 +117,7 @@ class TestKernelOracles:
             k = discretize_hankel(partial(k_eps_kernel, eps=eps), grid)
             for m in (1, 2):
                 exact = k_eps_trace_exact(eps, m)
-                worst = max(worst, abs(trace_power(k, m) - exact) / exact)
+                worst = max(worst, abs(trace_powers(k, (m,))[m] - exact) / exact)
         assert verdict(
             1, "exact traces of K_eps", worst <= 1e-6,
             f"worst relative error {worst:.3e} (tolerance 1e-6)",
@@ -205,7 +205,7 @@ class TestMatrixOracles:
             x = SelfAdjointMatrix((a + a.T) / 2.0)
             y = SelfAdjointMatrix((b + b.T) / 2.0)
             m = (2, 3, 4)[i % 3]
-            lhs = abs(trace_power(x, m) - trace_power(y, m))
+            lhs = abs(trace_powers(x, (m,))[m] - trace_powers(y, (m,))[m])
             rhs = (
                 m
                 * schatten_norm(x.entries - y.entries, m)

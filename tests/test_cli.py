@@ -296,6 +296,15 @@ class TestSweepCommand:
         assert code == 2
         assert "specdiff: error: cannot write" in err
 
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        # the directory exists, so the sweep runs; sw.csv is a directory, so writing fails
+        (tmp_path / "sw.csv").mkdir()
+        cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"))
+        code, out, err = run(capsys, ["sweep", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert err.startswith("specdiff: error: cannot write the sweep output: ")
+        assert err.count("\n") == 1
+
     def test_scalar_trace_powers_exit_two(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", output=str(tmp_path / "sw"), trace_powers=5)
         code, _, err = run(capsys, ["sweep", "--config", cfg])

@@ -166,6 +166,11 @@ class TestRhsIntegral:
         with pytest.raises(ValueError):
             rhs_integral(BandSet([0.5]), lambda y: y, 0.0)
 
+    def test_a_band_below_eta_adds_nothing(self):
+        # mu vanishes beyond its band edge, so a band of 0.1 has no mass above eta = 0.2
+        g = lambda y: y * y * math.cos(5.0 * y)
+        assert rhs_integral(BandSet([0.9, 0.1]), g, 0.2) == rhs_integral(BandSet([0.9]), g, 0.2)
+
     @pytest.mark.parametrize("g", [math.exp, lambda y: y * y * math.cos(5.0 * y)])
     def test_matches_quadpack_in_y(self, g):
         # independent oracle: the y-space integral of g against mu, band by

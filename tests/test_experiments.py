@@ -582,6 +582,12 @@ class TestUnfoldedCount:
             unfolded_count(np.sort(-w), (0.4, 1.0), bands), abs=1e-15
         )
 
+    def test_no_positive_eigenvalue_gives_the_integer_count(self):
+        # the eigenvalues that would bracket 0.4 are -0.1 and -0.5, whose u do not
+        # ascend: the count 0 is returned as it is, not interpolated
+        w = [-0.7, -0.5, -0.1]
+        assert unfolded_count(w, (0.4, 1.0), BandSet([0.84])) == 0 == count_window(w, (0.4, 1.0))
+
     def test_within_half_of_the_count_on_a_sweep(self, small_sweep):
         key = "(0.4,1)"
         for r in small_sweep.records:

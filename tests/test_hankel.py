@@ -109,8 +109,7 @@ class TestKernel:
             with pytest.raises(ValueError):
                 k_eps_kernel(1.0, eps)
 
-    def test_skipping_the_small_t_substitution_changes_no_bit(self):
-        # the substitution runs on every argument, as it did before it could be skipped
+    def test_matches_the_substituting_formula_bitwise(self):
         def substituted(t, eps):
             tiny = t < hankel.SMALL_T
             safe = np.where(tiny, 1.0, t)

@@ -287,6 +287,21 @@ class TestStructuredDifference:
         assert np.allclose(beyond, np.sort(np.concatenate([outer, -outer])), rtol=0.0, atol=1e-14)
         assert d._dense is None
 
+    @pytest.mark.parametrize("inner", [(), (0.3,)])
+    def test_a_block_with_one_ritz_value_inside_the_threshold_widens(self, inner):
+        # 31 eigenvalues of 0.8, and 0 or 0.3 next: the first block of 32 spans the range
+        # of D, so its remainder is at rounding level, but it holds only one Ritz value
+        # <= 0.5 on the positive side, one too few to read an unfolded count: it must widen
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((200, 200)))[0]
+        f = np.concatenate([np.full(31, 0.8), inner, np.zeros(169 - len(inner))])
+        d = SpectralDifference(q, f, np.zeros(200))
+        w = d.window_eigenvalues(0.5)
+        assert w.size == 2 * BLOCK_START
+        beyond = w[np.abs(w) > 1e-8]
+        expected = np.concatenate([inner, np.full(31, 0.8)])
+        assert beyond.shape == expected.shape
+        assert np.allclose(beyond, expected, rtol=0.0, atol=1e-14)
+
     def test_small_matrices_use_the_dense_spectrum(self):
         # a block of min(32, n) = n columns spans the whole space: Rayleigh-Ritz is exact
         f = np.linspace(-0.9, 0.9, 8)
