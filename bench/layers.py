@@ -59,15 +59,21 @@ max|Q^T Q - I|.  D_eps: m, and against
 the dense ``eigvalsh`` of the n x n D_eps from the dense H, once per
 (n, eps): the largest relative trace error, the largest |theta - y| over
 the dense eigenvalues with |y| > 1e-6, matched from the outside in on each
-side, and the counts in (0.4, 1) by both routes; then the block width and
-the certificate remainder Tr D^2 minus the sum of theta^2.  Batched D_eps:
+side, the same over the Ritz values the window at 0.4 reads, and the counts
+in (0.4, 1) by both routes; then the block width, the certificate
+remainder R = Tr D^2 minus the sum of theta^2, and the bound the
+certificate puts on the read Ritz values, (R / 2) / (rho - sqrt(R)) with R
+clamped at 0 and raised by its rounding allowance 8 eps (||f||^2 +
+||g||^2), rho the smallest read |theta|.  Batched D_eps:
 the largest orthogonality defect max|V^T V - I| of the 8 first blocks; the
 largest |theta - y| against the dense ``eigvalsh`` of each D on the kept
-block, over the eigenvalues with |y| > 1e-6, matched from the outside in;
-and, against a per-eps reference kept here (the traces by row sums of
-Q∘Q one eps at a time, the first block orthonormalized by Householder QR),
-the largest relative trace difference and the largest |theta| difference
-over those eigenvalues.  K_eps: the
+block, over the eigenvalues with |y| > 1e-6, matched from the outside in,
+and over the Ritz values the window at 0.4 reads; and, against a per-eps
+reference kept here (the traces by row sums of Q∘Q one eps at a time, the
+first block orthonormalized by Householder QR), the largest relative trace
+difference and the largest |theta| difference over those eigenvalues and
+over the read Ritz values.
+K_eps: the
 grid sizes of the section and of the t-grid Nystrom route
 (``discretize_hankel`` of ``k_eps_kernel`` on ``default_grid`` and
 ``eigvalsh``, once), the largest relative difference of their traces over
@@ -265,6 +271,10 @@ def spectrum_case(model, dense, eps: float, repeats: int) -> dict:
                                   theta[:bottom] - y[:bottom]))
     trace_errors = [abs(t - float(np.sum(y ** float(k)))) / float(np.sum(np.abs(y) ** k))
                     for k, t in zip((1, 2, 3), traces)]
+    read, matched = read_values(theta, y)
+    rho = float(np.min(np.abs(read)))
+    remainder = d.trace_power(2) - float(theta @ theta)
+    r = max(remainder, 0.0) + 8.0 * float(np.finfo(float).eps) * float(d.f @ d.f + d.g @ d.g)
     return {
         "n": model.n,
         "m": d.dim,
@@ -273,13 +283,31 @@ def spectrum_case(model, dense, eps: float, repeats: int) -> dict:
         "cross_checks": {
             "max_relative_trace_error": max(trace_errors),
             "max_abs_theta_minus_dense": float(np.max(np.abs(differences), initial=0.0)),
+            "max_abs_read_theta_minus_dense": float(np.max(np.abs(read - matched))),
             "retained_eigenvalues": top + bottom,
             "count_block_pass": count_window(theta, (0.4, 1.0)),
             "count_dense": count_window(y, (0.4, 1.0)),
             "block_width": int(theta.size),
-            "remainder": d.trace_power(2) - float(theta @ theta),
+            "remainder": remainder,
+            "ritz_error_bound": (r / 2.0) / (rho - np.sqrt(r)),
         },
     }
+
+
+def read_values(theta, y) -> tuple[np.ndarray, np.ndarray]:
+    """The Ritz values ``theta`` that a window at 0.4 reads, and the ``y`` they match.
+
+    Per side, outermost first, as signed distances (the negative side
+    negated): the max(j, 1) + 1 values farthest out, j of them beyond 0.4.
+    """
+    import numpy as np
+
+    read, matched = [], []
+    for out, exact in ((theta[::-1], y[::-1]), (-theta, -y)):
+        k = max(int(np.count_nonzero(out > 0.4)), 1) + 1
+        read.append(out[:k])
+        matched.append(exact[:k])
+    return np.concatenate(read), np.concatenate(matched)
 
 
 def per_eps_reference(d) -> tuple[list[float], np.ndarray]:
@@ -326,7 +354,8 @@ def batch_case(model, repeats: int) -> dict:
         times["traces_s"].append(t1 - t0)
         times["block_pass_s"].append(t2 - t1)
 
-    defects, theta_errors, trace_differences, theta_differences, widths = [], [], [], [], []
+    defects, theta_errors, read_errors, trace_differences, widths = [], [], [], [], []
+    theta_differences, read_differences = [], []
     omega, s = SpectralDifference.start_block(points[0].q)
     for d in points:
         y = d.q @ (d.f[:, None] * s) - d.g[:, None] * omega
@@ -342,11 +371,13 @@ def batch_case(model, repeats: int) -> dict:
             return np.concatenate((values[values.size - top:], values[:bottom]))
 
         theta_errors.append(float(np.max(np.abs(outer(theta) - outer(y_dense)), initial=0.0)))
+        read_errors.append(float(np.max(np.abs(np.subtract(*read_values(theta, y_dense))))))
         traces, theta_qr = per_eps_reference(d)
         trace_differences += [abs(d.trace_power(k) - t) / float(np.sum(np.abs(y_dense) ** k))
                               for k, t in zip((1, 2, 3), traces)]
         theta_differences.append(float(np.max(np.abs(outer(theta) - outer(theta_qr)),
                                               initial=0.0)))
+        read_differences.append(float(np.max(np.abs(np.subtract(*read_values(theta, theta_qr))))))
     return {
         "n": model.n,
         "m": points[0].dim,
@@ -355,9 +386,11 @@ def batch_case(model, repeats: int) -> dict:
         "cross_checks": {
             "orthogonality_defect": max(defects),
             "max_abs_theta_minus_dense": max(theta_errors),
+            "max_abs_read_theta_minus_dense": max(read_errors),
             "block_widths": sorted(set(widths)),
             "max_relative_trace_difference_from_reference": max(trace_differences),
             "max_abs_theta_minus_reference": max(theta_differences),
+            "max_abs_read_theta_minus_reference": max(read_differences),
         },
     }
 

@@ -11,8 +11,11 @@ matrix built: a node that deflates is an eigenpair (x_j, e_j), and the
 solved from the secular equation in O(m^2).
 ``SpectralDifference`` keeps a difference
 ``Q diag(f) Q^T - diag(g)`` factored: its low traces cost O(n^2), its
-numerical spectrum comes from one certified block Rayleigh-Ritz pass, and
-the dense matrix is built only on demand, as a test oracle.  Many
+numerical spectrum comes from one block Rayleigh-Ritz pass of
+``BLOCK_START`` columns, widened until the remainder Tr D^2 minus the sum of
+theta^2 certifies both that no eigenvalue a window reads is missing and
+that each Ritz value it reads is within ``RITZ_TOL``, and the dense matrix
+is built only on demand, as a test oracle.  Many
 differences on one Q (a sweep's eps) take their traces in one pass over Q
 and their block passes a chunk at a time, from the one start (Ω, Q^T Ω)
 that ``SpectralDifference.fill`` draws for them, each chunk one product
@@ -48,7 +51,8 @@ __all__ = [
 
 SYMMETRY_RTOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
-BLOCK_START = 32  # columns of the first block pass, doubled until certified
+BLOCK_START = 24  # columns of the first block pass, doubled until certified
+RITZ_TOL = 1e-11  # largest certified error of a Ritz value that a window reads
 SECULAR_MAX_ITER = 40  # dlaed4 allows 30; a converging root needs about 5
 STRIP_WIDTH = 64  # rows or columns per strip of an O(m^2) pass: none makes an m x m temporary
 # relative size of the kick that makes a block pass's D Ω full rank: it keeps the block's
@@ -109,7 +113,7 @@ class SelfAdjointMatrix:
     __slots__ = ("entries", "_eigvals", "_eigvecs")
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)  # not copied: symmetrizing below allocates
+        a = np.asarray(entries, dtype=float)  # not copied: it is copied or averaged below
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -121,7 +125,14 @@ class SelfAdjointMatrix:
                 f"matrix is not symmetric: defect {defect:.3e} exceeds "
                 f"{SYMMETRY_RTOL:.0e} * {scale:.3e}"
             )
-        a = (a + a.T) / 2.0
+        # an exactly symmetric matrix is kept bit for bit; halving before adding keeps the
+        # average of two entries near the largest double finite
+        if defect == 0.0:
+            a = np.array(a)
+        else:
+            half = a * 0.5
+            half += a.T * 0.5
+            a = half
         a.setflags(write=False)
         self.entries = a
         self._eigvals: np.ndarray | None = None
@@ -360,9 +371,10 @@ class SpectralDifference:
     the squared overlaps Q∘Q, and cost O(n^2).  The numerical rank of D is
     small, so one block pass (a randomized range finder, then Rayleigh-Ritz;
     Halko, Martinsson & Tropp 2011) finds its whole numerical spectrum,
-    certified by Tr D^2: ``window_eigenvalues`` and the higher powers of
-    ``trace_power`` read it.  ``fill`` takes the low traces and the first
-    block pass of many D on one Q in one pass over Q, from one start
+    certified by Tr D^2, for what it misses and for how accurate it is:
+    ``window_eigenvalues`` and the higher powers of ``trace_power`` read
+    it.  ``fill`` takes the low traces and the first block pass of many D
+    on one Q in one pass over Q, from one start
     (Ω, Q^T Ω) of ``start_block``, which depends on Q alone; a lone D takes
     it as a list of one.
     ``dense``, ``entries`` and ``eigenvalues`` build the dense D, validated
@@ -467,9 +479,17 @@ class SpectralDifference:
         An unfolded count at b reads, on each side, the max(j, 1) + 1
         eigenvalues farthest out, j of them beyond b; rho is the smallest |y|
         among those.  The block widens until at least two Ritz values per
-        side are not beyond b and R = Tr D^2 minus the sum of theta^2 is at
-        most rho^2: no eigenvalue with |y| > rho can then be missing, up to
-        the rounding of Tr D^2.
+        side are not beyond b, R = Tr D^2 minus the sum of theta^2 is at most
+        rho^2, so that no eigenvalue with |y| > rho can be missing, and every
+        read theta is within ``RITZ_TOL`` of an eigenvalue.  In the basis
+        [V, V_perp], R = 2 ||E||_F^2 + ||A_2||_F^2 with E and A_2 the blocks
+        of D off and outside V, so the quadratic residual bound (Li & Li
+        2005) gives |y - theta| <= (R / 2) / (|theta| - sqrt(R)) for every
+        read |theta| > sqrt(R), largest at theta = rho.  A block whose R is
+        within the rounding of Tr D^2, 8 eps (||f||^2 + ||g||^2), four
+        roundings of the terms Tr D^2 is formed from, is accepted too: no
+        wider block can lower R, and the bound holds with R at that
+        allowance.
         """
         if not b > 0:
             raise ValueError(f"threshold must be positive, got {b!r}")
@@ -482,7 +502,11 @@ class SpectralDifference:
                     return False
                 read = max(out.size - inside, 1) + 1
                 rho = min(rho, float(np.min(np.abs(out[:read]))))
-            return remainder <= rho * rho
+            if not remainder <= rho * rho:
+                return False
+            rounding = 8.0 * _EPS * float(self.f @ self.f + self.g @ self.g)
+            return (remainder <= rounding
+                    or remainder / 2.0 <= RITZ_TOL * (rho - np.sqrt(remainder)))
 
         return self._ritz_values(certified)
 

@@ -76,6 +76,7 @@ def test_spectrum_case_times_the_package_and_cross_checks_it(bench, eps):
     assert checks["count_block_pass"] == checks["count_dense"]
     assert checks["block_width"] < row["m"]
     assert abs(checks["remainder"]) <= 1e-12
+    assert checks["max_abs_read_theta_minus_dense"] <= checks["ritz_error_bound"] <= 1e-11
 
 
 def test_batch_case_times_the_package_and_cross_checks_it(bench):
@@ -84,13 +85,17 @@ def test_batch_case_times_the_package_and_cross_checks_it(bench):
     assert (row["n"], row["m"], row["eps"]) == (200, model.kept.size, list(bench.BATCH_EPS))
     assert row["traces_s"] > 0.0 and row["block_pass_s"] > 0.0
     assert_batch_checks(row["cross_checks"])
+    # at n = 200 the Ritz values no window reads match too; at n = 4000 a block of
+    # BLOCK_START leaves them off by up to 2.3e-10, and the committed rows hold only the read
+    assert row["cross_checks"]["max_abs_theta_minus_dense"] <= 1e-13
+    assert row["cross_checks"]["max_abs_theta_minus_reference"] <= 1e-13
 
 
 def assert_batch_checks(checks):
     assert checks["orthogonality_defect"] <= 1e-13
-    assert checks["max_abs_theta_minus_dense"] <= 1e-13
+    assert checks["max_abs_read_theta_minus_dense"] <= 1e-13
     assert checks["max_relative_trace_difference_from_reference"] <= 1e-11
-    assert checks["max_abs_theta_minus_reference"] <= 1e-13
+    assert checks["max_abs_read_theta_minus_reference"] <= 1e-13
 
 
 def test_k_eps_nystrom_case_times_the_laplace_step_and_cross_checks_it(bench):
@@ -130,6 +135,8 @@ def test_committed_file_matches_the_script(bench, monkeypatch, tmp_path):
         itertools.product(bench.SIZES, bench.EPSILONS))
     assert all(row["cross_checks"]["count_block_pass"] == row["cross_checks"]["count_dense"]
                for row in rows)
+    assert all(row["cross_checks"]["max_abs_read_theta_minus_dense"]
+               <= row["cross_checks"]["ritz_error_bound"] for row in rows)
     assert [row["n"] for row in committed["d_eps_batch"]] == list(bench.SIZES)
     for row in committed["d_eps_batch"]:
         assert row["eps"] == list(bench.BATCH_EPS)

@@ -195,6 +195,16 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             default_config(tolerance=-1.0)
 
+    @pytest.mark.parametrize("data, message", [
+        ([0.4, 1.0], "config must be a JSON object"),
+        ({"profiles": []}, "at least one profile"),
+        ({"windows": [[0.4, 1.0, 2.0]]}, "window must be a pair"),
+        ({"windows": [0.4]}, "window must be a pair"),
+    ], ids=["list", "no_profiles", "window_triple", "window_number"])
+    def test_from_dict_rejects_a_malformed_config(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepConfig.from_dict(data)
+
     def test_a_bare_profile_string_is_rejected(self):
         # not read as the profiles "A", "R", "C", ...
         with pytest.raises(ConfigError, match="profiles must be a sequence of names"):

@@ -46,6 +46,12 @@ class TestGrids:
             QuadratureGrid([1.0, 0.5], [1.0, 1.0])  # not increasing
         with pytest.raises(ValueError):
             QuadratureGrid([0.5, 1.0], [1.0, -1.0])  # negative weight
+        with pytest.raises(ValueError, match="equal length"):
+            QuadratureGrid([0.5, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureGrid([0.5, np.inf], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureGrid([0.5, 1.0], [1.0, np.nan])
         with pytest.raises(ValueError):
             geometric_panel_grid(0.0, 1.0, 4, 4)
 

@@ -17,6 +17,7 @@ from specdiff.matrices import (
     singular_values,
     trace_powers,
 )
+from specdiff.models import RankOneModel
 
 
 def random_symmetric(rng, n):
@@ -52,6 +53,30 @@ class TestWrappers:
         a = np.array([[1.0, 0.5 + 1e-15], [0.5, 1.0]])
         m = SelfAdjointMatrix(a)
         assert np.array_equal(m.entries, m.entries.T)
+
+    def test_self_adjoint_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="finite"):
+            SelfAdjointMatrix([[1.0, np.inf], [np.inf, 1.0]])
+
+    def test_entries_near_the_largest_double_stay_finite(self):
+        # (a + a^T) / 2 would overflow to inf on these finite symmetric entries
+        with np.errstate(all="raise"):
+            m = SelfAdjointMatrix([[1e308, 0.0], [0.0, 1.0]])
+            assert np.array_equal(m.entries, [[1e308, 0.0], [0.0, 1.0]])
+            assert np.array_equal(m.eigenvalues(), [1.0, 1e308])
+            top = np.nextafter(1.7e308, np.inf)
+            near = SelfAdjointMatrix([[1.0, 1.7e308], [top, 1.0]])
+        assert np.all(np.isfinite(near.entries)) and np.array_equal(near.entries, near.entries.T)
+
+    def test_an_exactly_symmetric_input_is_kept_bitwise(self):
+        a = np.array([[5e-324, -1e-310, 1.0], [-1e-310, 3e-323, -0.0], [1.0, -0.0, 7e-300]])
+        m = SelfAdjointMatrix(a)
+        assert np.array_equal(m.entries.view(np.int64), a.view(np.int64))
+
+    def test_a_near_symmetric_input_is_averaged(self):
+        eps = np.finfo(float).eps
+        m = SelfAdjointMatrix([[2.0, 1.0 + 4.0 * eps], [1.0, 2.0]])
+        assert m.entries[0, 1] == m.entries[1, 0] == 1.0 + 2.0 * eps
 
     def test_entries_do_not_alias_the_input(self):
         a = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -195,6 +220,19 @@ class TestDiagonalPlusRankOne:
             DiagonalPlusRankOne([0.0, 1.0], [1.0], 0.5)
         with pytest.raises(ValueError, match="finite"):
             DiagonalPlusRankOne([0.0, 1.0], [1.0, np.nan], 0.5)
+
+    def test_check_rejects_descending_eigenvalues(self):
+        x, u = quadrature_coupling(50, BUMP_SHAPES["sech"])
+        h = DiagonalPlusRankOne(x, u, 0.5)
+        w, q = h.eig()
+        with pytest.raises(EigendecompositionError, match="not ascending"):
+            h.check(w[::-1], q)
+
+    def test_roots_that_do_not_converge_raise(self, monkeypatch):
+        # a root takes about five steps; with one, none converges
+        monkeypatch.setattr(matrices, "SECULAR_MAX_ITER", 1)
+        with pytest.raises(EigendecompositionError, match=r"(\d+) of \1 roots did not converge"):
+            RankOneModel(n=200).solve()
 
     @pytest.mark.parametrize("c", [0.5, -0.7])
     def test_a_block_of_one_node(self, c):

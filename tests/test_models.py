@@ -10,7 +10,12 @@ from scipy import integrate
 from specdiff import matrices
 from specdiff.density import BandSet
 from specdiff.experiments import count_window, unfolded_count
-from specdiff.matrices import BLOCK_START, EigendecompositionError, SpectralDifference
+from specdiff.matrices import (
+    BLOCK_START,
+    RITZ_TOL,
+    EigendecompositionError,
+    SpectralDifference,
+)
 from specdiff.models import (
     BUMPS,
     ExceptionalPointError,
@@ -209,17 +214,53 @@ class TestStructuredDifference:
 
     @pytest.mark.parametrize("name", ["ARCTAN_HALF", "TANH_HALF", "MOLLIFIED_STEP"])
     def test_the_first_block_resolves_the_outermost_eigenvalues(self, name):
-        # the certificate bounds which eigenvalues are missing, not how accurate the Ritz
-        # values are: at eps = 3e-4 the first block of BLOCK_START columns is certified, and
-        # its four outermost Ritz values per side match the dense spectrum to rounding (at
-        # most 2e-15 over 13 eps down to 3e-4 at n = 800 and 1500, where a block of 16 was
-        # off by up to 1e-7 and one of 8 by up to 1e-2)
+        # at eps = 3e-4 the first block of BLOCK_START columns is certified, both that no
+        # eigenvalue it reads is missing and that each read Ritz value is within RITZ_TOL,
+        # and its four outermost Ritz values per side match the dense spectrum to rounding
+        # (the read values of a block of 24 were within 1.8e-15 of it over 13 eps from 1e-1
+        # to 3e-4 and these three profiles at n = 800)
         d = RankOneModel(n=800).build_d_eps(builtin_profile(name), 3e-4, 0.0)
         theta = d.window_eigenvalues(0.4)
         assert theta.size == BLOCK_START
         y = d.eigenvalues()
         assert np.max(np.abs(theta[-4:] - y[-4:])) <= 1e-14
         assert np.max(np.abs(theta[:4] - y[:4])) <= 1e-14
+
+    def test_the_certificate_bounds_the_read_ritz_values_and_widens_until_they_are_accurate(self):
+        # MOLLIFIED_STEP at n = 1500 and eps = 0.1: the first block holds every eigenvalue it
+        # reads (R <= rho^2), but its Ritz values are off by up to 4.5e-12, and its own
+        # remainder bounds them by about 1e-10, above RITZ_TOL: the block must widen
+        d = RankOneModel(n=1500).build_d_eps(builtin_profile("MOLLIFIED_STEP"), 0.1, 0.0)
+        y = d.eigenvalues()
+        rounding = 8.0 * np.finfo(float).eps * float(d.f @ d.f + d.g @ d.g)
+
+        def read_errors_and_bound(theta, allowance):
+            # the distances of the read Ritz values from the dense spectrum, and the
+            # quadratic residual bound (R / 2) / (rho - sqrt(R)) with R raised by allowance
+            errors, rho = [], np.inf
+            for out, exact in ((theta[::-1], y[::-1]), (-theta, -y)):
+                read = max(int(np.count_nonzero(out > 0.4)), 1) + 1
+                errors.append(np.abs(out[:read] - exact[:read]))
+                rho = min(rho, float(np.min(np.abs(out[:read]))))
+            remainder = max(d.trace_power(2) - float(theta @ theta), 0.0) + allowance
+            assert remainder <= rho * rho
+            bound = (remainder / 2.0) / (rho - np.sqrt(remainder))
+            return np.concatenate(errors), remainder, bound
+
+        SpectralDifference.fill([d])
+        first = d._ritz
+        assert first.size == BLOCK_START
+        errors, remainder, bound = read_errors_and_bound(first, 0.0)
+        assert remainder > rounding and bound > RITZ_TOL
+        assert np.all(errors <= bound) and np.max(errors) > 1e-12
+
+        theta = d.window_eigenvalues(0.4)
+        assert theta.size == 2 * BLOCK_START
+        errors, remainder, bound = read_errors_and_bound(theta, 0.0)
+        assert remainder <= rounding or bound <= RITZ_TOL
+        # with the rounding of Tr D^2 allowed for, the bound still holds every read value
+        errors, remainder, bound = read_errors_and_bound(theta, rounding)
+        assert np.all(errors <= bound) and np.max(errors) <= RITZ_TOL
 
     def test_high_power_uses_the_dense_spectrum(self, model):
         # the dense spectrum is the oracle; Tr D^m for m >= 4 comes from the Ritz values
@@ -253,10 +294,11 @@ class TestStructuredDifference:
         assert d._dense is None
 
     def test_certificate_doubles_k_until_the_remainder_is_small(self):
-        # D = diag(f) has 50 eigenvalues of size at least 0.24: a block of 32
-        # leaves out more than rho^2 = 0.3^2 of Tr D^2, a block of 64 holds them all
-        outer = np.concatenate([[0.9], np.linspace(0.3, 0.24, 24)])
-        f = np.concatenate([outer, -outer, np.zeros(150)])
+        # D = diag(f) has 2 (BLOCK_START - 5) eigenvalues of size at least 0.24: a block
+        # of BLOCK_START leaves out more than rho^2 = 0.3^2 of Tr D^2, a block of
+        # 2 BLOCK_START holds them all
+        outer = np.concatenate([[0.9], np.linspace(0.3, 0.24, BLOCK_START - 6)])
+        f = np.concatenate([outer, -outer, np.zeros(200 - 2 * outer.size)])
         q = np.eye(200)
         d = SpectralDifference(q, f, np.zeros(200))
         w = d.window_eigenvalues(0.5)
@@ -266,11 +308,11 @@ class TestStructuredDifference:
         assert d._dense is None
 
     def test_a_doubled_block_draws_its_own_start(self, monkeypatch):
-        # the same 50 outer eigenvalues in a random orthogonal basis: a lone D
-        # draws its first block of 32, and the block of 64 is drawn afresh,
-        # with its own Q^T Omega
-        outer = np.concatenate([[0.9], np.linspace(0.3, 0.24, 24)])
-        f = np.concatenate([outer, -outer, np.zeros(150)])
+        # the same 2 (BLOCK_START - 5) outer eigenvalues in a random orthogonal basis: a
+        # lone D draws its first block of BLOCK_START, and the block of 2 BLOCK_START is
+        # drawn afresh, with its own Q^T Omega
+        outer = np.concatenate([[0.9], np.linspace(0.3, 0.24, BLOCK_START - 6)])
+        f = np.concatenate([outer, -outer, np.zeros(200 - 2 * outer.size)])
         q = np.linalg.qr(np.random.default_rng(7).standard_normal((200, 200)))[0]
         d = SpectralDifference(q, f, np.zeros(200))
         drawn = []
@@ -289,21 +331,24 @@ class TestStructuredDifference:
 
     @pytest.mark.parametrize("inner", [(), (0.3,)])
     def test_a_block_with_one_ritz_value_inside_the_threshold_widens(self, inner):
-        # 31 eigenvalues of 0.8, and 0 or 0.3 next: the first block of 32 spans the range
-        # of D, so its remainder is at rounding level, but it holds only one Ritz value
-        # <= 0.5 on the positive side, one too few to read an unfolded count: it must widen
+        # BLOCK_START - 1 eigenvalues of 0.8, and 0 or 0.3 next: the first block spans the
+        # range of D, so its remainder is at rounding level, but it holds only one Ritz value
+        # <= 0.5 on the positive side, one too few to read an unfolded count: it must widen.
+        # A wider block reads a zero eigenvalue on the negative side, so rho is at rounding
+        # level and how far it widens depends on the rounding of R
         q = np.linalg.qr(np.random.default_rng(0).standard_normal((200, 200)))[0]
-        f = np.concatenate([np.full(31, 0.8), inner, np.zeros(169 - len(inner))])
+        outer = np.full(BLOCK_START - 1, 0.8)
+        f = np.concatenate([outer, inner, np.zeros(200 - outer.size - len(inner))])
         d = SpectralDifference(q, f, np.zeros(200))
         w = d.window_eigenvalues(0.5)
-        assert w.size == 2 * BLOCK_START
+        assert w.size >= 2 * BLOCK_START
         beyond = w[np.abs(w) > 1e-8]
-        expected = np.concatenate([inner, np.full(31, 0.8)])
+        expected = np.concatenate([inner, outer])
         assert beyond.shape == expected.shape
         assert np.allclose(beyond, expected, rtol=0.0, atol=1e-14)
 
     def test_small_matrices_use_the_dense_spectrum(self):
-        # a block of min(32, n) = n columns spans the whole space: Rayleigh-Ritz is exact
+        # a block of min(BLOCK_START, n) = n columns spans the whole space: Rayleigh-Ritz is exact
         f = np.linspace(-0.9, 0.9, 8)
         q = np.eye(8)
         d = SpectralDifference(q, f, np.zeros(8))
@@ -357,7 +402,9 @@ class TestKeptBlock:
     CASES = {
         "zero coupling, m = 0": (dict(n=400, c=0.0), 0.0, lambda m, n: m == 0),
         "sech bump, m = n": (dict(n=400, bump="sech"), 0.0, lambda m, n: m == n),
-        "m < BLOCK_START": (dict(n=56), 0.0, lambda m, n: 0 < m < BLOCK_START),
+        # no n keeps fewer than 25 nodes at L = 8 (n = 51; below it the build refuses), so a
+        # kept block below BLOCK_START comes from a narrower model
+        "m < BLOCK_START": (dict(L=3.0, n=22), 0.0, lambda m, n: 0 < m < BLOCK_START),
         "negative coupling": (dict(n=400, c=-0.7), 0.0, lambda m, n: 0 < m < n),
         "lam = 0.2": (dict(n=400), 0.2, lambda m, n: 0 < m < n),
     }
