@@ -72,7 +72,9 @@ and over the Ritz values the window at 0.4 reads; and, against a per-eps
 reference kept here (the traces by row sums of Q∘Q one eps at a time, the
 first block orthonormalized by Householder QR), the largest relative trace
 difference and the largest |theta| difference over those eigenvalues and
-over the read Ritz values.
+over the read Ritz values; and the largest relative error of Tr D^4 and Tr
+D^6 (``HIGH_POWERS``, summed from the Ritz values, whose own certificate
+may widen the block) against the dense spectrum.
 K_eps: the
 grid sizes of the section and of the t-grid Nystrom route
 (``discretize_hankel`` of ``k_eps_kernel`` on ``default_grid`` and
@@ -110,6 +112,7 @@ EPSILONS = (0.1, 0.01, 3e-3)
 REPEATS = 3
 D_EPS_REPEATS = 15  # the traces and block pass cost under 0.05 s each at n = 4000
 BATCH_EPS = (1e-1, 3e-3, 8)  # geomspace arguments, the default sweep's eps grid
+HIGH_POWERS = (4, 6)  # powers of D_eps whose traces come from the Ritz values
 HANKEL_REPEATS = 15  # the K_eps trace pass and the round trip cost under 0.05 s each
 HANKEL_EPS = (1e-2, 1e-12, 21)  # geomspace arguments, as hankel-deep's unjittered grid
 HANKEL_POWERS = (1, 2, 3, 4, 6)
@@ -355,7 +358,7 @@ def batch_case(model, repeats: int) -> dict:
         times["block_pass_s"].append(t2 - t1)
 
     defects, theta_errors, read_errors, trace_differences, widths = [], [], [], [], []
-    theta_differences, read_differences = [], []
+    theta_differences, read_differences, high_trace_errors = [], [], []
     omega, s = SpectralDifference.start_block(points[0].q)
     for d in points:
         y = d.q @ (d.f[:, None] * s) - d.g[:, None] * omega
@@ -378,6 +381,8 @@ def batch_case(model, repeats: int) -> dict:
         theta_differences.append(float(np.max(np.abs(outer(theta) - outer(theta_qr)),
                                               initial=0.0)))
         read_differences.append(float(np.max(np.abs(np.subtract(*read_values(theta, theta_qr))))))
+        high_trace_errors += [abs(d.trace_power(k) - float(np.sum(y_dense ** float(k))))
+                              / float(np.sum(np.abs(y_dense) ** k)) for k in HIGH_POWERS]
     return {
         "n": model.n,
         "m": points[0].dim,
@@ -391,6 +396,7 @@ def batch_case(model, repeats: int) -> dict:
             "max_relative_trace_difference_from_reference": max(trace_differences),
             "max_abs_theta_minus_reference": max(theta_differences),
             "max_abs_read_theta_minus_reference": max(read_differences),
+            "max_relative_high_trace_error": max(high_trace_errors),
         },
     }
 

@@ -13,9 +13,12 @@ solved from the secular equation in O(m^2).
 ``Q diag(f) Q^T - diag(g)`` factored: its low traces cost O(n^2), its
 numerical spectrum comes from one block Rayleigh-Ritz pass of
 ``BLOCK_START`` columns, widened until the remainder Tr D^2 minus the sum of
-theta^2 certifies both that no eigenvalue a window reads is missing and
-that each Ritz value it reads is within ``RITZ_TOL``, and the dense matrix
-is built only on demand, as a test oracle.  Many
+theta^2 certifies what is read from it: that no eigenvalue a window reads is
+missing and each Ritz value it reads is within ``RITZ_TOL``, or that a trace
+of a power above 3 is within ``RITZ_TOL`` relative, unless the remainder is
+down to the rounding of Tr D^2, where the certified error is the bound at
+that rounding.  The dense matrix is built only on demand, as a test oracle.
+Many
 differences on one Q (a sweep's eps) take their traces in one pass over Q
 and their block passes a chunk at a time, from the one start (Ω, Q^T Ω)
 that ``SpectralDifference.fill`` draws for them, each chunk one product
@@ -52,7 +55,7 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
 BLOCK_START = 24  # columns of the first block pass, doubled until certified
-RITZ_TOL = 1e-11  # largest certified error of a Ritz value that a window reads
+RITZ_TOL = 1e-11  # certified error of a read Ritz value, and relative one of Tr D^m, m > 3
 SECULAR_MAX_ITER = 40  # dlaed4 allows 30; a converging root needs about 5
 STRIP_WIDTH = 64  # rows or columns per strip of an O(m^2) pass: none makes an m x m temporary
 # relative size of the kick that makes a block pass's D Ω full rank: it keeps the block's
@@ -459,15 +462,33 @@ class SpectralDifference:
     def trace_power(self, m: int) -> float:
         """Tr D^m: from ``fill`` for m <= 3, from the Ritz values above.
 
-        For m >= 4 the sum of theta^m misses at most R^(m/2), R = Tr D^2 minus
-        the sum of theta^2; the block widens until that is within 1e-12 of the
-        sum of |theta|^m.
+        For m >= 4 the block widens until the sum of theta^m is certified
+        within ``RITZ_TOL`` times the sum of |theta|^m, or until R is down to
+        the rounding of Tr D^2 (``_ritz_values``).  With the Ritz values
+        matched to the eigenvalues y by interlacing, the positive ones to the
+        largest y, the negative ones to the smallest, the terms y^2 - theta^2
+        and the unmatched y^2 are >= 0 and sum to R.  A term with |theta| > tau
+        is bounded through |y - theta| <= delta = (R / 2) / (|theta| - sqrt(R)),
+        the bound ``window_eigenvalues`` uses, by m (|theta| + delta)^(m - 1)
+        delta; the others, with y^2 <= tau^2 + R, by (m / 2) (tau^2 + R)^(m/2 - 1)
+        times their share of R.  The bound is the least over tau >= sqrt(R).
         """
         check_trace_powers((m,))
         if _from_ritz(m):
-            theta = self._ritz_values(
-                lambda theta, r: max(r, 0.0) ** (m / 2) <= 1e-12 * np.sum(np.abs(theta) ** m)
-            )
+
+            def certified(theta: np.ndarray, remainder: float, floor: bool) -> bool:
+                if floor:
+                    return True
+                size = np.sort(np.abs(theta))[::-1]
+                root = np.sqrt(remainder)
+                big = size[size > root]
+                delta = (remainder / 2.0) / (big - root)
+                outer = np.concatenate(([0.0], np.cumsum(m * (big + delta) ** (m - 1) * delta)))
+                tau = np.append(big, root)  # tau = big[i] bounds big[:i] through delta
+                inner = (m / 2.0) * (tau * tau + remainder) ** (m / 2.0 - 1.0) * remainder
+                return float(np.min(outer + inner)) <= RITZ_TOL * float(np.sum(size ** m))
+
+            theta = self._ritz_values(certified)
             return float(np.sum(theta ** float(m)))
         if self._traces is None:
             self.fill([self], windows=False)
@@ -481,20 +502,17 @@ class SpectralDifference:
         among those.  The block widens until at least two Ritz values per
         side are not beyond b, R = Tr D^2 minus the sum of theta^2 is at most
         rho^2, so that no eigenvalue with |y| > rho can be missing, and every
-        read theta is within ``RITZ_TOL`` of an eigenvalue.  In the basis
+        read theta is within ``RITZ_TOL`` of an eigenvalue, or until R is
+        down to the rounding of Tr D^2 (``_ritz_values``).  In the basis
         [V, V_perp], R = 2 ||E||_F^2 + ||A_2||_F^2 with E and A_2 the blocks
         of D off and outside V, so the quadratic residual bound (Li & Li
         2005) gives |y - theta| <= (R / 2) / (|theta| - sqrt(R)) for every
-        read |theta| > sqrt(R), largest at theta = rho.  A block whose R is
-        within the rounding of Tr D^2, 8 eps (||f||^2 + ||g||^2), four
-        roundings of the terms Tr D^2 is formed from, is accepted too: no
-        wider block can lower R, and the bound holds with R at that
-        allowance.
+        read |theta| > sqrt(R), largest at theta = rho.
         """
         if not b > 0:
             raise ValueError(f"threshold must be positive, got {b!r}")
 
-        def certified(theta: np.ndarray, remainder: float) -> bool:
+        def certified(theta: np.ndarray, remainder: float, floor: bool) -> bool:
             rho = np.inf
             for out in (theta[::-1], -theta):  # signed distances, outermost first
                 inside = int(np.count_nonzero(out <= b))
@@ -502,26 +520,36 @@ class SpectralDifference:
                     return False
                 read = max(out.size - inside, 1) + 1
                 rho = min(rho, float(np.min(np.abs(out[:read]))))
-            if not remainder <= rho * rho:
-                return False
-            rounding = 8.0 * _EPS * float(self.f @ self.f + self.g @ self.g)
-            return (remainder <= rounding
-                    or remainder / 2.0 <= RITZ_TOL * (rho - np.sqrt(remainder)))
+            return floor or (remainder <= rho * rho
+                             and remainder / 2.0 <= RITZ_TOL * (rho - np.sqrt(remainder)))
 
         return self._ritz_values(certified)
 
-    def _ritz_values(self, accept) -> np.ndarray:
+    def _ritz_values(self, certified) -> np.ndarray:
         """Eigenvalues theta of V^T D V, V an orthonormal basis of D Ω, cached.
 
         Ω has l columns: l starts at ``BLOCK_START``, through ``fill``, and
-        doubles, each time from a fresh Ω, until
-        ``accept(theta, R)``, or until l = n, where Rayleigh-Ritz spans the
-        whole space and is exact.
+        doubles, each time from a fresh Ω, until ``certified(theta, R,
+        floor)``, or until l = n, where Rayleigh-Ritz spans the whole space
+        and is exact.  R is the remainder Tr D^2 minus the sum of theta^2,
+        clamped at 0 and raised by the rounding of Tr D^2, 8 eps (||f||^2 +
+        ||g||^2), four roundings of the terms it is formed from, so that it
+        bounds the exact remainder.  ``floor`` says that the remainder is
+        within that rounding: no wider block can lower it, so ``certified``
+        then checks only what does not rest on R.  Such a block leaves out no
+        eigenvalue with y^2 above twice the rounding, and the bounds of
+        ``certified`` hold with R at twice the rounding: for a Ritz value at
+        rho, (rounding) / (rho - sqrt(2 rounding)), which exceeds
+        ``RITZ_TOL`` when rho is small.
         """
         if self._ritz is None:
             self.fill([self])
         theta, n = self._ritz, self.dim
-        while theta.size < n and not accept(theta, self.trace_power(2) - float(theta @ theta)):
+        rounding = 8.0 * _EPS * float(self.f @ self.f + self.g @ self.g)
+        while theta.size < n:
+            remainder = self.trace_power(2) - float(theta @ theta)
+            if certified(theta, max(remainder, 0.0) + rounding, remainder <= rounding):
+                break
             theta = _ritz_chunk(self.q, [self], *self.start_block(self.q, 2 * theta.size))[0]
         self._ritz = theta
         return theta

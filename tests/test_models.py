@@ -234,33 +234,68 @@ class TestStructuredDifference:
         y = d.eigenvalues()
         rounding = 8.0 * np.finfo(float).eps * float(d.f @ d.f + d.g @ d.g)
 
-        def read_errors_and_bound(theta, allowance):
-            # the distances of the read Ritz values from the dense spectrum, and the
-            # quadratic residual bound (R / 2) / (rho - sqrt(R)) with R raised by allowance
+        def read_errors_and_bound(theta):
+            # the distances of the read Ritz values from the dense spectrum, the remainder,
+            # and the quadratic residual bound (R / 2) / (rho - sqrt(R)), R raised by the
+            # rounding of Tr D^2
             errors, rho = [], np.inf
             for out, exact in ((theta[::-1], y[::-1]), (-theta, -y)):
                 read = max(int(np.count_nonzero(out > 0.4)), 1) + 1
                 errors.append(np.abs(out[:read] - exact[:read]))
                 rho = min(rho, float(np.min(np.abs(out[:read]))))
-            remainder = max(d.trace_power(2) - float(theta @ theta), 0.0) + allowance
-            assert remainder <= rho * rho
-            bound = (remainder / 2.0) / (rho - np.sqrt(remainder))
-            return np.concatenate(errors), remainder, bound
+            remainder = d.trace_power(2) - float(theta @ theta)
+            r = max(remainder, 0.0) + rounding
+            assert r <= rho * rho
+            return np.concatenate(errors), remainder, (r / 2.0) / (rho - np.sqrt(r))
 
         SpectralDifference.fill([d])
         first = d._ritz
         assert first.size == BLOCK_START
-        errors, remainder, bound = read_errors_and_bound(first, 0.0)
+        errors, remainder, bound = read_errors_and_bound(first)
         assert remainder > rounding and bound > RITZ_TOL
         assert np.all(errors <= bound) and np.max(errors) > 1e-12
 
         theta = d.window_eigenvalues(0.4)
         assert theta.size == 2 * BLOCK_START
-        errors, remainder, bound = read_errors_and_bound(theta, 0.0)
+        errors, remainder, bound = read_errors_and_bound(theta)
         assert remainder <= rounding or bound <= RITZ_TOL
-        # with the rounding of Tr D^2 allowed for, the bound still holds every read value
-        errors, remainder, bound = read_errors_and_bound(theta, rounding)
         assert np.all(errors <= bound) and np.max(errors) <= RITZ_TOL
+
+    def test_the_fourth_power_widens_until_its_trace_is_certified(self):
+        # MOLLIFIED_STEP at n = 4000 and eps = 0.03: the first block leaves out only R^2 of
+        # about 2e-18 of Tr D^4, but its Ritz values are off by up to 4e-10, so the sum of
+        # theta^4 misses Tr D^4 by about 2e-9 relative: the block must widen
+        model = RankOneModel(n=4000)
+        d = model.build_d_eps(builtin_profile("MOLLIFIED_STEP"), 0.03, 0.0)
+        exact = float(np.sum(d.eigenvalues() ** 4.0))
+        SpectralDifference.fill([d], (4,), windows=False)
+        assert d._ritz.size == BLOCK_START
+        assert abs(float(np.sum(d._ritz ** 4.0)) - exact) > 1e-10 * exact
+        assert abs(d.trace_power(4) - exact) <= RITZ_TOL * exact
+        assert d._ritz.size == 2 * BLOCK_START
+        # ARCTAN_HALF at eps = 0.1: the first block's remainder is within the rounding of
+        # Tr D^2, where the bound reads 1.7e-11 relative, above RITZ_TOL; no wider block can
+        # lower it, so the block stays
+        d = model.build_d_eps(builtin_profile("ARCTAN_HALF"), 0.1, 0.0)
+        exact = float(np.sum(d.eigenvalues() ** 4.0))
+        assert abs(d.trace_power(4) - exact) <= RITZ_TOL * exact
+        assert d._ritz.size == BLOCK_START
+
+    @pytest.mark.parametrize("name", ["ARCTAN_HALF", "TANH_HALF", "MOLLIFIED_STEP"])
+    def test_high_power_traces_hold_from_a_narrow_first_block(self, monkeypatch, name):
+        # a first block of 8 columns misses up to 1e-4 relative of Tr D^6 at n = 800 with
+        # R^3 far below it; the certificate widens each block until the sum of theta^m
+        # is within RITZ_TOL relative
+        draw = SpectralDifference.start_block
+        monkeypatch.setattr(SpectralDifference, "start_block",
+                            staticmethod(lambda q, columns=8: draw(q, columns)))
+        model = RankOneModel(n=800)
+        for eps in (0.1, 0.03, 0.01, 3e-3):
+            y = model.build_d_eps(builtin_profile(name), eps, 0.0).eigenvalues()
+            for m in (4, 5, 6):
+                d = model.build_d_eps(builtin_profile(name), eps, 0.0)
+                value, scale = d.trace_power(m), float(np.sum(np.abs(y) ** m))
+                assert abs(value - float(np.sum(y ** float(m)))) <= RITZ_TOL * scale, (eps, m)
 
     def test_high_power_uses_the_dense_spectrum(self, model):
         # the dense spectrum is the oracle; Tr D^m for m >= 4 comes from the Ritz values
@@ -341,7 +376,7 @@ class TestStructuredDifference:
         f = np.concatenate([outer, inner, np.zeros(200 - outer.size - len(inner))])
         d = SpectralDifference(q, f, np.zeros(200))
         w = d.window_eigenvalues(0.5)
-        assert w.size >= 2 * BLOCK_START
+        assert w.size == 2 * BLOCK_START
         beyond = w[np.abs(w) > 1e-8]
         expected = np.concatenate([inner, outer])
         assert beyond.shape == expected.shape
