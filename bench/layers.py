@@ -43,7 +43,9 @@ default rank-one model (gaussian bump, L = 8) it times, as medians over
 - the set-up cost of every ``specdiff`` command: a fresh
   ``python -c "import specdiff.cli"`` (what the console script loads) beside
   a fresh ``python -c "import numpy"``, medians over ``IMPORT_PROCESSES``
-  processes of each, run alternately.
+  processes of each, run alternately, all reading one bytecode cache (a
+  ``PYTHONPYCACHEPREFIX`` in a temporary directory, written by one untimed
+  import first), so that no run times the compiler.
 
 The cross-checks, taken in the same run.  Nodes: the largest node and
 relative weight differences of ``gauss_legendre`` and of NumPy's
@@ -54,17 +56,21 @@ of the block's eigenvalues, with the deflated nodes' x_j, from the dense
 ``numpy.linalg.eigh`` of H, solved once per (n, c) with its reconstruction
 residual; and, on the m x m kept block, the largest P difference from the
 dense ``eigh`` of the block, the largest column residual
-|x∘q_k + c u (u^T q_k) - w_k q_k| and the orthogonality defect
-max|Q^T Q - I|.  D_eps: m, and against
+|x∘q_k + c u (u^T q_k) - w_k q_k|, the orthogonality defect
+max|Q^T Q - I|, and the largest deviations from 1 of the column sums
+sum_i Q_ij^2 and of the row sums sum_j Q_ij^2 of Q∘Q, which the traces of
+D_eps take to be 1.  D_eps: m, and against
 the dense ``eigvalsh`` of the n x n D_eps from the dense H, once per
 (n, eps): the largest relative trace error, the largest |theta - y| over
 the dense eigenvalues with |y| > 1e-6, matched from the outside in on each
 side, the same over the Ritz values the window at 0.4 reads, and the counts
 in (0.4, 1) by both routes; then the block width, the certificate
 remainder R = Tr D^2 minus the sum of theta^2, and the bound the
-certificate puts on the read Ritz values, (R / 2) / (rho - sqrt(R)) with R
-clamped at 0 and raised by its rounding allowance 8 eps (||f||^2 +
-||g||^2), rho the smallest read |theta|.  Batched D_eps:
+certificate puts on the read Ritz values, R / (2 rho) with R clamped at 0
+and raised by its rounding allowance 8 eps (||f||^2 + ||g||^2), rho the
+smallest read |theta|; and the cancellation-free Tr D^2 =
+sum_ij Q_ij^2 (f_j - g_i)^2, untimed, with the ratio of the package's Tr
+D^2 error to that allowance.  Batched D_eps:
 the largest orthogonality defect max|V^T V - I| of the 8 first blocks; the
 largest |theta - y| against the dense ``eigvalsh`` of each D on the kept
 block, over the eigenvalues with |y| > 1e-6, matched from the outside in,
@@ -87,8 +93,9 @@ their closed forms, and the round trip's sup error against
 error of the Nystrom Tr K and Tr K^2 from their closed forms, the largest
 reconstruction error max|K - L^T L / pi| and the smallest eigenvalue of K.
 Import: the number of SciPy modules a fresh ``import specdiff.cli`` loads,
-0.  The machine block records the core count, the BLAS NumPy was built with
-and the BLAS thread setting.
+0.  The machine block records the core count, the BLAS NumPy was built with,
+the BLAS thread setting, and the bytecode variables ``BYTECODE_VARS`` of the
+environment the script runs in.
 """
 
 from __future__ import annotations
@@ -106,6 +113,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BYTECODE_VARS = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
 SIZES = (800, 1500, 4000)
 COUPLINGS = (0.5, -0.7)
 EPSILONS = (0.1, 0.01, 3e-3)
@@ -132,6 +140,7 @@ def machine() -> dict:
         "usable_cores": len(os.sched_getaffinity(0)),
         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
         "blas_threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "bytecode": {var: os.environ.get(var) for var in BYTECODE_VARS},
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -221,6 +230,7 @@ def h_case(model, dense, repeats: int) -> dict:
 
     a, (w_dense, q_dense) = model.h.entries, dense
     w_block, q_block = np.linalg.eigh(fresh.block.entries)
+    p = q * q
     # the deflated nodes keep (x_j, e_j): with them, the block's eigenvalues are H's
     w_h = np.sort(np.concatenate((w, np.delete(fresh.nodes, fresh.kept))))
     return {
@@ -232,9 +242,11 @@ def h_case(model, dense, repeats: int) -> dict:
         "eig_peak_block_arrays": peak / (8.0 * fresh.kept.size ** 2),
         "cross_checks": {
             "max_abs_w_minus_dense": float(np.max(np.abs(w_h - w_dense))),
-            "max_abs_p_minus_dense": float(np.max(np.abs(q * q - q_block * q_block))),
+            "max_abs_p_minus_dense": float(np.max(np.abs(p - q_block * q_block))),
             "max_column_residual": fresh.block.residual(w, q),
             "orthogonality_defect": float(np.max(np.abs(q.T @ q - np.eye(q.shape[1])))),
+            "p_column_sum_defect": float(np.max(np.abs(np.sum(p, axis=0) - 1.0))),
+            "p_row_sum_defect": float(np.max(np.abs(np.sum(p, axis=1) - 1.0))),
             "dense_reconstruction_residual":
                 float(np.max(np.abs((q_dense * w_dense) @ q_dense.T - a))),
             "entry_scale": max(1.0, float(np.max(np.abs(a)))),
@@ -277,7 +289,10 @@ def spectrum_case(model, dense, eps: float, repeats: int) -> dict:
     read, matched = read_values(theta, y)
     rho = float(np.min(np.abs(read)))
     remainder = d.trace_power(2) - float(theta @ theta)
-    r = max(remainder, 0.0) + 8.0 * float(np.finfo(float).eps) * float(d.f @ d.f + d.g @ d.g)
+    allowance = 8.0 * float(np.finfo(float).eps) * float(d.f @ d.f + d.g @ d.g)
+    r = max(remainder, 0.0) + allowance
+    # every term of sum_ij Q_ij^2 (f_j - g_i)^2 is >= 0: no cancellation
+    trace_2 = float(np.sum(d.q * d.q * np.subtract.outer(d.g, d.f) ** 2))
     return {
         "n": model.n,
         "m": d.dim,
@@ -292,7 +307,9 @@ def spectrum_case(model, dense, eps: float, repeats: int) -> dict:
             "count_dense": count_window(y, (0.4, 1.0)),
             "block_width": int(theta.size),
             "remainder": remainder,
-            "ritz_error_bound": (r / 2.0) / (rho - np.sqrt(r)),
+            "ritz_error_bound": r / (2.0 * rho),
+            "trace_2_cancellation_free": trace_2,
+            "trace_2_error_over_allowance": abs(d.trace_power(2) - trace_2) / allowance,
         },
     }
 
@@ -527,11 +544,17 @@ def roundtrip_case(repeats: int) -> dict:
 
 
 def import_case(processes: int) -> dict:
-    """Medians over ``processes`` fresh interpreters of the import of specdiff.cli and of NumPy."""
+    """Medians over ``processes`` fresh interpreters of the import of specdiff.cli and of NumPy.
+
+    The interpreters share a bytecode cache in a temporary directory, which
+    one untimed import of specdiff.cli (and so of NumPy) writes first.
+    """
     import subprocess
+    import tempfile
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)  # the untimed import must write the cache
 
     def python(code: str) -> tuple[float, str]:
         t0 = time.perf_counter()
@@ -540,11 +563,14 @@ def import_case(processes: int) -> dict:
         return time.perf_counter() - t0, out
 
     times = {"numpy_s": [], "specdiff_s": []}
-    for _ in range(processes):
-        times["numpy_s"].append(python("import numpy")[0])
-        times["specdiff_s"].append(python("import specdiff.cli")[0])
-    loaded = python("import sys, specdiff.cli; "
-                    "print(sum(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")[1]
+    with tempfile.TemporaryDirectory() as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        python("import specdiff.cli")
+        for _ in range(processes):
+            times["numpy_s"].append(python("import numpy")[0])
+            times["specdiff_s"].append(python("import specdiff.cli")[0])
+        loaded = python("import sys, specdiff.cli; print(sum(m == 'scipy' or "
+                        "m.startswith('scipy.') for m in sys.modules))")[1]
     return {
         "processes": processes,
         **{key: statistics.median(values) for key, values in times.items()},

@@ -13,13 +13,13 @@ solved from the secular equation in O(m^2).
 ``Q diag(f) Q^T - diag(g)`` factored: its low traces cost O(n^2), its
 numerical spectrum comes from one block Rayleigh-Ritz pass of
 ``BLOCK_START`` columns, widened until the remainder Tr D^2 minus the sum of
-theta^2 certifies what is read from it: that no eigenvalue a window reads is
+theta^2 certifies what is read from it, by one interlacing identity
+(``SpectralDifference._ritz_values``): that no eigenvalue a window reads is
 missing and each Ritz value it reads is within ``RITZ_TOL``, or that a trace
 of a power above 3 is within ``RITZ_TOL`` relative, unless the remainder is
 down to the rounding of Tr D^2, where the certified error is the bound at
 that rounding.  The dense matrix is built only on demand, as a test oracle.
-Many
-differences on one Q (a sweep's eps) take their traces in one pass over Q
+Many differences on one Q (a sweep's eps) take their traces in one pass over Q
 and their block passes a chunk at a time, from the one start (Ω, Q^T Ω)
 that ``SpectralDifference.fill`` draws for them, each chunk one product
 with Q and one with Q^T, orthonormalized by shifted CholeskyQR3.  The
@@ -462,31 +462,18 @@ class SpectralDifference:
     def trace_power(self, m: int) -> float:
         """Tr D^m: from ``fill`` for m <= 3, from the Ritz values above.
 
-        For m >= 4 the block widens until the sum of theta^m is certified
-        within ``RITZ_TOL`` times the sum of |theta|^m, or until R is down to
-        the rounding of Tr D^2 (``_ritz_values``).  With the Ritz values
-        matched to the eigenvalues y by interlacing, the positive ones to the
-        largest y, the negative ones to the smallest, the terms y^2 - theta^2
-        and the unmatched y^2 are >= 0 and sum to R.  A term with |theta| > tau
-        is bounded through |y - theta| <= delta = (R / 2) / (|theta| - sqrt(R)),
-        the bound ``window_eigenvalues`` uses, by m (|theta| + delta)^(m - 1)
-        delta; the others, with y^2 <= tau^2 + R, by (m / 2) (tau^2 + R)^(m/2 - 1)
-        times their share of R.  The bound is the least over tau >= sqrt(R).
+        For m >= 4 the block widens until the sum of theta^m is within
+        ``RITZ_TOL`` times the sum of |theta|^m by the bound of
+        ``_trace_bound``, or until R is down to the rounding of Tr D^2
+        (``_ritz_values``).
         """
         check_trace_powers((m,))
         if _from_ritz(m):
 
             def certified(theta: np.ndarray, remainder: float, floor: bool) -> bool:
-                if floor:
-                    return True
-                size = np.sort(np.abs(theta))[::-1]
-                root = np.sqrt(remainder)
-                big = size[size > root]
-                delta = (remainder / 2.0) / (big - root)
-                outer = np.concatenate(([0.0], np.cumsum(m * (big + delta) ** (m - 1) * delta)))
-                tau = np.append(big, root)  # tau = big[i] bounds big[:i] through delta
-                inner = (m / 2.0) * (tau * tau + remainder) ** (m / 2.0 - 1.0) * remainder
-                return float(np.min(outer + inner)) <= RITZ_TOL * float(np.sum(size ** m))
+                size = np.abs(theta)
+                return floor or (_trace_bound(size, remainder, m)
+                                 <= RITZ_TOL * float(np.sum(size ** m)))
 
             theta = self._ritz_values(certified)
             return float(np.sum(theta ** float(m)))
@@ -501,13 +488,10 @@ class SpectralDifference:
         eigenvalues farthest out, j of them beyond b; rho is the smallest |y|
         among those.  The block widens until at least two Ritz values per
         side are not beyond b, R = Tr D^2 minus the sum of theta^2 is at most
-        rho^2, so that no eigenvalue with |y| > rho can be missing, and every
-        read theta is within ``RITZ_TOL`` of an eigenvalue, or until R is
-        down to the rounding of Tr D^2 (``_ritz_values``).  In the basis
-        [V, V_perp], R = 2 ||E||_F^2 + ||A_2||_F^2 with E and A_2 the blocks
-        of D off and outside V, so the quadratic residual bound (Li & Li
-        2005) gives |y - theta| <= (R / 2) / (|theta| - sqrt(R)) for every
-        read |theta| > sqrt(R), largest at theta = rho.
+        rho^2, so that no eigenvalue with |y| > rho can be missing, and
+        R / (2 rho) is at most ``RITZ_TOL``, so that every read theta is
+        within it of its eigenvalue, or until R is down to the rounding of
+        Tr D^2 (``_ritz_values``).
         """
         if not b > 0:
             raise ValueError(f"threshold must be positive, got {b!r}")
@@ -520,8 +504,7 @@ class SpectralDifference:
                     return False
                 read = max(out.size - inside, 1) + 1
                 rho = min(rho, float(np.min(np.abs(out[:read]))))
-            return floor or (remainder <= rho * rho
-                             and remainder / 2.0 <= RITZ_TOL * (rho - np.sqrt(remainder)))
+            return floor or (remainder <= rho * rho and remainder <= 2.0 * RITZ_TOL * rho)
 
         return self._ritz_values(certified)
 
@@ -534,13 +517,19 @@ class SpectralDifference:
         and is exact.  R is the remainder Tr D^2 minus the sum of theta^2,
         clamped at 0 and raised by the rounding of Tr D^2, 8 eps (||f||^2 +
         ||g||^2), four roundings of the terms it is formed from, so that it
-        bounds the exact remainder.  ``floor`` says that the remainder is
-        within that rounding: no wider block can lower it, so ``certified``
-        then checks only what does not rest on R.  Such a block leaves out no
-        eigenvalue with y^2 above twice the rounding, and the bounds of
-        ``certified`` hold with R at twice the rounding: for a Ritz value at
-        rho, (rounding) / (rho - sqrt(2 rounding)), which exceeds
-        ``RITZ_TOL`` when rho is small.
+        bounds the exact remainder.  Both readers certify from one identity.
+        Match the positive theta to the largest eigenvalues y of D and the
+        negative ones to the smallest.  By Cauchy interlacing each matched
+        |y_k| >= |theta_k|, so each y_k^2 - theta_k^2 and each unmatched y^2
+        is >= 0, and together they sum to the exact remainder, at most R.
+        So |y_k - theta_k| <= R / (2 |theta_k|), no unmatched |y| exceeds
+        sqrt(R), and every y^2 <= max theta^2 + R, so that for m >= 2
+        |Tr D^m - sum theta^m| <= (m / 2) (max theta^2 + R)^(m/2 - 1) R
+        (``_trace_bound``).  ``floor`` says that the remainder is within that
+        rounding: no wider block can lower it, so ``certified`` then checks
+        only what does not rest on R.  Such a block's bounds hold with R at
+        twice the rounding: for a Ritz value at rho, (rounding) / rho, which
+        exceeds ``RITZ_TOL`` when rho is small.
         """
         if self._ritz is None:
             self.fill([self])
@@ -561,6 +550,15 @@ class SpectralDifference:
 def _from_ritz(m: int) -> bool:
     """Whether ``trace_power`` takes Tr D^m from the Ritz values, not from ``fill``'s traces."""
     return m > 3
+
+
+def _trace_bound(size: np.ndarray, remainder: float, m: int) -> float:
+    """(m / 2) (max(size)^2 + R)^(m/2 - 1) R, ``size`` the |theta| of a block (``_ritz_values``).
+
+    The power is taken on an array, which NumPy rounds apart from a scalar's.
+    """
+    top = np.max(size, keepdims=True)
+    return float(((m / 2.0) * (top * top + remainder) ** (m / 2.0 - 1.0) * remainder)[0])
 
 
 def _low_traces(q: np.ndarray, points: list[SpectralDifference]) -> list[tuple[float, ...]]:

@@ -33,9 +33,9 @@ def check_summary(summary) -> None:
 
     A sweep summary (``SweepResult.summary_dict``) is an object with a
     "records" list and a "fitted_slopes" table.  Each record is an object
-    with a number "log_inv_eps" and a "counts" table; "windows", if present,
-    is a list of strings, and every table in ``TABLES`` that is present maps
-    its keys to numbers.  A number is finite.
+    with a number "log_inv_eps" and a "counts" table of numbers >= 0;
+    "windows", if present, is a list of strings, and every table in
+    ``TABLES`` that is present maps its keys to numbers.  A number is finite.
     """
     if not isinstance(summary, dict):
         raise ValueError(f"expected a JSON object, got {type(summary).__name__}")
@@ -44,9 +44,10 @@ def check_summary(summary) -> None:
         raise ValueError('it needs a "records" list and a "fitted_slopes" object')
     for i, record in enumerate(summary["records"]):
         if not (isinstance(record, dict) and _is_number(record.get("log_inv_eps"))
-                and _is_table(record.get("counts"))):
+                and _is_table(record.get("counts"))
+                and all(v >= 0 for v in record["counts"].values())):
             raise ValueError(f'record {i} needs a number "log_inv_eps" and a "counts" '
-                             f"object of numbers")
+                             f"object of numbers >= 0")
     windows = summary.get("windows", [])
     if not (isinstance(windows, list) and all(isinstance(w, str) for w in windows)):
         raise ValueError('"windows" must be a list of strings')
@@ -81,8 +82,6 @@ def render_text(summary: dict) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

@@ -27,6 +27,7 @@ def test_machine_info(bench):
     machine = bench.machine()
     assert machine["nproc"] >= 1 and machine["blas"]["name"]
     assert set(machine["blas_threads"]) == set(bench.THREAD_VARS)
+    assert set(machine["bytecode"]) == set(bench.BYTECODE_VARS)
 
 
 def test_nodes_case_times_the_rule_and_cross_checks_it(bench):
@@ -55,6 +56,7 @@ def test_h_case_times_the_package_and_cross_checks_it(bench, c):
     assert checks["max_abs_p_minus_dense"] <= 1e-12
     assert checks["max_column_residual"] <= 1e-13 * scale
     assert checks["orthogonality_defect"] <= 1e-12
+    assert checks["p_column_sum_defect"] <= 1e-13 and checks["p_row_sum_defect"] <= 1e-13
     # roots_s times the root iteration of the solve that eig makes
     d, z = bench.secular_input(model.block)
     origin, tau = matrices._secular_roots(d, z)
@@ -77,6 +79,8 @@ def test_spectrum_case_times_the_package_and_cross_checks_it(bench, eps):
     assert checks["block_width"] < row["m"]
     assert abs(checks["remainder"]) <= 1e-12
     assert checks["max_abs_read_theta_minus_dense"] <= checks["ritz_error_bound"] <= 1e-11
+    # the certificate raises R by its rounding allowance for Tr D^2: the error must fit in it
+    assert checks["trace_2_error_over_allowance"] <= 1.0
 
 
 def test_batch_case_times_the_package_and_cross_checks_it(bench):
@@ -139,6 +143,7 @@ def test_committed_file_matches_the_script(bench, monkeypatch, tmp_path):
                for row in rows)
     assert all(row["cross_checks"]["max_abs_read_theta_minus_dense"]
                <= row["cross_checks"]["ritz_error_bound"] for row in rows)
+    assert all(row["cross_checks"]["trace_2_error_over_allowance"] <= 1.0 for row in rows)
     assert [row["n"] for row in committed["d_eps_batch"]] == list(bench.SIZES)
     for row in committed["d_eps_batch"]:
         assert row["eps"] == list(bench.BATCH_EPS)

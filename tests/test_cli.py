@@ -464,6 +464,20 @@ class TestReportCommand:
         assert "specdiff: error" in err and "not a sweep summary" in err
         assert not svg_path.exists()
 
+    def test_negative_counts_exit_two(self, capsys, summary_path, tmp_path):
+        # a count is never negative; with every count -1 the chart's count axis would have no
+        # span to divide by
+        summary = json.loads(summary_path.read_text())
+        for record in summary["records"]:
+            record["counts"] = dict.fromkeys(record["counts"], -1)
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(summary))
+        svg_path = tmp_path / "negative.svg"
+        code, out, err = run(capsys, ["report", "--input", str(path), "--svg", str(svg_path)])
+        assert (code, out) == (2, "")
+        assert "not a sweep summary" in err and "numbers >= 0" in err
+        assert not svg_path.exists()
+
     @pytest.mark.parametrize("field", ["log_inv_eps", "fitted_slope"])
     def test_overflowing_scales_exit_two(self, capsys, summary_path, tmp_path, field):
         # every number is finite, but max - min of log_inv_eps, or slope * x, is not: the

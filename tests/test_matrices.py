@@ -119,6 +119,31 @@ class TestEig:
         full = SelfAdjointMatrix(sym).eig()[0]
         assert np.allclose(fast, full, atol=1e-12)
 
+    @pytest.mark.parametrize("solver, method", [("eigh", "eig"), ("eigvalsh", "eigenvalues")])
+    def test_an_eigensolver_failure_is_an_eigendecomposition_error(self, monkeypatch, solver,
+                                                                   method):
+        def fail(a):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, fail)
+        a = random_symmetric(np.random.default_rng(2), 8)
+        with pytest.raises(EigendecompositionError, match="eigensolver failed on a 8x8"):
+            getattr(a, method)()
+
+    def test_a_decomposition_that_does_not_reproduce_its_matrix_raises(self, monkeypatch):
+        # eigenvalues 1e-8 off leave a reconstruction residual of about 1e-8, above 1e-10
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            w, q = eigh(a)
+            return w + 1e-8, q
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        a = random_symmetric(np.random.default_rng(2), 8)
+        with pytest.raises(EigendecompositionError, match="reconstruction residual"):
+            a.eig()
+        assert a._eigvecs is None
+
 
 def quadrature_coupling(n, bump, L=8.0):
     """Gauss-Legendre nodes on (-L, L) and the weighted coupling of a bump."""

@@ -236,8 +236,7 @@ class TestStructuredDifference:
 
         def read_errors_and_bound(theta):
             # the distances of the read Ritz values from the dense spectrum, the remainder,
-            # and the quadratic residual bound (R / 2) / (rho - sqrt(R)), R raised by the
-            # rounding of Tr D^2
+            # and the interlacing bound R / (2 rho), R raised by the rounding of Tr D^2
             errors, rho = [], np.inf
             for out, exact in ((theta[::-1], y[::-1]), (-theta, -y)):
                 read = max(int(np.count_nonzero(out > 0.4)), 1) + 1
@@ -246,7 +245,7 @@ class TestStructuredDifference:
             remainder = d.trace_power(2) - float(theta @ theta)
             r = max(remainder, 0.0) + rounding
             assert r <= rho * rho
-            return np.concatenate(errors), remainder, (r / 2.0) / (rho - np.sqrt(r))
+            return np.concatenate(errors), remainder, r / (2.0 * rho)
 
         SpectralDifference.fill([d])
         first = d._ritz
@@ -296,6 +295,52 @@ class TestStructuredDifference:
                 d = model.build_d_eps(builtin_profile(name), eps, 0.0)
                 value, scale = d.trace_power(m), float(np.sum(np.abs(y) ** m))
                 assert abs(value - float(np.sum(y ** float(m)))) <= RITZ_TOL * scale, (eps, m)
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_the_trace_bound_is_the_least_of_the_tau_search(self, m):
+        # the reference is the least over tau >= sqrt(R) of a bound through
+        # |y - theta| <= (R / 2) / (|theta| - sqrt(R)) above tau and (m / 2) (tau^2 + R)^(m/2 - 1)
+        # times the rest of R below it; whenever max |theta| > sqrt(R) that least is its first
+        # candidate, tau = max |theta|, which is the closed form, bit for bit
+        def tau_search(theta, remainder):
+            size = np.sort(np.abs(theta))[::-1]
+            root = np.sqrt(remainder)
+            big = size[size > root]
+            delta = (remainder / 2.0) / (big - root)
+            outer = np.concatenate(([0.0], np.cumsum(m * (big + delta) ** (m - 1) * delta)))
+            tau = np.append(big, root)
+            inner = (m / 2.0) * (tau * tau + remainder) ** (m / 2.0 - 1.0) * remainder
+            return float(np.min(outer + inner))
+
+        rng = np.random.default_rng(m)
+        for _ in range(2000):
+            size = rng.integers(2, 65)
+            theta = rng.choice([-1.0, 1.0], size) * rng.uniform(0.0, 1.0, size) ** rng.uniform(1.0, 8.0)
+            theta *= 10.0 ** rng.uniform(-3.0, 0.0) / np.max(np.abs(theta))
+            # sqrt(R) from 1e-7 to 0.999 of max |theta|
+            remainder = (np.max(np.abs(theta)) * min(10.0 ** rng.uniform(-7.0, 0.0), 0.999)) ** 2
+            assert matrices._trace_bound(np.abs(theta), remainder, m) == tau_search(
+                theta, remainder), (theta, remainder)
+
+    @pytest.mark.parametrize("n", [800, 1500])
+    @pytest.mark.parametrize("name", ["ARCTAN_HALF", "TANH_HALF", "MOLLIFIED_STEP"])
+    def test_every_matched_ritz_value_is_within_its_interlacing_bound(self, n, name):
+        # the first block of each of the 8 default eps: the positive Ritz values matched to
+        # the largest dense eigenvalues and the negative ones to the smallest are each within
+        # R / (2 |theta|), read or not, and no unmatched y^2 exceeds R
+        model = RankOneModel(n=n)
+        points = [model.build_d_eps(builtin_profile(name), float(eps), 0.0)
+                  for eps in np.geomspace(1e-1, 3e-3, 8)]
+        SpectralDifference.fill(points)
+        for d in points:
+            theta, y = d._ritz, d.eigenvalues()
+            assert theta.size == BLOCK_START
+            rounding = 8.0 * np.finfo(float).eps * float(d.f @ d.f + d.g @ d.g)
+            r = max(d.trace_power(2) - float(theta @ theta), 0.0) + rounding
+            top, bottom = theta[theta > 0.0][::-1], theta[theta < 0.0]
+            errors = np.abs(np.concatenate((y[::-1][: top.size] - top, y[: bottom.size] - bottom)))
+            assert np.all(errors <= r / (2.0 * np.abs(np.concatenate((top, bottom)))))
+            assert np.max(y[bottom.size: y.size - top.size] ** 2) <= r
 
     def test_high_power_uses_the_dense_spectrum(self, model):
         # the dense spectrum is the oracle; Tr D^m for m >= 4 comes from the Ritz values
@@ -401,6 +446,15 @@ class TestStructuredDifference:
         q = np.linalg.qr(np.random.default_rng(3).standard_normal((50, 50)))[0]
         d = SpectralDifference(q, np.zeros(50), np.zeros(50))
         with pytest.raises(EigendecompositionError, match="not of full rank"):
+            d.window_eigenvalues(0.4)
+
+    def test_a_block_that_is_not_orthonormal_raises(self, monkeypatch):
+        # a Cholesky factor 0.1% too large leaves V^T V = I / 1.001^2, far above 1e-13
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda gram: cholesky(gram) * 1.001)
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((50, 50)))[0]
+        d = SpectralDifference(q, np.linspace(-0.9, 0.9, 50), np.zeros(50))
+        with pytest.raises(EigendecompositionError, match="orthogonality defect"):
             d.window_eigenvalues(0.4)
 
     def test_fill_takes_points_on_one_q(self, model):
