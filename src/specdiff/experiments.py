@@ -11,7 +11,8 @@ of one certified block pass, which holds every eigenvalue beyond the
 smallest window edge.  Fitted slopes
 against |log eps| are compared with the predictions coming from the
 scattering data: window masses of the limiting density for counts, Delta_m
-moments for traces.
+moments for traces.  The trace-formula study's ``limit`` is the deepest
+clean Tr D_eps, compared with -xi(lam) as it is, with no extrapolation.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .density import BandSet, band_count_slope, delta_m
-from .hankel import sequence_limit
 from .matrices import SpectralDifference, check_trace_powers
 from .models import RankOneModel, negative_control
 from .profiles import CutoffProfile, builtin_profile
@@ -545,6 +546,12 @@ def run_sweep(config: SweepConfig, profile: str | None = None) -> SweepResult:
     )
 
 
+def _relative_gap(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|); 0 when neither exceeds 1e-12 in size."""
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale > 1e-12 else 0.0
+
+
 @dataclass(frozen=True)
 class UniversalityResult:
     """Per-profile sweeps plus each window's worst pairwise slope disagreement."""
@@ -565,17 +572,11 @@ def universality_study(config: SweepConfig, profiles: Sequence[str] | None = Non
         raise ConfigError("universality needs at least two profiles")
     results = {name: run_sweep(config, profile=name) for name in names}
 
-    pairwise: dict[str, float] = {}
+    pairwise = {}
     for win in config.windows:
         key = _count_key(win)
         slopes = [results[name].fitted_slopes[key] for name in names]
-        worst = 0.0
-        for i in range(len(slopes)):
-            for j in range(i + 1, len(slopes)):
-                denom = max(abs(slopes[i]), abs(slopes[j]))
-                if denom > 1e-12:
-                    worst = max(worst, abs(slopes[i] - slopes[j]) / denom)
-        pairwise[key] = worst
+        pairwise[key] = max(_relative_gap(a, b) for a, b in combinations(slopes, 2))
     return UniversalityResult(results=results, pairwise_deviation=pairwise)
 
 
@@ -604,21 +605,18 @@ def symmetry_study(config: SweepConfig) -> SymmetryResult:
     res = run_sweep(cfg)
     pos = res.fitted_slopes[_count_key((b, math.inf))]
     neg = res.fitted_slopes[_count_key((-math.inf, -b))]
-    denom = max(abs(pos), abs(neg))
-    deviation = abs(pos - neg) / denom if denom > 1e-12 else 0.0
-    predicted = res.predicted_slopes[_count_key((b, math.inf))]
     return SymmetryResult(
         positive_slope=pos,
         negative_slope=neg,
-        predicted=predicted,
-        deviation=deviation,
+        predicted=res.predicted_slopes[_count_key((b, math.inf))],
+        deviation=_relative_gap(pos, neg),
         result=res,
     )
 
 
 @dataclass(frozen=True)
 class TraceFormulaResult:
-    """Tr D_eps along the sweep and its extrapolated eps -> 0 limit."""
+    """Tr D_eps along the sweep; ``limit`` is its deepest clean value."""
 
     eps: tuple[float, ...]
     traces: tuple[float, ...]
@@ -629,19 +627,18 @@ class TraceFormulaResult:
 
 
 def trace_formula_study(config: SweepConfig) -> TraceFormulaResult:
-    """Extrapolate Tr D_eps to eps -> 0 and compare with -xi(lam).
+    """Compare Tr D_eps at the smallest clean eps with -xi(lam), its eps -> 0 limit.
 
-    The trace is a bounded quantity with no |log eps| growth.  Its limit is
-    the ``hankel.sequence_limit`` of the clean traces: Aitken's delta-squared
-    on the last three when their differences shrink with one sign, else the
-    smallest-eps trace.
+    The trace is a bounded quantity with no |log eps| growth.  ``limit`` is
+    the deepest clean trace as it is: no extrapolation is made, since the
+    last differences of the clean traces grow on the grids this is run on.
     """
     if 1 not in config.trace_powers:
         config = replace(config, trace_powers=(1,) + config.trace_powers)
     res = run_sweep(config)
     clean = res.clean_records()
     traces = [r.traces[1] for r in clean]
-    limit = sequence_limit(traces)
+    limit = traces[-1]
     predicted = -res.xi
     return TraceFormulaResult(
         eps=tuple(r.epsilon for r in clean),

@@ -92,7 +92,8 @@ def render_svg(summary: dict) -> str:
     the predicted-slope line (through the fitted intercept) is dashed.  Finite
     numbers can still overflow the scales (a span of log_inv_eps or a slope
     near the largest float): a coordinate that is not finite raises
-    ``ValueError``.
+    ``ValueError``, as does a negative count, which the count axis from 0
+    cannot hold.
     """
     records = summary.get("records", [])
     windows = summary.get("windows", [])
@@ -102,6 +103,8 @@ def render_svg(summary: dict) -> str:
 
     xs = [r["log_inv_eps"] for r in records]
     ys = [r["counts"][w] for r in records for w in windows if w in r.get("counts", {})]
+    if any(y < 0 for y in ys):
+        raise ValueError('a record needs a "counts" object of numbers >= 0')
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0

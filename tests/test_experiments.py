@@ -25,7 +25,6 @@ from specdiff.experiments import (
     universality_study,
 )
 from specdiff.density import BandSet, band_count_slope
-from specdiff.hankel import sequence_limit
 from specdiff.matrices import (
     BLOCK_START,
     DiagonalPlusRankOne,
@@ -678,7 +677,7 @@ class TestStudies:
     def test_trace_formula_bounded_and_adds_power_one(self):
         res = trace_formula_study(small_config(trace_powers=(2,)))
         assert all(abs(t) <= 1.0 for t in res.traces)
-        assert res.limit == sequence_limit(res.traces)
+        assert res.limit == res.traces[-1]
         assert res.predicted == pytest.approx(-res.result.xi)
 
     def test_negative_control_exponent_recovery(self):

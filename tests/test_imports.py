@@ -64,6 +64,17 @@ def test_the_package_alone_loads_no_module():
     assert json.loads(proc.stdout) == []
 
 
+def test_the_rank_one_studies_load_no_k_eps_layer():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import json, sys, specdiff.experiments; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('specdiff.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "specdiff.hankel" not in json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"specdiff.{name}")

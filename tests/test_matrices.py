@@ -451,6 +451,11 @@ class TestSingularValuesAndNorms:
         assert schatten_norm(np.diag([3.0, 4.0]), 2) == pytest.approx(5.0)
         assert schatten_norm(np.diag([3.0, 4.0]), np.inf) == pytest.approx(4.0)
 
+    def test_schatten_of_an_empty_matrix_is_zero(self):
+        # there is no largest singular value to read for p = inf
+        assert schatten_norm(np.zeros((0, 0)), 2) == 0.0
+        assert schatten_norm(np.zeros((0, 0)), np.inf) == 0.0
+
     def test_schatten_rejects_p_below_one(self):
         for p in (0.5, 0.0, -1.0, np.nan):
             with pytest.raises(ValueError):

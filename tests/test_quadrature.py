@@ -81,6 +81,12 @@ def test_the_model_and_the_kernel_grids_read_the_rule():
     assert np.array_equal(grid.nodes, gauss_legendre(150)[0])
 
 
+def test_a_gauss_legendre_grid_needs_an_interval():
+    # an empty interval would otherwise reach QuadratureGrid's weight check
+    with pytest.raises(ValueError, match="need b > a"):
+        gauss_legendre_grid(1.0, 1.0, 4)
+
+
 def test_bessel_tables_are_scipys_values_bit_for_bit():
     assert np.array_equal(quadrature._J0_ZEROS, special.jn_zeros(0, 20))
     # the 21st J1 value is taken at McMahon's j_21, as the rule uses it

@@ -73,3 +73,26 @@ class TestRenderSvg:
         svg = render_svg({})
         assert svg.startswith("<svg xmlns=")
         assert svg.rstrip().endswith("</svg>")
+
+    def test_one_abscissa_gets_a_unit_span(self):
+        summary = sample_summary()
+        for record in summary["records"]:
+            record["log_inv_eps"] = 2.0
+        svg = render_svg(summary)
+        for tick in ("2", "2.25", "2.5", "2.75", "3"):
+            assert f">{tick}</text>" in svg
+
+    def test_skips_a_window_a_record_has_no_count_for(self):
+        summary = sample_summary()
+        del summary["records"][0]["counts"]["(0.4,1)"]
+        assert render_svg(summary).count('r="4"') == 2
+
+    @pytest.mark.parametrize("counts", [(-1, -1), (-3, -5), (2, -1)])
+    def test_refuses_a_negative_count(self, counts):
+        # the count axis starts at 0: all -1 would leave it no span, -3 and -5 a negative one
+        summary = sample_summary()
+        summary["records"] = summary["records"][:2]
+        for record, count in zip(summary["records"], counts):
+            record["counts"]["(0.4,1)"] = count
+        with pytest.raises(ValueError, match='"counts" object of numbers >= 0'):
+            render_svg(summary)
